@@ -7,6 +7,7 @@ use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pgs_core::cost::CostModel;
+use pgs_core::exec::Exec;
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{evaluate_group_with, GroupView, MergeEvaluator, Scratch, WorkingSummary};
 use pgs_core::SuperId;
@@ -15,7 +16,8 @@ use pgs_graph::Graph;
 
 /// A summary state mid-run: every even singleton merged with its odd
 /// neighbor id, so supernodes carry multiple members and non-trivial
-/// neighbor spans — the regime the cache is built for.
+/// neighbor spans — the regime the cache is built for. Stale tables are
+/// refreshed, as the engine does before every evaluate phase.
 fn premerged<'a>(g: &'a Graph, w: &'a NodeWeights, pairs: u32) -> WorkingSummary<'a> {
     let mut ws = WorkingSummary::new(g, w, CostModel::ErrorCorrection);
     let mut scratch = Scratch::default();
@@ -26,6 +28,7 @@ fn premerged<'a>(g: &'a Graph, w: &'a NodeWeights, pairs: u32) -> WorkingSummary
             &mut scratch,
         );
     }
+    ws.refresh_stale(&Exec::serial());
     ws
 }
 
@@ -67,7 +70,7 @@ fn bench_merge_eval(c: &mut Criterion) {
 
     c.bench_function("merge_eval/pair_cached", |b| {
         let mut scratch = Scratch::default();
-        let mut view = GroupView::with_cache(&ws, &group, &mut scratch);
+        let mut view = GroupView::with_cache(&ws, &group);
         let mut i = 0usize;
         b.iter(|| {
             i = (i + 2) % (group.len() - 1);

@@ -465,13 +465,9 @@ impl RunControl {
         match &self.resume {
             None => Ok(None),
             Some(bytes) => {
-                let ck = RunCheckpoint::decode(bytes).map_err(|e| PgsError::CheckpointInvalid {
-                    reason: e.to_string(),
-                })?;
+                let ck = RunCheckpoint::decode(bytes).map_err(checkpoint_invalid)?;
                 ck.validate_for(algorithm, num_nodes)
-                    .map_err(|e| PgsError::CheckpointInvalid {
-                        reason: e.to_string(),
-                    })?;
+                    .map_err(checkpoint_invalid)?;
                 Ok(Some(ck))
             }
         }
@@ -747,7 +743,8 @@ impl Summarizer for Pegasus {
         let control = req.control_ref();
         let resume = control.decode_resume(crate::checkpoint::ALGO_PEGASUS, g.num_nodes())?;
         let (summary, stats, stop) =
-            pegasus_loop(g, &weights, budget_bits, cfg, control, resume.as_ref());
+            pegasus_loop(g, &weights, budget_bits, cfg, control, resume.as_ref())
+                .map_err(checkpoint_invalid)?;
         Ok(finish_run(g, summary, stats, stop))
     }
 }
@@ -770,8 +767,16 @@ impl Summarizer for Ssumm {
         let budget_bits = req.budget().to_bits(g, self.name())?;
         let control = req.control_ref();
         let resume = control.decode_resume(crate::checkpoint::ALGO_SSUMM, g.num_nodes())?;
-        let (summary, stats, stop) = ssumm_loop(g, budget_bits, &self.0, control, resume.as_ref());
+        let (summary, stats, stop) = ssumm_loop(g, budget_bits, &self.0, control, resume.as_ref())
+            .map_err(checkpoint_invalid)?;
         Ok(finish_run(g, summary, stats, stop))
+    }
+}
+
+/// A resume blob that fails to decode, validate or restore.
+fn checkpoint_invalid(e: CheckpointError) -> PgsError {
+    PgsError::CheckpointInvalid {
+        reason: e.to_string(),
     }
 }
 

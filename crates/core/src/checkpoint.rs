@@ -203,15 +203,20 @@ impl RunCheckpoint {
         gains
     }
 
-    /// Rebuilds the [`WorkingSummary`] this checkpoint describes.
-    /// Infallible after [`RunCheckpoint::decode`]'s structural checks
-    /// and a [`RunCheckpoint::validate_for`] pass against the run.
+    /// Rebuilds the [`WorkingSummary`] this checkpoint describes, after
+    /// [`RunCheckpoint::decode`]'s structural checks and a
+    /// [`RunCheckpoint::validate_for`] pass against the run.
+    ///
+    /// # Errors
+    /// [`CheckpointError::Corrupt`] when a superedge joins two supernodes
+    /// with no edge between them in `g` — a check only the graph allows
+    /// ([`WorkingSummary::from_checkpoint`]).
     pub fn restore_working<'a>(
         &self,
         g: &'a Graph,
         w: &'a NodeWeights,
         model: CostModel,
-    ) -> WorkingSummary<'a> {
+    ) -> Result<WorkingSummary<'a>, CheckpointError> {
         WorkingSummary::from_checkpoint(
             g,
             w,
@@ -545,6 +550,7 @@ impl Reader<'_> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Budget, Pegasus, PgsError, SummarizeRequest, Summarizer};
     use crate::working::Scratch;
     use pgs_graph::gen::barabasi_albert;
 
@@ -698,10 +704,46 @@ mod tests {
     }
 
     #[test]
+    fn superedge_between_unconnected_supernodes_is_corrupt() {
+        // No run puts a superedge between two supernodes without an
+        // input edge between them. The decoder cannot see the graph, so
+        // the restore must reject such a pair, directly and on a run's
+        // resume path.
+        let (g, w, mut ck) = sample_checkpoint();
+        let touches = |a: &SuperRecord, b: &SuperRecord| {
+            a.members
+                .iter()
+                .any(|&u| g.neighbors(u).iter().any(|v| b.members.contains(v)))
+        };
+        let (a, b) = ck
+            .supers
+            .iter()
+            .flat_map(|a| ck.supers.iter().map(move |b| (a, b)))
+            .find(|(a, b)| a.id < b.id && !touches(a, b))
+            .map(|(a, b)| (a.id, b.id))
+            .unwrap();
+        ck.superedges.push((a, b));
+        ck.superedges.sort_unstable();
+        let blob = ck.encode();
+        let decoded = RunCheckpoint::decode(&blob).unwrap();
+        assert!(matches!(
+            decoded.restore_working(&g, &w, CostModel::ErrorCorrection),
+            Err(CheckpointError::Corrupt(_))
+        ));
+        let req = SummarizeRequest::new(Budget::Ratio(0.5)).resume_from(std::sync::Arc::new(blob));
+        assert!(matches!(
+            Pegasus::default().run(&g, &req),
+            Err(PgsError::CheckpointInvalid { .. })
+        ));
+    }
+
+    #[test]
     fn restore_matches_captured_state() {
         let (g, w, ck) = sample_checkpoint();
         let decoded = RunCheckpoint::decode(&ck.encode()).unwrap();
-        let ws = decoded.restore_working(&g, &w, CostModel::ErrorCorrection);
+        let ws = decoded
+            .restore_working(&g, &w, CostModel::ErrorCorrection)
+            .unwrap();
         assert_eq!(ws.num_supernodes(), 58);
         assert_eq!(ws.num_superedges(), ck.superedges.len());
         for rec in &decoded.supers {

@@ -18,7 +18,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::api::{RunControl, StopReason};
-use crate::checkpoint::{iteration_seed, RunCheckpoint, ALGO_PEGASUS};
+use crate::checkpoint::{iteration_seed, CheckpointError, RunCheckpoint, ALGO_PEGASUS};
 use crate::cost::CostModel;
 use crate::exec::Exec;
 use crate::shingle::{
@@ -55,7 +55,7 @@ pub struct PegasusConfig {
     /// The output is identical at any setting; only wall-clock changes.
     pub num_threads: usize,
     /// Which merge evaluator prices candidate pairs: the group-local
-    /// weight-vector cache (default) or the legacy member-edge scan
+    /// span cache (default) or the legacy member-edge scan
     /// (kept as the benchmark / equivalence baseline, DESIGN.md §7).
     pub evaluator: MergeEvaluator,
     /// Which candidate generator forms the per-iteration groups: the
@@ -201,9 +201,11 @@ pub fn summarize_with_weights(
     budget_bits: f64,
     cfg: &PegasusConfig,
 ) -> (Summary, RunStats) {
-    let (summary, stats, _) =
-        pegasus_loop(g, weights, budget_bits, cfg, &RunControl::default(), None);
-    (summary, stats)
+    match pegasus_loop(g, weights, budget_bits, cfg, &RunControl::default(), None) {
+        Ok((summary, stats, _)) => (summary, stats),
+        // pgs-allow: PGS004 the loop fails only on a resume checkpoint, and none is passed
+        Err(e) => unreachable!("fresh run: {e}"),
+    }
 }
 
 /// The Alg.-1 driver with run control threaded in — the engine behind
@@ -220,7 +222,8 @@ pub fn summarize_with_weights(
 /// [`iteration_seed`]`(cfg.seed, t)` rather than one sequential stream,
 /// so a run resumed from a `resume` checkpoint at iteration `k` replays
 /// iterations `k..` bit-identically to the uninterrupted run — the
-/// checkpoint/resume correctness contract of DESIGN.md §10.
+/// checkpoint/resume correctness contract of DESIGN.md §10. A resume
+/// checkpoint that does not fit the graph is the loop's only error.
 pub(crate) fn pegasus_loop(
     g: &Graph,
     weights: &NodeWeights,
@@ -228,7 +231,7 @@ pub(crate) fn pegasus_loop(
     cfg: &PegasusConfig,
     control: &RunControl,
     resume: Option<&RunCheckpoint>,
-) -> (Summary, RunStats, StopReason) {
+) -> Result<(Summary, RunStats, StopReason), CheckpointError> {
     let started = std::time::Instant::now();
     let mut scratch = Scratch::default();
     let exec = Exec::new(cfg.num_threads);
@@ -238,7 +241,7 @@ pub(crate) fn pegasus_loop(
     };
     let (mut ws, mut threshold, mut stats, mut t, mut stall_cap) = match resume {
         Some(ck) => (
-            ck.restore_working(g, weights, CostModel::ErrorCorrection),
+            ck.restore_working(g, weights, CostModel::ErrorCorrection)?,
             AdaptiveThreshold::restore(cfg.beta, f64::from_bits(ck.theta_bits)),
             ck.stats,
             ck.next_iteration as usize,
@@ -301,6 +304,9 @@ pub(crate) fn pegasus_loop(
             .map(|grp| (grp, rng.next_u64()))
             .collect();
         let eval_start = std::time::Instant::now();
+        // Tables the last commit left stale are rescanned here, once,
+        // so every group reads exact values (DESIGN.md §7).
+        ws.refresh_stale(&exec);
         let outcomes = exec.map_indexed(&seeded, |_, (group, seed)| {
             control.beat();
             evaluate_group_with(
@@ -375,7 +381,7 @@ pub(crate) fn pegasus_loop(
         sparsify(&mut ws, budget_bits, &exec);
         stats.phases.sparsify += sparsify_start.elapsed().as_secs_f64();
     }
-    (ws.into_summary(), stats, stop)
+    Ok((ws.into_summary(), stats, stop))
 }
 
 #[cfg(test)]

@@ -7,28 +7,27 @@
 use crate::cost::cost_with_superedge;
 use crate::exec::Exec;
 use crate::summary::SuperId;
-use crate::working::{with_weight_vector, WorkingSummary};
+use crate::working::WorkingSummary;
 
 /// Drops superedges in ascending `Cost_AB` order until
 /// `Size(G̅) ≤ budget_bits` (Alg. 1 lines 11–13).
 ///
 /// Dropping superedges does not change `|S|`, so each drop removes
 /// exactly `2·log2|S|` bits; the number of drops needed is known up
-/// front. Pricing fans out over contiguous ranges of the supernode *id
-/// space* (no materialized live-id list): each worker rebuilds the
-/// weight vector of every live supernode in its range through its
-/// thread-local epoch-stamped dense lane — the same accumulation
-/// primitive the merge evaluator uses (DESIGN.md §7) — and prices the
-/// supernode's superedges from it. Every per-pair sum is accumulated in
-/// one supernode's member-edge visit order, a pure function of the
-/// supernode alone, so chunk boundaries and thread counts cannot
-/// perturb the prices. Prices sort under the total order `(cost, a, b)`,
-/// so equal-cost superedges drop in the same order at any thread count.
+/// front. Pricing reads the persistent neighbor tables (DESIGN.md §7),
+/// refreshed first so every value is the flat member-edge sum: each
+/// superedge `{a, b}` is priced once, from its smaller endpoint's table
+/// entry. Pricing fans out over contiguous ranges of the supernode *id
+/// space*, and every price is a pure function of one table entry, so
+/// chunk boundaries and thread counts cannot perturb it. Prices sort
+/// under the total order `(cost, a, b)`, so equal-cost superedges drop
+/// in the same order at any thread count.
 pub fn sparsify(ws: &mut WorkingSummary<'_>, budget_bits: f64, exec: &Exec) {
     let log_s = ws.log_s();
     if log_s == 0.0 || ws.size_bits() <= budget_bits {
         return;
     }
+    ws.refresh_stale(exec);
 
     let params = *ws.params();
     let n = ws.graph().num_nodes();
@@ -42,31 +41,20 @@ pub fn sparsify(ws: &mut WorkingSummary<'_>, budget_bits: f64, exec: &Exec) {
     let ws_ref = &*ws;
     let priced_parts = exec.map_indexed(&ranges, |_, &(lo, hi)| {
         let mut priced: Vec<(f64, SuperId, SuperId)> = Vec::new();
-        let mut targets: Vec<SuperId> = Vec::new();
         for a in lo..hi {
             if !ws_ref.is_live(a) {
                 continue;
             }
-            // Each unordered pair is priced once, from its smaller
-            // endpoint (self-loops from themselves). Push order is
-            // irrelevant — the global sort below totally orders on
-            // (cost, a, b) — so the adjacency set is consumed as-is,
-            // into a buffer reused across the worker's whole range.
-            targets.clear();
-            targets.extend(ws_ref.superedge_neighbors(a).filter(|&b| b >= a));
-            if targets.is_empty() {
-                continue;
-            }
-            with_weight_vector(ws_ref, a, |lane, epoch| {
-                for &b in &targets {
-                    // The scan doubles intra-supernode weight (both
-                    // endpoints visited); halve it for the self-loop.
-                    let e_raw = lane.get(b, epoch).unwrap_or(0.0);
-                    let e = if b == a { e_raw / 2.0 } else { e_raw };
-                    let tot = ws_ref.pair_tot(a, b);
-                    priced.push((cost_with_superedge(tot, e, log_s, &params), a, b));
+            for (b, e_raw, superedge) in ws_ref.neighbor_table(a) {
+                if !superedge || b < a {
+                    continue;
                 }
-            });
+                // Intra-supernode weight is summed from both endpoints;
+                // halve it for the self-loop.
+                let e = if b == a { e_raw / 2.0 } else { e_raw };
+                let tot = ws_ref.pair_tot(a, b);
+                priced.push((cost_with_superedge(tot, e, log_s, &params), a, b));
+            }
         }
         priced
     });

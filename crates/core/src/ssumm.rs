@@ -16,7 +16,7 @@ use rand::rngs::StdRng;
 use rand::{RngCore, SeedableRng};
 
 use crate::api::{RunControl, StopReason};
-use crate::checkpoint::{iteration_seed, RunCheckpoint, ALGO_SSUMM};
+use crate::checkpoint::{iteration_seed, CheckpointError, RunCheckpoint, ALGO_SSUMM};
 use crate::cost::CostModel;
 use crate::exec::Exec;
 use crate::pegasus::RunStats;
@@ -77,8 +77,11 @@ pub fn ssumm_summarize_with_stats(
     budget_bits: f64,
     cfg: &SsummConfig,
 ) -> (Summary, RunStats) {
-    let (summary, stats, _) = ssumm_loop(g, budget_bits, cfg, &RunControl::default(), None);
-    (summary, stats)
+    match ssumm_loop(g, budget_bits, cfg, &RunControl::default(), None) {
+        Ok((summary, stats, _)) => (summary, stats),
+        // pgs-allow: PGS004 the loop fails only on a resume checkpoint, and none is passed
+        Err(e) => unreachable!("fresh run: {e}"),
+    }
 }
 
 /// The SSumM merge loop with run control threaded in, mirroring
@@ -86,13 +89,15 @@ pub fn ssumm_summarize_with_stats(
 /// of each iteration (a commit boundary), interrupted runs skip final
 /// sparsification, per-iteration RNG derivation so a `resume` checkpoint
 /// replays the remaining iterations bit-identically.
+/// A resume checkpoint that does not fit the graph is the loop's only
+/// error.
 pub(crate) fn ssumm_loop(
     g: &Graph,
     budget_bits: f64,
     cfg: &SsummConfig,
     control: &RunControl,
     resume: Option<&RunCheckpoint>,
-) -> (Summary, RunStats, StopReason) {
+) -> Result<(Summary, RunStats, StopReason), CheckpointError> {
     let started = std::time::Instant::now();
     let weights = NodeWeights::uniform(g.num_nodes());
     let mut scratch = Scratch::default();
@@ -105,7 +110,7 @@ pub(crate) fn ssumm_loop(
     // theta/stall_cap words are ignored on restore.
     let (mut ws, mut stats, mut t) = match resume {
         Some(ck) => (
-            ck.restore_working(g, &weights, CostModel::SsummMin),
+            ck.restore_working(g, &weights, CostModel::SsummMin)?,
             ck.stats,
             ck.next_iteration as usize,
         ),
@@ -158,6 +163,7 @@ pub(crate) fn ssumm_loop(
             .map(|grp| (grp, rng.next_u64()))
             .collect();
         let eval_start = std::time::Instant::now();
+        ws.refresh_stale(&exec);
         let outcomes = exec.map_indexed(&seeded, |_, (group, seed)| {
             control.beat();
             evaluate_group_with(&ws, group, theta, *seed, false, cfg.evaluator)
@@ -203,7 +209,7 @@ pub(crate) fn ssumm_loop(
         sparsify(&mut ws, budget_bits, &exec);
         stats.phases.sparsify += sparsify_start.elapsed().as_secs_f64();
     }
-    (ws.into_summary(), stats, stop)
+    Ok((ws.into_summary(), stats, stop))
 }
 
 #[cfg(test)]

@@ -21,21 +21,25 @@
 //!
 //! # The merge-evaluation hot loop (DESIGN.md §7)
 //!
-//! Two structures keep the Alg.-2 inner loop off the allocator and the
-//! hash functions:
+//! Three structures keep the Alg.-2 inner loop off the allocator, the
+//! hash functions and the member edges:
 //!
+//! * **Persistent neighbor tables** ([`WorkingSummary`]): per supernode,
+//!   a sorted table of `(neighbor supernode, flat member-edge weight
+//!   sum, superedge bit)` entries, kept exact by every commit-phase
+//!   merge. They are the superedge adjacency and the evaluator's weight
+//!   vectors at once.
 //! * An **epoch-stamped dense scratch** ([`Scratch`]): per-supernode
 //!   accumulators are flat `stamp`/`val` arrays indexed by `SuperId`
 //!   plus a `touched` list, cleared in `O(touched)` by bumping an epoch
 //!   counter — no hashing, no per-call allocation.
-//! * A **group-local superedge-weight cache** ([`GroupView::with_cache`]):
-//!   at group start every member's aggregated neighbor-supernode weight
-//!   vector is computed once and stored as a sorted `(SuperId, f64)`
-//!   span in a bump arena; every subsequent evaluation answers from the
-//!   cached spans instead of re-walking member edges. Intra-group merges
+//! * A **group-local span cache** ([`GroupView::with_cache`]): at group
+//!   start every member's table is copied into a bump arena as a sorted
+//!   span with positional value, superedge and neighbor-weight columns;
+//!   each span also memoizes its Eq.-9 side cost. Intra-group merges
 //!   combine the two member spans incrementally and stale span keys are
-//!   remapped dead→kept lazily at read time, so the cache survives the
-//!   whole group round.
+//!   remapped dead→kept lazily, so the cache survives the whole group
+//!   round.
 //!
 //! Both the cached and the scan evaluator accumulate per-neighbor sums
 //! in member-edge visit order and price pairs in ascending-`SuperId`
@@ -44,12 +48,15 @@
 //! the byte-identical-at-any-thread-count guarantee rests on.
 
 use std::cell::RefCell;
+use std::ops::Range;
 
-use pgs_graph::{FxHashMap, FxHashSet, Graph, NodeId};
+use pgs_graph::{FxHashMap, Graph, NodeId};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::checkpoint::CheckpointError;
 use crate::cost::{best_pair_cost, pair_cost, CostModel, CostParams};
+use crate::exec::Exec;
 use crate::summary::{Summary, SuperId};
 use crate::weights::NodeWeights;
 
@@ -298,90 +305,103 @@ fn accumulate_edge_weights_view<V: SummaryView + ?Sized>(
     }
 }
 
-/// Fills this thread's scratch with `s`'s aggregated neighbor-supernode
-/// weight vector and hands the lane plus its epoch to `f` — the
-/// accumulation primitive behind sparsification pricing. The lane is
-/// *not* sorted: per-key sums are order-independent of `touched`, and
-/// the only consumer does point lookups ([`DenseLane::get`]).
-pub(crate) fn with_weight_vector<V, R>(v: &V, s: SuperId, f: impl FnOnce(&DenseLane, u32) -> R) -> R
-where
-    V: SummaryView + ?Sized,
-{
-    with_thread_scratch(|scratch| {
-        scratch.begin(v.graph_ref().num_nodes());
-        accumulate_edge_weights_view(v, s, &mut scratch.a, scratch.epoch);
-        f(&scratch.a, scratch.epoch)
-    })
+/// One side of a priced merge: a supernode's *sorted* neighbor keys plus
+/// positional readers over whatever stores the vector (span columns, a
+/// dense lane projected through its `touched` list, ...). `val(i)` is
+/// the `i`-th entry's flat member-edge weight sum, `pres(i, x)` its
+/// superedge bit and `wx(i, x)` the neighbor's `Σ ŵ` — callers must pass
+/// readers extensionally equal to the view's own answers
+/// ([`SummaryView::has_superedge_in`], [`SummaryView::wsum_of`]).
+struct Side<'k, VA, PA, WA> {
+    keys: &'k [SuperId],
+    val: VA,
+    pres: PA,
+    wx: WA,
 }
 
-/// **The** canonical pricing routine (Eq. 10–11): prices the merge
-/// `{a, b}` from two *sorted* neighbor-supernode weight vectors,
-/// generically over their storage (positional span columns, or a dense
-/// lane projected through its `touched` list). Every evaluator funnels
-/// through this one function, so the f64 accumulation order —
-/// per-supernode costs in ascending-`SuperId` order, the merged
-/// supernode's externals in sorted merge-join union order — is shared
-/// **by construction**: identical vector contents give bitwise-identical
-/// [`DeltaEval`]s (the DESIGN.md §7 invariant).
-///
-/// `va(i)`/`vb(i)` read side a/b's `i`-th value; `pa(i, x)`/`pb(i, x)`
-/// resolve superedge presence for the `i`-th entry with key `x`;
-/// `wx(x)` resolves a supernode's weight sum — callers must pass a
-/// function extensionally equal to `|x| v.wsum_of(x)` (the cached fast
-/// path hoists its overlay-or-snapshot branch out of the per-entry
-/// loops this way).
-#[allow(clippy::too_many_arguments)]
-fn price_merge_canonical<V, WX, VA, VB, PA, PB>(
-    v: &V,
-    a: SuperId,
-    b: SuperId,
-    ka: &[SuperId],
-    va: VA,
-    pa: PA,
-    kb: &[SuperId],
-    vb: VB,
-    pb: PB,
-    wx: WX,
-) -> DeltaEval
+impl<VA, PA, WA> Side<'_, VA, PA, WA>
+where
+    VA: Fn(usize) -> f64,
+    PA: Fn(usize, SuperId) -> bool,
+    WA: Fn(usize, SuperId) -> f64,
+{
+    /// The value stored under key `x`, 0 when `x` is not a neighbor.
+    #[inline]
+    fn value_at(&self, x: SuperId) -> f64 {
+        match self.keys.binary_search(&x) {
+            Ok(i) => (self.val)(i),
+            Err(_) => 0.0,
+        }
+    }
+}
+
+/// `Cost_s` (Eq. 9) of one merge side: the pair costs of `s` against
+/// each of its neighbors, summed in ascending key order. Every
+/// evaluator prices its sides through this one helper, so a side cost
+/// computed once can be reused (the group cache memoizes it per span)
+/// without breaking bitwise equality with a fresh scan.
+fn side_cost<V, VA, PA, WA>(v: &V, s: SuperId, side: &Side<'_, VA, PA, WA>) -> f64
 where
     V: SummaryView + ?Sized,
-    WX: Fn(SuperId) -> f64,
     VA: Fn(usize) -> f64,
-    VB: Fn(usize) -> f64,
     PA: Fn(usize, SuperId) -> bool,
-    PB: Fn(usize, SuperId) -> bool,
+    WA: Fn(usize, SuperId) -> f64,
 {
     let p = v.cost_params();
     let log_s = v.view_log_s();
-    let (wa, wb) = (wx(a), wx(b));
-
-    // Cost_A and Cost_B (Eq. 9), ascending key order.
-    let mut cost_a = 0.0;
-    for (i, &x) in ka.iter().enumerate() {
-        let e_raw = va(i);
-        let (tot, e) = if x == a {
-            (tot_within_view(v, a), e_raw / 2.0)
+    let ws_ = v.wsum_of(s);
+    let mut cost = 0.0;
+    for (i, &x) in side.keys.iter().enumerate() {
+        let e_raw = (side.val)(i);
+        let (tot, e) = if x == s {
+            (tot_within_view(v, s), e_raw / 2.0)
         } else {
-            (wa * wx(x), e_raw)
+            (ws_ * (side.wx)(i, x), e_raw)
         };
-        cost_a += pair_cost(pa(i, x), tot, e, log_s, p);
+        cost += pair_cost((side.pres)(i, x), tot, e, log_s, p);
     }
-    let mut cost_b = 0.0;
-    for (i, &x) in kb.iter().enumerate() {
-        let e_raw = vb(i);
-        let (tot, e) = if x == b {
-            (tot_within_view(v, b), e_raw / 2.0)
-        } else {
-            (wb * wx(x), e_raw)
-        };
-        cost_b += pair_cost(pb(i, x), tot, e, log_s, p);
-    }
+    cost
+}
 
-    let e_ab = match ka.binary_search(&b) {
-        Ok(i) => va(i),
-        Err(_) => 0.0,
+/// **The** canonical pricing routine (Eq. 10–11): prices the merge
+/// `{a, b}` from the two sides' side costs ([`side_cost`]) and sorted
+/// neighbor vectors, generically over their storage. Every evaluator
+/// funnels through this one function, so the f64 accumulation order —
+/// per-supernode costs in ascending-`SuperId` order, the merged
+/// supernode's externals in sorted merge-join union order — is shared
+/// **by construction**: identical vector contents give bitwise-identical
+/// [`DeltaEval`]s (the DESIGN.md §7 invariant). The per-entry loops read
+/// only the sides' positional columns: no hash lookups, no random
+/// weight reads.
+fn price_merge_canonical<V, VA, PA, WA, VB, PB, WB>(
+    v: &V,
+    a: SuperId,
+    b: SuperId,
+    (cost_a, cost_b): (f64, f64),
+    sa: &Side<'_, VA, PA, WA>,
+    sb: &Side<'_, VB, PB, WB>,
+) -> DeltaEval
+where
+    V: SummaryView + ?Sized,
+    VA: Fn(usize) -> f64,
+    PA: Fn(usize, SuperId) -> bool,
+    WA: Fn(usize, SuperId) -> f64,
+    VB: Fn(usize) -> f64,
+    PB: Fn(usize, SuperId) -> bool,
+    WB: Fn(usize, SuperId) -> f64,
+{
+    let p = v.cost_params();
+    let log_s = v.view_log_s();
+    let (wa, wb) = (v.wsum_of(a), v.wsum_of(b));
+    let (ka, kb) = (sa.keys, sb.keys);
+
+    // A superedge only ever joins supernodes that share a member edge,
+    // so `{a, b}` is present iff b's entry in a's vector carries it.
+    let (e_ab, has_ab) = match ka.binary_search(&b) {
+        Ok(i) => ((sa.val)(i), (sa.pres)(i, b)),
+        Err(_) => (0.0, false),
     };
-    let cost_ab = pair_cost(v.has_superedge_in(a, b), wa * wb, e_ab, log_s, p);
+    let cost_ab = pair_cost(has_ab, wa * wb, e_ab, log_s, p);
     let denom = cost_a + cost_b - cost_ab;
 
     // Cost of the merged supernode C = A ∪ B with optimal re-encoding of
@@ -395,46 +415,38 @@ where
     let wc = wa + wb;
     let sqc = v.sqsum_of(a) + v.sqsum_of(b);
     let tot_cc = ((wc * wc - sqc) / 2.0).max(0.0);
-    let e_aa = match ka.binary_search(&a) {
-        Ok(i) => va(i),
-        Err(_) => 0.0,
-    };
-    let e_bb = match kb.binary_search(&b) {
-        Ok(i) => vb(i),
-        Err(_) => 0.0,
-    };
-    let e_cc = e_aa / 2.0 + e_bb / 2.0 + e_ab;
+    let e_cc = sa.value_at(a) / 2.0 + sb.value_at(b) / 2.0 + e_ab;
     let mut cost_c = best_pair_cost(tot_cc, e_cc, log_s_after, p).0;
 
     // Externals of C: two-pointer merge-join over the two sorted key
     // lists (ascending union order — the canonical cost_c summation
     // order), with straight-line tails once either side is exhausted.
-    let mut external = |x: SuperId, e: f64| {
+    let mut external = |x: SuperId, e: f64, wx: f64| {
         if x != a && x != b {
-            cost_c += best_pair_cost(wc * wx(x), e, log_s_after, p).0;
+            cost_c += best_pair_cost(wc * wx, e, log_s_after, p).0;
         }
     };
     let (mut i, mut j) = (0usize, 0usize);
     while i < ka.len() && j < kb.len() {
         let (xa, xb) = (ka[i], kb[j]);
         if xa == xb {
-            external(xa, va(i) + vb(j));
+            external(xa, (sa.val)(i) + (sb.val)(j), (sa.wx)(i, xa));
             i += 1;
             j += 1;
         } else if xa < xb {
-            external(xa, va(i));
+            external(xa, (sa.val)(i), (sa.wx)(i, xa));
             i += 1;
         } else {
-            external(xb, vb(j));
+            external(xb, (sb.val)(j), (sb.wx)(j, xb));
             j += 1;
         }
     }
     while i < ka.len() {
-        external(ka[i], va(i));
+        external(ka[i], (sa.val)(i), (sa.wx)(i, ka[i]));
         i += 1;
     }
     while j < kb.len() {
-        external(kb[j], vb(j));
+        external(kb[j], (sb.val)(j), (sb.wx)(j, kb[j]));
         j += 1;
     }
 
@@ -452,7 +464,7 @@ where
 /// per Lemma 1 — the *scan* evaluator: it re-walks member edges on every
 /// call. The group evaluator answers from cached spans instead
 /// ([`GroupView::eval_merge_cached`]) and agrees with this function
-/// bitwise on any snapshot state (both price through
+/// bitwise on any snapshot state (both price through [`side_cost`] and
 /// [`price_merge_canonical`]).
 pub fn eval_merge_view<V: SummaryView + ?Sized>(
     v: &V,
@@ -468,18 +480,20 @@ pub fn eval_merge_view<V: SummaryView + ?Sized>(
     scratch.a.sort_touched();
     scratch.b.sort_touched();
     let (la, lb) = (&scratch.a, &scratch.b);
-    price_merge_canonical(
-        v,
-        a,
-        b,
-        &la.touched,
-        |i| la.val[la.touched[i] as usize],
-        |_, x| v.has_superedge_in(a, x),
-        &lb.touched,
-        |i| lb.val[lb.touched[i] as usize],
-        |_, x| v.has_superedge_in(b, x),
-        |x| v.wsum_of(x),
-    )
+    let sa = Side {
+        keys: &la.touched,
+        val: |i: usize| la.val[la.touched[i] as usize],
+        pres: |_, x| v.has_superedge_in(a, x),
+        wx: |_, x| v.wsum_of(x),
+    };
+    let sb = Side {
+        keys: &lb.touched,
+        val: |i: usize| lb.val[lb.touched[i] as usize],
+        pres: |_, x| v.has_superedge_in(b, x),
+        wx: |_, x| v.wsum_of(x),
+    };
+    let costs = (side_cost(v, a, &sa), side_cost(v, b, &sb));
+    price_merge_canonical(v, a, b, costs, &sa, &sb)
 }
 
 /// Null link of the intrusive live list.
@@ -519,6 +533,14 @@ impl LiveList {
             last = i;
         }
         LiveList { next, prev, head }
+    }
+
+    /// Ascending iterator over the linked ids.
+    fn iter(&self) -> LiveIter<'_> {
+        LiveIter {
+            next: &self.next,
+            cur: self.head,
+        }
     }
 
     /// Unlinks `s` in O(1). `s` must currently be linked.
@@ -589,9 +611,267 @@ impl SigBank {
     }
 }
 
-/// The summary graph under construction: supernode partition, superedge
-/// adjacency, and the incremental statistics needed to evaluate merges in
-/// `O(Σ_{u∈A∪B} |N_u|)` (Lemma 1).
+/// One table entry, 12 bytes: the neighbor key packed with the
+/// superedge bit (`key << 1 | bit`, so entries sort by key) and the
+/// weight sum's bits, stored side by side so a neighbor update touches
+/// one cache line rather than one per column.
+#[derive(Clone, Copy, Default)]
+struct Entry([u32; 3]);
+
+impl Entry {
+    #[inline]
+    fn new(key: SuperId, superedge: bool, val: f64) -> Self {
+        let bits = val.to_bits();
+        Entry([
+            (key << 1) | u32::from(superedge),
+            bits as u32,
+            (bits >> 32) as u32,
+        ])
+    }
+
+    /// The neighbor supernode.
+    #[inline]
+    fn key(self) -> SuperId {
+        self.0[0] >> 1
+    }
+
+    /// The superedge bit of `{owner, key}`.
+    #[inline]
+    fn superedge(self) -> bool {
+        self.0[0] & 1 != 0
+    }
+
+    /// The flat member-edge weight sum.
+    #[inline]
+    fn val(self) -> f64 {
+        f64::from_bits(u64::from(self.0[1]) | (u64::from(self.0[2]) << 32))
+    }
+
+    #[inline]
+    fn set_superedge(&mut self, superedge: bool) {
+        self.0[0] = (self.0[0] & !1) | u32::from(superedge);
+    }
+
+    #[inline]
+    fn set_val(&mut self, val: f64) {
+        *self = Entry::new(self.key(), self.superedge(), val);
+    }
+}
+
+/// Arena window of one table. The top bit of `meta` marks the table
+/// stale; the rest is its length.
+#[derive(Clone, Copy, Default)]
+struct Slot {
+    start: u32,
+    meta: u32,
+}
+
+/// The stale flag in [`Slot::meta`].
+const STALE: u32 = 1 << 31;
+
+impl Slot {
+    /// A fresh window. Empty tables all sit at 0, so no compaction or
+    /// truncation can leave an empty window past the arena end.
+    fn new(start: usize, len: usize) -> Self {
+        Slot {
+            start: if len == 0 { 0 } else { start as u32 },
+            meta: len as u32,
+        }
+    }
+
+    #[inline]
+    fn len(self) -> usize {
+        (self.meta & !STALE) as usize
+    }
+
+    #[inline]
+    fn stale(self) -> bool {
+        self.meta & STALE != 0
+    }
+
+    #[inline]
+    fn range(self) -> Range<usize> {
+        self.start as usize..self.start as usize + self.len()
+    }
+}
+
+/// Reserved table slack, as a right shift of the initial entry count
+/// (1/32): room to append merged tables between compactions.
+const TABLE_SLACK_SHIFT: u32 = 5;
+
+/// The persistent neighbor tables (DESIGN.md §7): one table per live
+/// supernode `s`, sorted by key. Each entry holds a neighbor supernode
+/// `x` (some member of `s` has an input edge into `x`; `x == s` for
+/// intra edges), the flat member-edge weight sum between them —
+/// accumulated in `s`'s member-edge visit order, so bit for bit what a
+/// fresh scan computes — and the superedge bit of `{s, x}`.
+///
+/// All tables share one flat arena whose allocation is fixed at
+/// construction. A merge never grows the total entry count (the
+/// survivor's table is at most the union of both sides', and neighbors
+/// only relabel or drop entries), so a new table is rewritten in place
+/// over an old slot when it fits, appended into the reserved slack
+/// otherwise, and the arena compacts in place when the slack runs out.
+///
+/// A neighbor holding *both* merged supernodes cannot combine its two
+/// subtotals exactly (they interleave in visit order), so its table is
+/// marked stale: keys and bits stay exact, and
+/// [`WorkingSummary::refresh_stale`] rescans the values before they are
+/// next read.
+#[derive(Default)]
+struct NeighborTables {
+    /// Every table's entries, each table ascending by key.
+    entries: Vec<Entry>,
+    /// Per supernode id: its table's window (dead slots: length 0).
+    slots: Vec<Slot>,
+    /// Supernodes marked stale since the last refresh. May repeat ids
+    /// that merged or were rescanned since; the slot bits are the truth.
+    stale_ids: Vec<SuperId>,
+}
+
+impl NeighborTables {
+    /// An empty store over `n` supernode ids whose arena holds
+    /// `entries` table entries plus the reserved slack.
+    fn with_capacity(n: usize, entries: usize) -> Self {
+        NeighborTables {
+            entries: Vec::with_capacity(entries + (entries >> TABLE_SLACK_SHIFT) + 64),
+            slots: vec![Slot::default(); n],
+            stale_ids: Vec::new(),
+        }
+    }
+
+    /// Appends `s`'s table at the arena end (construction only).
+    fn push_table(&mut self, s: SuperId, entries: impl Iterator<Item = Entry>) {
+        let at = self.entries.len();
+        self.entries.extend(entries);
+        self.slots[s as usize] = Slot::new(at, self.entries.len() - at);
+    }
+
+    /// `s`'s entries.
+    #[inline]
+    fn table(&self, s: SuperId) -> &[Entry] {
+        &self.entries[self.slots[s as usize].range()]
+    }
+
+    /// Arena index of key `x` in `s`'s table.
+    #[inline]
+    fn find(&self, s: SuperId, x: SuperId) -> Option<usize> {
+        let r = self.slots[s as usize].range();
+        self.entries[r.clone()]
+            .binary_search_by_key(&x, |e| e.key())
+            .ok()
+            .map(|i| r.start + i)
+    }
+
+    #[inline]
+    fn is_stale(&self, s: SuperId) -> bool {
+        self.slots[s as usize].stale()
+    }
+
+    /// Number of superedges incident to `s` (its set bits).
+    fn superedges(&self, s: SuperId) -> usize {
+        self.table(s).iter().filter(|e| e.superedge()).count()
+    }
+
+    fn mark_stale(&mut self, s: SuperId) {
+        let slot = &mut self.slots[s as usize];
+        if !slot.stale() {
+            slot.meta |= STALE;
+            self.stale_ids.push(s);
+        }
+    }
+
+    /// Rewrites `y`'s entry at arena index `at` (the merged-away
+    /// supernode's) as `keep` with superedge bit `superedge`, sliding it
+    /// to keep's sorted position. The value moves unchanged: `y` has no
+    /// edge into `keep`, so the same edges in the same visit order make
+    /// up its sum.
+    fn relabel(&mut self, y: SuperId, at: usize, keep: SuperId, superedge: bool) {
+        let r = self.slots[y as usize].range();
+        let moved = Entry::new(keep, superedge, self.entries[at].val());
+        let to = if keep > self.entries[at].key() {
+            let to = at + self.entries[at + 1..r.end].partition_point(|e| e.key() < keep);
+            self.entries.copy_within(at + 1..to + 1, at);
+            to
+        } else {
+            let to = r.start + self.entries[r.start..at].partition_point(|e| e.key() < keep);
+            self.entries.copy_within(to..at, to + 1);
+            to
+        };
+        self.entries[to] = moved;
+    }
+
+    /// Deletes `y`'s entry at arena index `at`; the slot's tail becomes
+    /// a hole until the next compaction.
+    fn remove(&mut self, y: SuperId, at: usize) {
+        let end = self.slots[y as usize].range().end;
+        self.entries.copy_within(at + 1..end, at);
+        self.slots[y as usize].meta -= 1;
+    }
+
+    /// Installs the survivor `keep`'s new table `fresh` and frees the
+    /// old slots of `keep` and `dead`. The table goes over whichever old
+    /// slot fits it, else at the arena end (after giving back either old
+    /// slot that ends the arena), compacting first when the slack runs
+    /// out.
+    fn install(&mut self, keep: SuperId, dead: SuperId, fresh: &[Entry], live: LiveIter<'_>) {
+        let need = fresh.len();
+        let (k, d) = (keep as usize, dead as usize);
+        let old = [self.slots[k].range(), self.slots[d].range()];
+        self.slots[k] = Slot::default();
+        self.slots[d] = Slot::default();
+        let at = match old.iter().find(|r| need <= r.len()) {
+            Some(r) => r.start,
+            None => {
+                let mut end = self.entries.len();
+                for _ in 0..2 {
+                    for r in &old {
+                        if r.end == end {
+                            end = r.start;
+                        }
+                    }
+                }
+                self.entries.truncate(end);
+                if end + need > self.entries.capacity() {
+                    self.compact(live);
+                }
+                debug_assert!(self.entries.len() + need <= self.entries.capacity());
+                self.entries.len()
+            }
+        };
+        if at + need > self.entries.len() {
+            self.entries.resize(at + need, Entry::default());
+        }
+        self.entries[at..at + need].copy_from_slice(fresh);
+        self.slots[k] = Slot::new(at, need);
+    }
+
+    /// Slides every live table down in arena order, dropping holes and
+    /// dead slots; contents are copied verbatim, capacity is kept.
+    fn compact(&mut self, live: LiveIter<'_>) {
+        let mut order: Vec<u64> = live
+            .filter(|&s| self.slots[s as usize].len() > 0)
+            .map(|s| (u64::from(self.slots[s as usize].start) << 32) | u64::from(s))
+            .collect();
+        order.sort_unstable();
+        let mut write = 0usize;
+        for slot in order {
+            let s = (slot & 0xFFFF_FFFF) as usize;
+            let r = self.slots[s].range();
+            if r.start != write {
+                self.entries.copy_within(r.clone(), write);
+                self.slots[s].start = write as u32;
+            }
+            write += r.len();
+        }
+        self.entries.truncate(write);
+    }
+}
+
+/// The summary graph under construction: supernode partition, the
+/// persistent neighbor tables (superedge adjacency plus per-neighbor
+/// weight sums), and the incremental statistics needed to evaluate
+/// merges in `O(Σ_{u∈A∪B} |N_u|)` (Lemma 1).
 pub struct WorkingSummary<'a> {
     g: &'a Graph,
     w: &'a NodeWeights,
@@ -605,9 +885,11 @@ pub struct WorkingSummary<'a> {
     /// hottest access path. Dead slots hold stale values, never read.
     wsum: Vec<f64>,
     sqsum: Vec<f64>,
-    /// Superedge adjacency per supernode; a self-loop is the supernode's
-    /// own id. Dead slots are empty.
-    adj: Vec<FxHashSet<SuperId>>,
+    /// Per-supernode neighbor tables; a self-loop is the entry keyed by
+    /// the supernode's own id.
+    tables: NeighborTables,
+    /// The survivor's new table, a buffer reused across merges.
+    fresh: Vec<Entry>,
     /// Number of live supernodes `|S|`.
     live: usize,
     /// Number of superedges `|P|` (self-loops count once).
@@ -626,15 +908,22 @@ impl<'a> WorkingSummary<'a> {
     pub fn new(g: &'a Graph, w: &'a NodeWeights, model: CostModel) -> Self {
         assert_eq!(g.num_nodes(), w.len(), "weights must cover all nodes");
         let n = g.num_nodes();
+        assert!(n < 1 << 31, "supernode ids must fit 31 bits");
         let node_super: Vec<SuperId> = (0..n as SuperId).collect();
         let members: Vec<Option<Vec<NodeId>>> = (0..n).map(|u| Some(vec![u as NodeId])).collect();
         let wsum: Vec<f64> = (0..n).map(|u| w.node(u as NodeId)).collect();
         let sqsum: Vec<f64> = wsum.iter().map(|&wu| wu * wu).collect();
-        let mut adj: Vec<FxHashSet<SuperId>> = Vec::with_capacity(n);
+        // A singleton's table is its sorted adjacency row, every entry a
+        // superedge, each sum a single product — what a scan computes.
+        let mut tables = NeighborTables::with_capacity(n, 2 * g.num_edges());
         for u in 0..n as NodeId {
-            let mut set = FxHashSet::with_capacity_and_hasher(g.degree(u), Default::default());
-            set.extend(g.neighbors(u).iter().map(|&v| v as SuperId));
-            adj.push(set);
+            let wu = w.node(u);
+            tables.push_table(
+                u,
+                g.neighbors(u)
+                    .iter()
+                    .map(|&v| Entry::new(v, true, wu * w.node(v))),
+            );
         }
         WorkingSummary {
             g,
@@ -644,7 +933,8 @@ impl<'a> WorkingSummary<'a> {
             members,
             wsum,
             sqsum,
-            adj,
+            tables,
+            fresh: Vec::new(),
             live: n,
             num_superedges: g.num_edges(),
             live_list: LiveList::new(n, |_| true),
@@ -655,10 +945,17 @@ impl<'a> WorkingSummary<'a> {
     /// Rebuilds a mid-run summary from checkpointed parts: per live
     /// supernode its id, **verbatim** `Σ ŵ_u` / `Σ ŵ_u²` (rounding from
     /// the incremental merge sums preserved), and members in their
-    /// original in-memory order; plus the superedge pair set. The
+    /// original in-memory order; plus the superedge pair set. Neighbor
+    /// tables are rebuilt by a fresh member-edge scan — exactly the
+    /// values the live run's tables hold once refreshed — so the
     /// resulting state is indistinguishable from the one
-    /// [`WorkingSummary::merge`] built live — the checkpoint/resume
+    /// [`WorkingSummary::merge`] built live: the checkpoint/resume
     /// byte-identity contract (DESIGN.md §10).
+    ///
+    /// # Errors
+    /// [`CheckpointError::Corrupt`] when a superedge joins two supernodes
+    /// that share no member edge: no run creates such a pair, and the
+    /// blob's decoder cannot see it without the graph.
     ///
     /// # Panics
     /// Panics unless the member lists partition `0..|V|` and superedge
@@ -670,9 +967,10 @@ impl<'a> WorkingSummary<'a> {
         model: CostModel,
         supers: impl Iterator<Item = (SuperId, f64, f64, &'s [NodeId])>,
         superedges: &[(SuperId, SuperId)],
-    ) -> Self {
+    ) -> Result<Self, CheckpointError> {
         assert_eq!(g.num_nodes(), w.len(), "weights must cover all nodes");
         let n = g.num_nodes();
+        assert!(n < 1 << 31, "supernode ids must fit 31 bits");
         let mut node_super: Vec<SuperId> = vec![SuperId::MAX; n];
         let mut members: Vec<Option<Vec<NodeId>>> = vec![None; n];
         let mut wsum = vec![0.0; n];
@@ -691,15 +989,8 @@ impl<'a> WorkingSummary<'a> {
             node_super.iter().all(|&s| s != SuperId::MAX),
             "checkpoint members must partition the node set"
         );
-        let mut adj: Vec<FxHashSet<SuperId>> = vec![FxHashSet::default(); n];
-        for &(a, b) in superedges {
-            adj[a as usize].insert(b);
-            if a != b {
-                adj[b as usize].insert(a);
-            }
-        }
         let live_list = LiveList::new(n, |i| members[i].is_some());
-        WorkingSummary {
+        let mut ws = WorkingSummary {
             g,
             w,
             params: CostParams::new(n, model),
@@ -707,12 +998,39 @@ impl<'a> WorkingSummary<'a> {
             members,
             wsum,
             sqsum,
-            adj,
+            tables: NeighborTables::default(),
+            fresh: Vec::new(),
             live,
-            num_superedges: superedges.len(),
+            num_superedges: 0,
             live_list,
             sigs: None,
+        };
+        let mut tables = NeighborTables::with_capacity(n, 2 * g.num_edges());
+        let mut scratch = Scratch::default();
+        for s in ws.live_iter() {
+            scratch.begin(n);
+            accumulate_edge_weights_view(&ws, s, &mut scratch.a, scratch.epoch);
+            scratch.a.sort_touched();
+            let lane = &scratch.a;
+            tables.push_table(
+                s,
+                lane.touched
+                    .iter()
+                    .map(|&x| Entry::new(x, false, lane.val[x as usize])),
+            );
         }
+        for &(a, b) in superedges {
+            let (Some(i), Some(j)) = (tables.find(a, b), tables.find(b, a)) else {
+                return Err(CheckpointError::Corrupt(format!(
+                    "superedge ({a}, {b}) joins supernodes that share no edge"
+                )));
+            };
+            tables.entries[i].set_superedge(true);
+            tables.entries[j].set_superedge(true);
+        }
+        ws.num_superedges = superedges.len();
+        ws.tables = tables;
+        Ok(ws)
     }
 
     /// The input graph.
@@ -795,10 +1113,7 @@ impl<'a> WorkingSummary<'a> {
     /// Ascending iterator over the live supernode ids, backed by the
     /// persistent live list `merge` maintains in O(1) per commit.
     pub fn live_iter(&self) -> LiveIter<'_> {
-        LiveIter {
-            next: &self.live_list.next,
-            cur: self.live_list.head,
-        }
+        self.live_list.iter()
     }
 
     /// Member nodes of a live supernode.
@@ -848,18 +1163,87 @@ impl<'a> WorkingSummary<'a> {
     /// True if the superedge `{a, b}` currently exists.
     #[inline]
     pub fn has_superedge(&self, a: SuperId, b: SuperId) -> bool {
-        self.adj[a as usize].contains(&b)
+        self.tables
+            .find(a, b)
+            .is_some_and(|i| self.tables.entries[i].superedge())
     }
 
-    /// Superedge neighbors of `s` (self-loop included as `s`).
+    /// Superedge neighbors of `s` in ascending order (self-loop
+    /// included as `s`).
     pub fn superedge_neighbors(&self, s: SuperId) -> impl Iterator<Item = SuperId> + '_ {
-        self.adj[s as usize].iter().copied()
+        self.tables
+            .table(s)
+            .iter()
+            .filter(|e| e.superedge())
+            .map(|e| e.key())
     }
 
-    /// Superedge adjacency set of `s` (self-loop stored as `s` itself).
-    #[inline]
-    pub(crate) fn adj_set(&self, s: SuperId) -> &FxHashSet<SuperId> {
-        &self.adj[s as usize]
+    /// `s`'s neighbor table in ascending key order: per neighbor
+    /// supernode (`s` itself for intra edges), the flat member-edge
+    /// weight sum and the superedge bit. The sums are exact unless the
+    /// table is stale ([`WorkingSummary::is_table_stale`]).
+    pub fn neighbor_table(&self, s: SuperId) -> impl Iterator<Item = (SuperId, f64, bool)> + '_ {
+        self.tables
+            .table(s)
+            .iter()
+            .map(|e| (e.key(), e.val(), e.superedge()))
+    }
+
+    /// True if `s`'s table values await a rescan: a commit merged two of
+    /// its neighbors. Keys and superedge bits are exact regardless.
+    pub fn is_table_stale(&self, s: SuperId) -> bool {
+        self.tables.is_stale(s)
+    }
+
+    /// Rescans the values of every stale neighbor table (DESIGN.md §7),
+    /// in parallel through `exec`: each table's keys are exact, so a
+    /// fresh member-edge scan of its supernode rewrites the values in
+    /// place, in the table's own arena window. Runs before an evaluate
+    /// phase and before sparsification; the result is the same at any
+    /// thread count.
+    pub fn refresh_stale(&mut self, exec: &Exec) {
+        // The tables move out so the scans can read the rest of `self`
+        // while the workers write disjoint windows of the arena.
+        let mut tables = std::mem::take(&mut self.tables);
+        let NeighborTables {
+            entries,
+            slots,
+            stale_ids,
+        } = &mut tables;
+        stale_ids.retain(|&s| slots[s as usize].stale() && self.is_live(s));
+        stale_ids.sort_unstable_by_key(|&s| (slots[s as usize].start, s));
+        stale_ids.dedup();
+        let mut windows: Vec<(SuperId, &mut [Entry])> = Vec::with_capacity(stale_ids.len());
+        let (mut rest, mut at) = (entries.as_mut_slice(), 0);
+        for &s in stale_ids.iter() {
+            let slot = &mut slots[s as usize];
+            slot.meta &= !STALE;
+            let r = slot.range();
+            let (table, tail) = std::mem::take(&mut rest)[r.start - at..].split_at_mut(r.len());
+            windows.push((s, table));
+            (rest, at) = (tail, r.end);
+        }
+        let this = &*self;
+        exec.fill_chunks(&mut windows, |_, chunk| {
+            for (s, table) in chunk.iter_mut() {
+                this.rescan_into(*s, table);
+            }
+        });
+        stale_ids.clear();
+        self.tables = tables;
+    }
+
+    /// Rewrites the values of `s`'s table `table` (keys exact) from a
+    /// fresh member-edge scan.
+    fn rescan_into(&self, s: SuperId, table: &mut [Entry]) {
+        with_thread_scratch(|scratch| {
+            scratch.begin(self.g.num_nodes());
+            accumulate_edge_weights_view(self, s, &mut scratch.a, scratch.epoch);
+            for e in table.iter_mut() {
+                debug_assert!(scratch.a.get(e.key(), scratch.epoch).is_some());
+                e.set_val(scratch.a.val[e.key() as usize]);
+            }
+        });
     }
 
     /// Evaluates the merge of live supernodes `a != b` (Eq. 10–11) without
@@ -876,6 +1260,10 @@ impl<'a> WorkingSummary<'a> {
     /// run), and selectively re-adds superedges incident to `A ∪ B` so
     /// that `Cost_{A∪B}` (Eq. 9) is minimized. Returns the id of the
     /// merged supernode (the survivor's id is reused).
+    ///
+    /// Every neighbor table stays exact in keys and superedge bits; the
+    /// survivor's table is the re-addition pass itself, and a neighbor
+    /// holding both endpoints is marked stale ([`NeighborTables`]).
     pub fn merge(&mut self, a: SuperId, b: SuperId, scratch: &mut Scratch) -> SuperId {
         assert!(
             a != b && self.is_live(a) && self.is_live(b),
@@ -887,21 +1275,6 @@ impl<'a> WorkingSummary<'a> {
         // pgs-allow: PGS004 liveness asserted at entry
         let size_b = self.members[b as usize].as_ref().unwrap().len();
         let (keep, dead) = if size_a >= size_b { (a, b) } else { (b, a) };
-
-        // Drop all superedges incident to either endpoint (Alg. 2 line 8).
-        for s in [keep, dead] {
-            let incident = std::mem::take(&mut self.adj[s as usize]);
-            self.num_superedges -= incident.len();
-            for x in incident {
-                if x != s {
-                    self.adj[x as usize].remove(&s);
-                }
-            }
-        }
-        // Note: if the superedge {keep, dead} existed it was stored in both
-        // adjacency sets but counted once in `num_superedges`; removing
-        // keep's set deletes it from dead's set first, so it is not
-        // double-subtracted.
 
         // Union member sets and aggregates.
         // pgs-allow: PGS004 liveness asserted at entry
@@ -926,11 +1299,14 @@ impl<'a> WorkingSummary<'a> {
 
         // Selective superedge addition (Alg. 2 line 9): re-scan the merged
         // supernode's incident input edges and keep exactly the
-        // cost-reducing superedges.
+        // cost-reducing superedges. The scan's sums are the survivor's new
+        // table values.
         scratch.begin(self.g.num_nodes());
         accumulate_edge_weights_view(self, keep, &mut scratch.a, scratch.epoch);
         scratch.a.sort_touched();
         let log_s = self.log_s();
+        let mut fresh = std::mem::take(&mut self.fresh);
+        fresh.clear();
         let mut added = 0usize;
         for &x in &scratch.a.touched {
             let e_raw = scratch.a.val[x as usize];
@@ -940,30 +1316,87 @@ impl<'a> WorkingSummary<'a> {
                 (tot_between_view(self, keep, x), e_raw)
             };
             let (_, add) = best_pair_cost(tot, e, log_s, &self.params);
-            if add {
-                self.adj[keep as usize].insert(x);
-                if x != keep {
-                    self.adj[x as usize].insert(keep);
+            fresh.push(Entry::new(x, add, e_raw));
+            added += usize::from(add);
+        }
+        // Every superedge incident to either endpoint is dropped (Alg. 2
+        // line 8); `{keep, dead}` sits in both tables but counts once.
+        let dropped = self.tables.superedges(keep) + self.tables.superedges(dead)
+            - usize::from(self.has_superedge(keep, dead));
+        self.num_superedges = self.num_superedges - dropped + added;
+        self.repoint_neighbors(keep, dead, &fresh);
+        self.tables
+            .install(keep, dead, &fresh, self.live_list.iter());
+        self.fresh = fresh;
+        keep
+    }
+
+    /// Brings every neighbor table that names `keep` or `dead` in line
+    /// with the survivor's new table `fresh`, walking it alongside the
+    /// two old tables (all ascending by key). A neighbor `y` holding only
+    /// keep takes the new superedge bit; one holding only dead has that
+    /// entry relabeled to keep, value bits unchanged (`y` has no edge
+    /// into keep, so the same edges in the same visit order make up its
+    /// sum); one holding both drops its dead entry and is marked stale.
+    fn repoint_neighbors(&mut self, keep: SuperId, dead: SuperId, fresh: &[Entry]) {
+        let t = &mut self.tables;
+        let (kr, dr) = (
+            t.slots[keep as usize].range(),
+            t.slots[dead as usize].range(),
+        );
+        let (mut i, mut j) = (kr.start, dr.start);
+        for e in fresh {
+            let (y, bit) = (e.key(), e.superedge());
+            if y == keep {
+                continue;
+            }
+            while i < kr.end && t.entries[i].key() < y {
+                i += 1;
+            }
+            while j < dr.end && t.entries[j].key() < y {
+                j += 1;
+            }
+            let old_bit = (i < kr.end && t.entries[i].key() == y).then(|| t.entries[i].superedge());
+            let in_dead = j < dr.end && t.entries[j].key() == y;
+            // Tables are symmetric in their keys, so every lookup hits.
+            match (old_bit, in_dead) {
+                (Some(old), false) if old == bit => {}
+                (Some(_), false) => {
+                    if let Some(at) = t.find(y, keep) {
+                        t.entries[at].set_superedge(bit);
+                    }
                 }
-                added += 1;
+                (None, _) => {
+                    if let Some(at) = t.find(y, dead) {
+                        t.relabel(y, at, keep, bit);
+                    }
+                }
+                (Some(_), true) => {
+                    if let Some(at) = t.find(y, dead) {
+                        t.remove(y, at);
+                    }
+                    t.mark_stale(y);
+                    if let Some(at) = t.find(y, keep) {
+                        t.entries[at].set_superedge(bit);
+                    }
+                }
             }
         }
-        self.num_superedges += added;
-        keep
     }
 
     /// Drops the superedge `{a, b}` if present (used by sparsification,
     /// Sect. III-F). Returns whether anything was removed.
     pub fn remove_superedge(&mut self, a: SuperId, b: SuperId) -> bool {
-        if self.adj[a as usize].remove(&b) {
-            if a != b {
-                self.adj[b as usize].remove(&a);
-            }
-            self.num_superedges -= 1;
-            true
-        } else {
-            false
+        let (Some(i), Some(j)) = (self.tables.find(a, b), self.tables.find(b, a)) else {
+            return false;
+        };
+        if !self.tables.entries[i].superedge() {
+            return false;
         }
+        self.tables.entries[i].set_superedge(false);
+        self.tables.entries[j].set_superedge(false);
+        self.num_superedges -= 1;
+        true
     }
 
     /// Total pair weight between two (possibly equal) live supernodes:
@@ -980,19 +1413,19 @@ impl<'a> WorkingSummary<'a> {
     /// Freezes into an immutable [`Summary`] (superedge weights 1.0).
     pub fn into_summary(self) -> Summary {
         let n = self.g.num_nodes();
-        let assignment: Vec<u32> = self.node_super.clone();
         let mut superedges = Vec::with_capacity(self.num_superedges);
-        // pgs-allow: PGS001 Summary::new sorts superedges canonically
-        for (s, set) in self.adj.iter().enumerate() {
-            let s = s as SuperId;
-            // pgs-allow: PGS001 Summary::new sorts superedges canonically
-            for &x in set {
-                if s <= x {
-                    superedges.push((s, x, 1.0f32));
-                }
-            }
+        for s in self.live_iter() {
+            superedges.extend(
+                self.superedge_neighbors(s)
+                    .filter(|&x| s <= x)
+                    .map(|x| (s, x, 1.0f32)),
+            );
         }
-        Summary::new(n, assignment, &superedges)
+        // The run state is no longer needed: free it before the summary
+        // allocates its own, so the two never peak together.
+        let node_super = self.node_super;
+        drop((self.tables, self.members, self.sigs));
+        Summary::new(n, node_super, &superedges)
     }
 }
 
@@ -1041,26 +1474,26 @@ impl SummaryView for WorkingSummary<'_> {
 
     #[inline]
     fn has_superedge_in(&self, a: SuperId, b: SuperId) -> bool {
-        self.adj[a as usize].contains(&b)
+        self.has_superedge(a, b)
     }
 }
 
-/// The group-local superedge-weight cache: per group member, the
-/// aggregated neighbor-supernode weight vector as a sorted
-/// `(SuperId, f64)` span in a bump arena (parallel `keys`/`vals`
-/// columns). Spans are immutable once written; an intra-group merge
-/// appends the combined span and retires the inputs, and span keys that
-/// name locally-dead supernodes are remapped dead→kept lazily at read
-/// time through `forward`.
+/// The group-local span cache: per group member, its neighbor vector as
+/// a sorted span in a bump arena with positional columns — neighbor
+/// key, flat weight sum, superedge bit, and the neighbor's `Σ ŵ` as the
+/// view sees it — so pricing reads nothing but the two spans. Spans are
+/// immutable once written (bar the side-cost memo); an intra-group
+/// merge appends the combined span and retires the inputs, and span
+/// keys that name locally-dead supernodes are remapped dead→kept
+/// lazily through `forward`.
 #[derive(Default)]
 struct GroupCache {
     keys: Vec<SuperId>,
     vals: Vec<f64>,
-    /// Snapshot superedge presence of `{member, key}` per entry — lets
-    /// the clean-span fast path price without adjacency-set lookups.
-    /// Only meaningful while the owning span is clean (merged spans are
-    /// born dirty and never read it).
+    /// Superedge bit of `{member, key}` per entry.
     pres: Vec<bool>,
+    /// `Σ ŵ` of each entry's neighbor supernode.
+    wx: Vec<f64>,
     /// Live member supernode → its span in the arena.
     spans: FxHashMap<SuperId, Span>,
     /// Locally-dead supernode → its surviving merge target (one step;
@@ -1076,18 +1509,23 @@ struct GroupCache {
 /// Arena entries below which compaction is never worth the copy.
 const COMPACT_MIN_ARENA: usize = 256;
 
-/// One cached weight-vector span: an arena window plus a staleness bit.
+/// One cached span: an arena window, a staleness bit and the memoized
+/// side cost.
 ///
-/// A span is **dirty** once any of its keys or presence bits may
-/// disagree with the overlay — it was rebuilt by a merge, or it
-/// references a supernode that merged locally. Dirty spans price
-/// through the lane path (lazy remap); clean spans price straight off
-/// the arena with zero hash lookups.
+/// A span is **dirty** once any of its keys or columns may disagree
+/// with the overlay — it references a supernode that merged locally.
+/// Dirty spans are re-canonicalized before their next read; clean spans
+/// price straight off the arena with zero hash lookups.
 #[derive(Clone, Copy)]
 struct Span {
     start: u32,
     len: u32,
     dirty: bool,
+    /// `Cost_s` (Eq. 9) and the group's local merge count it was priced
+    /// at. Everything a side cost reads is fixed while the span stays
+    /// clean except `log2|S|`, which moves with every local merge — so
+    /// the merge count is the whole memo key.
+    memo: Option<(usize, f64)>,
 }
 
 impl GroupCache {
@@ -1100,21 +1538,22 @@ impl GroupCache {
         s
     }
 
-    /// A span's `(keys, vals, presence)` slices.
+    /// A span's `(keys, vals, presence, neighbor weights)` columns.
     #[inline]
-    fn slices(&self, span: Span) -> (&[SuperId], &[f64], &[bool]) {
-        let (start, len) = (span.start as usize, span.len as usize);
+    fn slices(&self, span: Span) -> (&[SuperId], &[f64], &[bool], &[f64]) {
+        let r = span.start as usize..(span.start + span.len) as usize;
         (
-            &self.keys[start..start + len],
-            &self.vals[start..start + len],
-            &self.pres[start..start + len],
+            &self.keys[r.clone()],
+            &self.vals[r.clone()],
+            &self.pres[r.clone()],
+            &self.wx[r],
         )
     }
 
     /// Marks every clean span referencing `keep` or `dead` dirty — their
-    /// keys (dead) or presence bits (keep's superedges were dropped and
-    /// re-added) no longer reflect the overlay. Spans are sorted, so
-    /// each check is two binary searches.
+    /// keys (dead) or superedge bits and neighbor weights (keep) no
+    /// longer reflect the overlay. Spans are sorted, so each check is
+    /// two binary searches.
     fn mark_dirty_referencing(&mut self, keep: SuperId, dead: SuperId) {
         let keys = &self.keys;
         // pgs-allow: PGS001 order-insensitive: only sets dirty bits, no output depends on visit order
@@ -1146,44 +1585,66 @@ impl GroupCache {
         }
     }
 
-    /// Bump-appends the lane's sorted contents as the new span of `s`,
-    /// with presence bits from `present` (called with each entry's
-    /// position and key). The single owner of the arena-append
-    /// invariant: `keys`/`vals`/`pres` grow in lockstep with the
-    /// recorded `Span { start, len }`.
-    fn store_from_lane(
-        &mut self,
-        s: SuperId,
-        lane: &DenseLane,
-        dirty: bool,
-        present: impl Fn(usize, SuperId) -> bool,
-    ) -> Span {
-        // Replacing a member's span retires the old one; compact first if
-        // retired entries dominate the arena (long-running groups churn
-        // spans every refresh/merge, and nothing else reclaims them).
-        if let Some(old) = self.spans.remove(&s) {
-            self.live_len -= old.len as usize;
-        }
+    /// Opens a new span for `s` at the arena end, retiring its old one
+    /// (and compacting first if retired entries dominate: long-running
+    /// groups churn spans every refresh/merge, and nothing else reclaims
+    /// them). Pair with [`GroupCache::close`] — together the single owner
+    /// of the arena-append invariant: all four columns grow in lockstep
+    /// with the recorded `Span { start, len }`.
+    fn open(&mut self, s: SuperId) -> usize {
+        self.retire(s);
         if self.keys.len() >= COMPACT_MIN_ARENA && self.keys.len() >= 2 * self.live_len {
             self.compact();
         }
-        let start = self.keys.len() as u32;
-        for (i, &x) in lane.touched.iter().enumerate() {
-            self.keys.push(x);
-            self.vals.push(lane.val[x as usize]);
-            self.pres.push(present(i, x));
-        }
+        self.keys.len()
+    }
+
+    /// Records the entries appended since [`GroupCache::open`] as `s`'s
+    /// clean span.
+    fn close(&mut self, s: SuperId, start: usize) -> Span {
         let span = Span {
-            start,
-            len: lane.touched.len() as u32,
-            dirty,
+            start: start as u32,
+            len: (self.keys.len() - start) as u32,
+            dirty: false,
+            memo: None,
         };
         self.spans.insert(s, span);
         self.live_len += span.len as usize;
         span
     }
 
-    /// Drops a member's span (it merged away locally).
+    /// Bump-appends the lane's sorted contents as the new span of `s`,
+    /// with superedge bits from `present` (called with each entry's
+    /// position and key) and neighbor weights from `wsum`.
+    fn store_from_lane(
+        &mut self,
+        s: SuperId,
+        lane: &DenseLane,
+        present: impl Fn(usize, SuperId) -> bool,
+        wsum: impl Fn(SuperId) -> f64,
+    ) -> Span {
+        let start = self.open(s);
+        for (i, &x) in lane.touched.iter().enumerate() {
+            self.keys.push(x);
+            self.vals.push(lane.val[x as usize]);
+            self.pres.push(present(i, x));
+            self.wx.push(wsum(x));
+        }
+        self.close(s, start)
+    }
+
+    /// Bump-appends a neighbor table as the new span of `s`, gathering
+    /// each neighbor's weight from `wsum`.
+    fn store_from_table(&mut self, s: SuperId, table: &[Entry], wsum: &[f64]) -> Span {
+        let start = self.open(s);
+        self.keys.extend(table.iter().map(|e| e.key()));
+        self.vals.extend(table.iter().map(|e| e.val()));
+        self.pres.extend(table.iter().map(|e| e.superedge()));
+        self.wx.extend(table.iter().map(|e| wsum[e.key() as usize]));
+        self.close(s, start)
+    }
+
+    /// Drops a member's span (it merged away locally, or is replaced).
     fn retire(&mut self, s: SuperId) {
         if let Some(span) = self.spans.remove(&s) {
             self.live_len -= span.len as usize;
@@ -1192,8 +1653,8 @@ impl GroupCache {
 
     /// Compacts the arena in place: live spans slide down in arena
     /// order, retired entries vanish, capacity is kept for reuse. Span
-    /// contents are copied verbatim (same keys, same value bits, same
-    /// presence and dirty state), so every subsequent read is unchanged.
+    /// contents are copied verbatim (same columns, same dirty state and
+    /// memo), so every subsequent read is unchanged.
     fn compact(&mut self) {
         let mut order: Vec<(u32, SuperId)> = self
             .spans
@@ -1209,6 +1670,7 @@ impl GroupCache {
                 self.keys.copy_within(start..start + len, write);
                 self.vals.copy_within(start..start + len, write);
                 self.pres.copy_within(start..start + len, write);
+                self.wx.copy_within(start..start + len, write);
                 // pgs-allow: PGS004 owner came from iterating these same spans
                 self.spans.get_mut(&owner).expect("live span").start = write as u32;
             }
@@ -1217,6 +1679,7 @@ impl GroupCache {
         self.keys.truncate(write);
         self.vals.truncate(write);
         self.pres.truncate(write);
+        self.wx.truncate(write);
         debug_assert_eq!(write, self.live_len);
     }
 
@@ -1225,6 +1688,7 @@ impl GroupCache {
         self.keys.clear();
         self.vals.clear();
         self.pres.clear();
+        self.wx.clear();
         self.spans.clear();
         self.forward.clear();
         self.live_len = 0;
@@ -1249,6 +1713,13 @@ fn recycle_group_cache(mut cache: GroupCache) {
     GROUP_CACHE_POOL.with(|cell| *cell.borrow_mut() = Some(cache));
 }
 
+/// The superedges a local merge gave its survivor (sorted neighbor ids),
+/// stamped with that merge's position in the group's merge sequence.
+struct Rewired {
+    at: usize,
+    added: Vec<SuperId>,
+}
+
 /// A frozen [`WorkingSummary`] plus a group-local overlay: the parallel
 /// evaluate phase's view of the summary.
 ///
@@ -1262,90 +1733,79 @@ fn recycle_group_cache(mut cache: GroupCache) {
 /// DESIGN.md §2).
 ///
 /// Built through [`GroupView::with_cache`], the view additionally
-/// carries the group-local weight-vector cache and answers evaluations
-/// from spans ([`GroupView::eval_merge_cached`]) instead of member-edge
-/// scans (see DESIGN.md §7).
+/// carries the group-local span cache and answers evaluations from
+/// spans ([`GroupView::eval_merge_cached`]) instead of member-edge scans
+/// (see DESIGN.md §7).
 pub struct GroupView<'w, 'a> {
     ws: &'w WorkingSummary<'a>,
     /// Locally-merged survivors (members/weight aggregates diverge from
     /// the snapshot).
     local: FxHashMap<SuperId, SuperData>,
-    /// Supernodes merged away locally.
-    dead: FxHashSet<SuperId>,
     /// Node → supernode for members of locally-dead supernodes.
     remap: FxHashMap<NodeId, SuperId>,
-    /// Copy-on-write superedge adjacency overlay.
-    adj_local: FxHashMap<SuperId, FxHashSet<SuperId>>,
+    /// Superedges of each locally-merged survivor, as its last local
+    /// merge chose them.
+    rewired: FxHashMap<SuperId, Rewired>,
     /// Local merge count (prices `log2|S|` within this view).
     merged: usize,
-    /// Group-local weight-vector cache (None = scan evaluation).
+    /// Group-local span cache (None = scan evaluation).
     cache: Option<GroupCache>,
 }
 
 impl<'w, 'a> GroupView<'w, 'a> {
-    /// A fresh overlay over the frozen summary, without a weight-vector
-    /// cache — evaluations go through the scan path
-    /// ([`eval_merge_view`]).
+    /// A fresh overlay over the frozen summary, without a span cache —
+    /// evaluations go through the scan path ([`eval_merge_view`]).
     pub fn new(ws: &'w WorkingSummary<'a>) -> Self {
         GroupView {
             ws,
             local: FxHashMap::default(),
-            dead: FxHashSet::default(),
             remap: FxHashMap::default(),
-            adj_local: FxHashMap::default(),
+            rewired: FxHashMap::default(),
             merged: 0,
             cache: None,
         }
     }
 
-    /// A fresh overlay carrying the group-local weight-vector cache:
-    /// every member's neighbor-supernode weight vector is aggregated
-    /// once, here, and every subsequent [`GroupView::eval_merge_cached`]
-    /// answers from the cached spans.
-    pub fn with_cache(
-        ws: &'w WorkingSummary<'a>,
-        group: &[SuperId],
-        scratch: &mut Scratch,
-    ) -> Self {
+    /// A fresh overlay carrying the group-local span cache: every
+    /// member's neighbor table is copied into the arena once, here, and
+    /// every subsequent [`GroupView::eval_merge_cached`] answers from the
+    /// cached spans. The members' tables must be exact: call
+    /// [`WorkingSummary::refresh_stale`] after committing merges.
+    pub fn with_cache(ws: &'w WorkingSummary<'a>, group: &[SuperId]) -> Self {
         let mut cache = pooled_group_cache();
-        let n = ws.g.num_nodes();
         for &s in group {
-            scratch.begin(n);
-            accumulate_edge_weights_view(ws, s, &mut scratch.a, scratch.epoch);
-            scratch.a.sort_touched();
-            cache.store_from_lane(s, &scratch.a, false, |_, x| ws.has_superedge(s, x));
+            debug_assert!(!ws.is_table_stale(s), "stale table of {s} not refreshed");
+            cache.store_from_table(s, ws.tables.table(s), &ws.wsum);
         }
         let mut view = GroupView::new(ws);
         view.cache = Some(cache);
         view
     }
 
-    /// Adjacency of `s` as this view sees it.
-    #[inline]
-    fn adjacency(&self, s: SuperId) -> &FxHashSet<SuperId> {
-        self.adj_local.get(&s).unwrap_or_else(|| self.ws.adj_set(s))
+    /// True if `s` merged away locally: a supernode's id is one of its
+    /// own nodes, and a merged-away side's nodes are all remapped.
+    fn merged_away(&self, s: SuperId) -> bool {
+        self.remap.contains_key(&s)
     }
 
-    /// Mutable adjacency of `s`, cloned from the snapshot on first touch.
-    fn adjacency_mut(&mut self, s: SuperId) -> &mut FxHashSet<SuperId> {
-        let ws = self.ws;
-        self.adj_local
-            .entry(s)
-            .or_insert_with(|| ws.adj_set(s).clone())
+    /// The span cache of a view built by [`GroupView::with_cache`].
+    fn cache(&self) -> &GroupCache {
+        // pgs-allow: PGS004 documented `# Panics` contract of every cached entry point
+        self.cache.as_ref().expect("GroupView built without cache")
     }
 
     /// Evaluates the merge `{a, b}` from the group cache — no
     /// member-edge walk, `O(|span_a| + |span_b|)`.
     ///
     /// A dirty span on either side is first refreshed (keys resolved
-    /// dead→kept through the dense scratch, values compacted, presence
-    /// bits recomputed against the overlay — the lazy-remap pass, run
-    /// once instead of per evaluation). Pricing then walks the two
-    /// sorted clean spans directly: presence from the span bits, weights
-    /// from the frozen summary (or the overlay where local merges
-    /// diverge), zero hash lookups in the per-entry loops. The
-    /// accumulation orders match [`eval_merge_view`] exactly, so results
-    /// are bitwise identical to the scan evaluator on snapshot states.
+    /// dead→kept through the dense scratch, values compacted, superedge
+    /// bits and neighbor weights recomputed against the overlay — the
+    /// lazy-remap pass, run once instead of per evaluation). Each side's
+    /// Eq.-9 cost then comes from the span's memo when the group has not
+    /// merged since it was priced, and pricing walks the two sorted clean
+    /// spans' positional columns. The accumulation orders match
+    /// [`eval_merge_view`] exactly, so results are bitwise identical to
+    /// the scan evaluator on snapshot states.
     ///
     /// # Panics
     /// Panics if the view was built without a cache.
@@ -1355,83 +1815,90 @@ impl<'w, 'a> GroupView<'w, 'a> {
         b: SuperId,
         scratch: &mut Scratch,
     ) -> DeltaEval {
-        debug_assert!(a != b && !self.dead.contains(&a) && !self.dead.contains(&b));
+        debug_assert!(a != b && !self.merged_away(a) && !self.merged_away(b));
         // Refresh both before reading either span: a refresh bump-stores
         // and may compact the arena, relocating previously read spans.
-        self.refreshed_span(a, scratch);
-        self.refreshed_span(b, scratch);
-        // pgs-allow: PGS004 constructor invariant: every GroupView is built with a cache
-        let cache = self.cache.as_ref().expect("GroupView built without cache");
-        let (sa, sb) = (cache.spans[&a], cache.spans[&b]);
-        self.eval_from_spans(cache, sa, sb, a, b)
-    }
-
-    /// `s`'s span, re-canonicalized first if dirty: stale keys resolved
-    /// and combined via the dense scratch (span order in, ascending
-    /// order out — the canonical remap-combine), presence bits
-    /// recomputed against the overlay, result bump-stored as the
-    /// member's new clean span.
-    fn refreshed_span(&mut self, s: SuperId, scratch: &mut Scratch) -> Span {
-        // pgs-allow: PGS004 constructor invariant: every GroupView is built with a cache
-        let cache = self.cache.as_ref().expect("GroupView built without cache");
-        let span = cache.spans[&s];
-        if !span.dirty {
-            return span;
+        let (mut sa, _) = self.refreshed_span(a, scratch);
+        let (sb, moved) = self.refreshed_span(b, scratch);
+        if moved {
+            sa = self.cache().spans[&a];
         }
-        scratch.begin(self.ws.g.num_nodes());
-        cache.load(s, &mut scratch.a, scratch.epoch);
-        scratch.a.sort_touched();
-        let pres: Vec<bool> = scratch
-            .a
-            .touched
-            .iter()
-            .map(|&x| self.has_superedge_in(s, x))
-            .collect();
-        // pgs-allow: PGS004 same Option checked non-empty at function entry
-        let cache = self.cache.as_mut().expect("checked above");
-        cache.store_from_lane(s, &scratch.a, false, |i, _| pres[i])
-    }
-
-    /// The span fast path: prices `{a, b}` straight from the two sorted
-    /// clean spans through [`price_merge_canonical`] — positional value
-    /// and presence columns, zero hash lookups in the per-entry loops.
-    /// Weight reads short-circuit to the frozen summary while the
-    /// overlay is empty; once the group has merged locally they route
-    /// through the overlay (one hoisted branch per entry).
-    fn eval_from_spans(
-        &self,
-        cache: &GroupCache,
-        sa: Span,
-        sb: Span,
-        a: SuperId,
-        b: SuperId,
-    ) -> DeltaEval {
-        let ws = self.ws;
-        let (ka, va, pa) = cache.slices(sa);
-        let (kb, vb, pb) = cache.slices(sb);
-        let overlay = !self.local.is_empty();
-        // Extensionally `|x| self.wsum_of(x)`, with the overlay branch
-        // hoisted: clean spans only reference supernodes whose weights
-        // the local merges did not touch.
-        let wx = |x: SuperId| -> f64 {
-            if overlay {
-                self.wsum_of(x)
-            } else {
-                ws.wsum_of(x)
-            }
-        };
+        let costs = (self.side_cost_of(a, sa), self.side_cost_of(b, sb));
+        let cache = self.cache();
+        let (ka, va, pa, wa) = cache.slices(sa);
+        let (kb, vb, pb, wb) = cache.slices(sb);
         price_merge_canonical(
             self,
             a,
             b,
-            ka,
-            |i| va[i],
-            |i, _| pa[i],
-            kb,
-            |i| vb[i],
-            |i, _| pb[i],
-            wx,
+            costs,
+            &Side {
+                keys: ka,
+                val: |i: usize| va[i],
+                pres: |i: usize, _| pa[i],
+                wx: |i: usize, _| wa[i],
+            },
+            &Side {
+                keys: kb,
+                val: |i: usize| vb[i],
+                pres: |i: usize, _| pb[i],
+                wx: |i: usize, _| wb[i],
+            },
         )
+    }
+
+    /// `Cost_s` of clean span `span`: the memo when it was priced at the
+    /// current local merge count, else priced now (through the same
+    /// [`side_cost`] the scan evaluator uses) and memoized.
+    fn side_cost_of(&mut self, s: SuperId, span: Span) -> f64 {
+        if let Some((at, cost)) = span.memo {
+            if at == self.merged {
+                return cost;
+            }
+        }
+        let cache = self.cache();
+        let (k, v, p, w) = cache.slices(span);
+        let cost = side_cost(
+            self,
+            s,
+            &Side {
+                keys: k,
+                val: |i: usize| v[i],
+                pres: |i: usize, _| p[i],
+                wx: |i: usize, _| w[i],
+            },
+        );
+        if let Some(memo) = self.cache.as_mut().and_then(|c| c.spans.get_mut(&s)) {
+            memo.memo = Some((self.merged, cost));
+        }
+        cost
+    }
+
+    /// `s`'s span, re-canonicalized first if dirty: stale keys resolved
+    /// and combined via the dense scratch (span order in, ascending
+    /// order out — the canonical remap-combine), superedge bits and
+    /// neighbor weights recomputed against the overlay, result
+    /// bump-stored as the member's new clean span. The flag reports
+    /// whether a store happened (which may have moved other spans).
+    fn refreshed_span(&mut self, s: SuperId, scratch: &mut Scratch) -> (Span, bool) {
+        let cache = self.cache();
+        let span = cache.spans[&s];
+        if !span.dirty {
+            return (span, false);
+        }
+        scratch.begin(self.ws.g.num_nodes());
+        cache.load(s, &mut scratch.a, scratch.epoch);
+        scratch.a.sort_touched();
+        // pgs-allow: PGS004 same Option read just above
+        let mut cache = self.cache.take().expect("checked above");
+        let span = cache.store_from_lane(
+            s,
+            &scratch.a,
+            |_, x| self.has_superedge_in(s, x),
+            |x| self.wsum_of(x),
+        );
+        self.cache = Some(cache);
+        (span, true)
     }
 
     /// Simulates the merge of `a` and `b` in the overlay, mirroring
@@ -1451,20 +1918,10 @@ impl<'w, 'a> GroupView<'w, 'a> {
     /// superedge re-addition prices straight from it instead of
     /// re-scanning member edges.
     pub fn merge_local(&mut self, a: SuperId, b: SuperId, scratch: &mut Scratch) -> SuperId {
-        debug_assert!(a != b && !self.dead.contains(&a) && !self.dead.contains(&b));
+        debug_assert!(a != b && !self.merged_away(a) && !self.merged_away(b));
         let size_a = self.members_of(a).len();
         let size_b = self.members_of(b).len();
         let (keep, dead) = if size_a >= size_b { (a, b) } else { (b, a) };
-
-        // Drop all superedges incident to either endpoint.
-        for s in [keep, dead] {
-            let incident = std::mem::take(self.adjacency_mut(s));
-            for x in incident {
-                if x != s {
-                    self.adjacency_mut(x).remove(&s);
-                }
-            }
-        }
 
         // Union member sets and weight aggregates into the overlay.
         let dead_data = match self.local.remove(&dead) {
@@ -1487,51 +1944,63 @@ impl<'w, 'a> GroupView<'w, 'a> {
         for &u in &dead_data.members {
             self.remap.insert(u, keep);
         }
-        self.dead.insert(dead);
         self.merged += 1;
 
         // The merged supernode's weight vector lands in scratch lane `a`:
         // from the cached spans when the cache is on (keep's span first,
-        // then dead's, stale keys resolved — the merged span is stored
-        // back compacted), else from a member-edge rescan.
+        // then dead's, stale keys resolved), else from a member-edge
+        // rescan.
         scratch.begin(self.ws.g.num_nodes());
-        if let Some(cache) = self.cache.as_mut() {
+        let mut cache = self.cache.take();
+        if let Some(cache) = cache.as_mut() {
             cache.forward.insert(dead, keep);
             cache.load(keep, &mut scratch.a, scratch.epoch);
             cache.load(dead, &mut scratch.a, scratch.epoch);
-            scratch.a.sort_touched();
             cache.retire(dead);
-            // The merged span is born dirty (hierarchical values, no
-            // presence bits — the next evaluation refreshes it against
-            // the overlay); clean spans referencing either endpoint go
-            // stale too and must refresh before their next fast read.
-            cache.store_from_lane(keep, &scratch.a, true, |_, _| false);
             cache.mark_dirty_referencing(keep, dead);
         } else {
             accumulate_edge_weights_view(self, keep, &mut scratch.a, scratch.epoch);
-            scratch.a.sort_touched();
         }
+        scratch.a.sort_touched();
 
-        // Selective superedge re-addition against the overlay.
+        // Selective superedge re-addition against the overlay: the
+        // survivor's superedges become exactly the cost-reducing pairs
+        // chosen here.
         let log_s = self.view_log_s();
-        let mut to_add: Vec<SuperId> = Vec::new();
-        for &x in &scratch.a.touched {
-            let e_raw = scratch.a.val[x as usize];
-            let (tot, e) = if x == keep {
-                (tot_within_view(self, keep), e_raw / 2.0)
-            } else {
-                (tot_between_view(self, keep, x), e_raw)
-            };
-            if best_pair_cost(tot, e, log_s, self.cost_params()).1 {
-                to_add.push(x);
-            }
+        let lane = &scratch.a;
+        let adds: Vec<bool> = lane
+            .touched
+            .iter()
+            .map(|&x| {
+                let e_raw = lane.val[x as usize];
+                let (tot, e) = if x == keep {
+                    (tot_within_view(self, keep), e_raw / 2.0)
+                } else {
+                    (tot_between_view(self, keep, x), e_raw)
+                };
+                best_pair_cost(tot, e, log_s, self.cost_params()).1
+            })
+            .collect();
+        if let Some(cache) = cache.as_mut() {
+            // Born clean: keys resolved, bits just chosen, neighbor
+            // weights read from the overlay.
+            cache.store_from_lane(keep, lane, |i, _| adds[i], |x| self.wsum_of(x));
         }
-        for x in to_add {
-            self.adjacency_mut(keep).insert(x);
-            if x != keep {
-                self.adjacency_mut(x).insert(keep);
-            }
-        }
+        self.cache = cache;
+        let added = lane
+            .touched
+            .iter()
+            .zip(&adds)
+            .filter_map(|(&x, &add)| add.then_some(x))
+            .collect();
+        self.rewired.remove(&dead);
+        self.rewired.insert(
+            keep,
+            Rewired {
+                at: self.merged,
+                added,
+            },
+        );
         keep
     }
 }
@@ -1559,7 +2028,7 @@ impl SummaryView for GroupView<'_, '_> {
 
     #[inline]
     fn members_of(&self, s: SuperId) -> &[NodeId] {
-        debug_assert!(!self.dead.contains(&s), "locally-dead supernode queried");
+        debug_assert!(!self.merged_away(s), "locally-dead supernode queried");
         match self.local.get(&s) {
             Some(d) => &d.members,
             None => self.ws.members(s),
@@ -1590,9 +2059,20 @@ impl SummaryView for GroupView<'_, '_> {
         }
     }
 
+    /// A local merge drops every superedge incident to its two sides and
+    /// re-adds a chosen set for the survivor; after that only another
+    /// local merge involving one of a pair's endpoints can change the
+    /// pair. So `{a, b}` is decided by the later of the two endpoints'
+    /// last local merges — or by the snapshot when neither has merged
+    /// locally.
     #[inline]
     fn has_superedge_in(&self, a: SuperId, b: SuperId) -> bool {
-        self.adjacency(a).contains(&b)
+        match (self.rewired.get(&a), self.rewired.get(&b)) {
+            (None, None) => self.ws.has_superedge(a, b),
+            (Some(ra), Some(rb)) if rb.at > ra.at => rb.added.binary_search(&a).is_ok(),
+            (Some(ra), _) => ra.added.binary_search(&b).is_ok(),
+            (None, Some(rb)) => rb.added.binary_search(&a).is_ok(),
+        }
     }
 }
 
@@ -1619,7 +2099,8 @@ pub struct GroupOutcome {
 /// Which evaluator [`evaluate_group_with`] prices candidate merges with.
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum MergeEvaluator {
-    /// Group-local superedge-weight cache (DESIGN.md §7) — the default.
+    /// Neighbor tables copied into group-local spans with memoized side
+    /// costs (DESIGN.md §7) — the default.
     #[default]
     Cached,
     /// Member-edge rescans through the dense scratch, pricing in the
@@ -1674,7 +2155,7 @@ pub fn evaluate_group_with(
 ) -> GroupOutcome {
     with_thread_scratch(|scratch| {
         let mut view = match evaluator {
-            MergeEvaluator::Cached => GroupView::with_cache(ws, group, scratch),
+            MergeEvaluator::Cached => GroupView::with_cache(ws, group),
             MergeEvaluator::Scan | MergeEvaluator::LegacyHash => GroupView::new(ws),
         };
         let mut hash_scratch = crate::legacy_eval::HashScratch::default();
@@ -1751,8 +2232,8 @@ pub fn evaluate_group_with(
 
 /// Evaluates one group and immediately commits its merge log — the
 /// serial convenience form of the evaluate/commit pair (one Alg.-2
-/// round). Returns the outcome so callers can inspect the rejection
-/// samples.
+/// round), refreshing stale tables first. Returns the outcome so callers
+/// can inspect the rejection samples.
 pub fn merge_group(
     ws: &mut WorkingSummary<'_>,
     group: &[SuperId],
@@ -1761,6 +2242,7 @@ pub fn merge_group(
     use_absolute_cost: bool,
     scratch: &mut Scratch,
 ) -> GroupOutcome {
+    ws.refresh_stale(&Exec::serial());
     let outcome = evaluate_group(ws, group, theta, seed, use_absolute_cost);
     for &(a, b) in &outcome.merges {
         ws.merge(a, b, scratch);
@@ -1929,8 +2411,9 @@ mod tests {
         // Multi-member supernodes make the spans non-trivial.
         ws.merge(0, 1, &mut scratch);
         ws.merge(2, 3, &mut scratch);
+        ws.refresh_stale(&Exec::serial());
         let group: Vec<SuperId> = ws.live_ids().into_iter().take(20).collect();
-        let mut view = GroupView::with_cache(&ws, &group, &mut scratch);
+        let mut view = GroupView::with_cache(&ws, &group);
         for i in 0..group.len() {
             for j in (i + 1)..group.len() {
                 let scan = ws.eval_merge(group[i], group[j], &mut scratch);
@@ -2004,7 +2487,7 @@ mod tests {
             let kept = ws.merge(a, b, &mut scratch);
             let dead = if kept == a { b } else { a };
             live.retain(|&s| s != dead);
-            // Recount superedges from adjacency sets.
+            // Recount superedges from the neighbor tables.
             let mut count = 0usize;
             for &s in &live {
                 for x in ws.superedge_neighbors(s) {
@@ -2153,7 +2636,8 @@ mod tests {
                 .iter()
                 .map(|(s, ws_, sq, mem)| (*s, *ws_, *sq, mem.as_slice())),
             &edges,
-        );
+        )
+        .unwrap();
         assert_eq!(restored.num_supernodes(), ws.num_supernodes());
         assert_eq!(restored.num_superedges(), ws.num_superedges());
         for &s in &live {
@@ -2172,6 +2656,47 @@ mod tests {
     }
 
     #[test]
+    fn neighbor_tables_compact_within_their_allocation() {
+        // Survivor tables are appended into the reserved slack until it
+        // runs out; the arena must then compact in place (never
+        // reallocate) and every table must still match a fresh scan.
+        let g = barabasi_albert(400, 3, 5);
+        let w = NodeWeights::personalized(&g, &[0, 7], 1.5);
+        let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
+        let cap = ws.tables.entries.capacity();
+        let mut scratch = Scratch::default();
+        let mut rng = StdRng::seed_from_u64(3);
+        let mut compactions = 0;
+        for _ in 0..320 {
+            let live = ws.live_ids();
+            let a = live[rng.random_range(0..live.len().min(40))];
+            let b = live[rng.random_range(0..live.len())];
+            if a == b {
+                continue;
+            }
+            let freed = ws.tables.slots[a as usize].len() + ws.tables.slots[b as usize].len();
+            let before = ws.tables.entries.len();
+            ws.merge(a, b, &mut scratch);
+            // Only a compaction shrinks the arena by more than the two
+            // old slots it may give back from the tail.
+            compactions += usize::from(ws.tables.entries.len() + freed < before);
+            assert_eq!(ws.tables.entries.capacity(), cap, "arena reallocated");
+        }
+        assert!(compactions > 0, "the slack never ran out");
+        ws.refresh_stale(&Exec::serial());
+        for s in ws.live_iter() {
+            scratch.begin(g.num_nodes());
+            accumulate_edge_weights_view(&ws, s, &mut scratch.a, scratch.epoch);
+            scratch.a.sort_touched();
+            let table: Vec<(SuperId, f64, bool)> = ws.neighbor_table(s).collect();
+            assert_eq!(table.len(), scratch.a.touched.len());
+            for (&x, &(k, v, _)) in scratch.a.touched.iter().zip(&table) {
+                assert_eq!((x, scratch.a.val[x as usize].to_bits()), (k, v.to_bits()));
+            }
+        }
+    }
+
+    #[test]
     fn group_cache_compaction_bounds_arena_and_preserves_values() {
         // Repeatedly re-storing a member's span retires the old copy;
         // without compaction the arena grows linearly with churn. Drive
@@ -2187,7 +2712,7 @@ mod tests {
         lane.sort_touched();
         for round in 0..100 {
             for s in 0..4u32 {
-                cache.store_from_lane(s, &lane, false, |_, _| false);
+                cache.store_from_lane(s, &lane, |i, _| i % 3 == 0, |x| f64::from(x) * 2.0);
             }
             assert!(
                 cache.keys.len() <= (2 * cache.live_len).max(COMPACT_MIN_ARENA + 4 * 32),
@@ -2197,23 +2722,40 @@ mod tests {
             );
         }
         assert_eq!(cache.live_len, 4 * 32);
-        for s in 0..4u32 {
-            let (ks, vs, _) = cache.slices(cache.spans[&s]);
+        let check = |cache: &GroupCache, s: SuperId| {
+            let (ks, vs, ps, ws_) = cache.slices(cache.spans[&s]);
             assert_eq!(ks, (0..32u32).collect::<Vec<_>>().as_slice());
             for (i, &v) in vs.iter().enumerate() {
                 assert_eq!(v.to_bits(), (i as f64 + 0.5).to_bits());
+                assert_eq!(ps[i], i % 3 == 0);
+                assert_eq!(ws_[i].to_bits(), (i as f64 * 2.0).to_bits());
             }
+        };
+        for s in 0..4u32 {
+            check(&cache, s);
         }
         // Retiring spans keeps the accounting consistent through the
-        // next compaction.
+        // next compaction, and a span's dirty bit and memo ride along
+        // with its columns.
         cache.retire(0);
         cache.retire(1);
         assert_eq!(cache.live_len, 2 * 32);
+        if let Some(span) = cache.spans.get_mut(&2) {
+            span.dirty = true;
+            span.memo = Some((7, 1.25));
+        }
         for _ in 0..100 {
-            cache.store_from_lane(2, &lane, true, |_, _| false);
+            cache.store_from_lane(3, &lane, |i, _| i % 3 == 0, |x| f64::from(x) * 2.0);
         }
         assert!(cache.keys.len() <= (2 * cache.live_len).max(COMPACT_MIN_ARENA + 32));
-        assert!(cache.spans[&2].dirty, "dirty bit survives compaction");
+        let span = cache.spans[&2];
+        assert!(span.dirty, "dirty bit survives compaction");
+        assert_eq!(
+            span.memo.map(|(at, c)| (at, c.to_bits())),
+            Some((7, 1.25f64.to_bits()))
+        );
+        check(&cache, 2);
+        check(&cache, 3);
     }
 
     #[test]

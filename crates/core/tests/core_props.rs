@@ -3,13 +3,19 @@
 //! the greedy engine's incremental quantities must agree with
 //! from-scratch recomputation.
 
+use std::collections::{BTreeMap, BTreeSet};
+
 use proptest::prelude::*;
 
-use pgs_core::cost::{pair_cost, CostModel};
+use pgs_core::checkpoint::{RunCheckpoint, ALGO_PEGASUS};
+use pgs_core::cost::{best_pair_cost, pair_cost, CostModel};
 use pgs_core::error::{personalized_error, reconstruction_error};
+use pgs_core::exec::Exec;
+use pgs_core::pegasus::RunStats;
+use pgs_core::sparsify::sparsify;
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
-use pgs_core::{summarize, PegasusConfig, Summary};
+use pgs_core::{summarize, PegasusConfig, Summary, SuperId};
 use pgs_graph::gen::erdos_renyi;
 use pgs_graph::Graph;
 
@@ -20,12 +26,76 @@ fn arb_graph() -> impl Strategy<Value = Graph> {
     })
 }
 
+/// `s`'s neighbor weights from a fresh member-edge scan, each sum
+/// accumulated in visit order (members in list order, neighbors in
+/// adjacency order) — the flat order the tables must reproduce.
+fn rescan(ws: &WorkingSummary<'_>, s: SuperId) -> BTreeMap<SuperId, f64> {
+    let (g, w) = (ws.graph(), ws.weights());
+    let mut sums = BTreeMap::new();
+    for &u in ws.members(s) {
+        for &v in g.neighbors(u) {
+            *sums.entry(ws.supernode_of(v)).or_insert(0.0) += w.node(u) * w.node(v);
+        }
+    }
+    sums
+}
+
+/// Independent superedge model of Alg. 2's merge: drop every pair
+/// incident to either side, then re-add the survivor's cost-reducing
+/// pairs, priced from a fresh scan.
+fn model_merge(
+    ws: &WorkingSummary<'_>,
+    model: &mut BTreeSet<(SuperId, SuperId)>,
+    kept: SuperId,
+    dead: SuperId,
+) {
+    model.retain(|&(a, b)| ![a, b].iter().any(|&x| x == kept || x == dead));
+    for (x, e_raw) in rescan(ws, kept) {
+        let e = if x == kept { e_raw / 2.0 } else { e_raw };
+        if best_pair_cost(ws.pair_tot(kept, x), e, ws.log_s(), ws.params()).1 {
+            model.insert((kept.min(x), kept.max(x)));
+        }
+    }
+}
+
+/// Every table against the fresh scan and the superedge model: exact
+/// keys and bits always, values bit for bit unless marked stale;
+/// `has_superedge` symmetric; `|P|` equal to the model's.
+fn check_tables(
+    ws: &WorkingSummary<'_>,
+    model: &BTreeSet<(SuperId, SuperId)>,
+) -> Result<(), TestCaseError> {
+    for s in ws.live_iter() {
+        let fresh = rescan(ws, s);
+        let table: Vec<(SuperId, f64, bool)> = ws.neighbor_table(s).collect();
+        let keys: Vec<SuperId> = table.iter().map(|t| t.0).collect();
+        prop_assert!(keys.iter().eq(fresh.keys()), "keys of {}: {:?}", s, keys);
+        for (&(x, v, bit), (_, &f)) in table.iter().zip(&fresh) {
+            if !ws.is_table_stale(s) {
+                prop_assert!(v.to_bits() == f.to_bits(), "value of {} in {}", x, s);
+            }
+            prop_assert!(
+                bit == model.contains(&(s.min(x), s.max(x))),
+                "bit of {} in {}",
+                x,
+                s
+            );
+            prop_assert_eq!(ws.has_superedge(s, x), ws.has_superedge(x, s));
+        }
+    }
+    prop_assert_eq!(ws.num_superedges(), model.len());
+    for &(a, b) in model {
+        prop_assert!(ws.is_live(a) && ws.is_live(b) && ws.has_superedge(a, b));
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     /// After any random merge sequence: membership maps stay mutually
     /// consistent, weight sums match recomputation, and the superedge
-    /// count matches the adjacency sets.
+    /// count matches the neighbor tables.
     #[test]
     fn working_summary_invariants_hold_under_merges(
         g in arb_graph(),
@@ -56,7 +126,7 @@ proptest! {
         let member_total: usize = live.iter().map(|&s| ws.members(s).len()).sum();
         prop_assert_eq!(member_total, g.num_nodes());
         prop_assert_eq!(ws.num_supernodes(), live.len());
-        // Superedge count vs adjacency sets.
+        // Superedge count vs the neighbor tables.
         let mut count = 0usize;
         for &s in &live {
             for x in ws.superedge_neighbors(s) {
@@ -66,6 +136,62 @@ proptest! {
             }
         }
         prop_assert_eq!(count, ws.num_superedges());
+    }
+
+    /// The persistent neighbor tables stay exact through random merge
+    /// sequences, superedge removals, a checkpoint round trip and
+    /// sparsification (DESIGN.md §7).
+    #[test]
+    fn neighbor_tables_stay_exact(
+        g in arb_graph(),
+        seed in any::<u64>(),
+        merges in 1usize..30,
+        drops in 0usize..6,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let w = NodeWeights::personalized(&g, &[0], 1.5);
+        let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
+        let mut model: BTreeSet<(SuperId, SuperId)> = g.edges().collect();
+        check_tables(&ws, &model)?;
+        let mut scratch = Scratch::default();
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        let mut live = ws.live_ids();
+        for _ in 0..merges.min(live.len() - 1) {
+            let i = rng.random_range(0..live.len());
+            let j = rng.random_range(0..live.len());
+            if i == j { continue; }
+            let (a, b) = (live[i], live[j]);
+            let kept = ws.merge(a, b, &mut scratch);
+            let dead = if kept == a { b } else { a };
+            live.retain(|&s| s != dead);
+            model_merge(&ws, &mut model, kept, dead);
+            check_tables(&ws, &model)?;
+        }
+        for _ in 0..drops {
+            let Some(&(a, b)) = model.iter().nth(rng.random_range(0..model.len().max(1))) else {
+                break;
+            };
+            prop_assert!(ws.remove_superedge(b, a));
+            prop_assert!(!ws.remove_superedge(a, b));
+            model.remove(&(a, b));
+            check_tables(&ws, &model)?;
+        }
+
+        // A checkpoint round trip rebuilds every table fresh.
+        let ck = RunCheckpoint::capture(ALGO_PEGASUS, 2, 0.5, f64::INFINITY, RunStats::default(), &ws, None);
+        let ck = RunCheckpoint::decode(&ck.encode()).unwrap();
+        let restored = ck.restore_working(&g, &w, CostModel::ErrorCorrection).unwrap();
+        check_tables(&restored, &model)?;
+        prop_assert!(restored.live_iter().all(|s| !restored.is_table_stale(s)));
+
+        // Sparsification prices from refreshed tables and keeps them
+        // consistent with what it drops.
+        let budget = ws.size_bits() - 2.0 * ws.log_s() * (model.len() / 2) as f64;
+        let pressed = ws.size_bits() > budget && ws.log_s() > 0.0;
+        sparsify(&mut ws, budget, &Exec::new(2));
+        model.retain(|&(a, b)| ws.has_superedge(a, b));
+        check_tables(&ws, &model)?;
+        prop_assert!(!pressed || ws.live_iter().all(|s| !ws.is_table_stale(s)));
     }
 
     /// eval_merge's delta equals the actual change in the global

@@ -10,6 +10,10 @@
 //!    same pricing routine. Property-tested over random weighted graphs,
 //!    random committed merge prefixes, and random candidate groups.
 //!
+//!    Covered on neighbor tables refreshed after a commit, and across
+//!    intra-group merges, where the cached evaluator's memoized side
+//!    costs must price exactly like a view that never evaluated before.
+//!
 //! 2. **End-to-end byte identity.** Full `summarize` runs driven by the
 //!    cached evaluator produce byte-identical summaries to runs driven
 //!    by the legacy scan evaluator, at 1, 2, and 8 worker threads, with
@@ -20,10 +24,13 @@
 use proptest::prelude::*;
 
 use pgs_core::cost::CostModel;
+use pgs_core::exec::Exec;
 use pgs_core::pegasus::{summarize_with_stats, PegasusConfig, RunStats};
 use pgs_core::ssumm::ssumm_summarize_with_stats;
 use pgs_core::weights::NodeWeights;
-use pgs_core::working::{evaluate_group_with, GroupView, MergeEvaluator, Scratch, WorkingSummary};
+use pgs_core::working::{
+    eval_merge_view, evaluate_group_with, GroupView, MergeEvaluator, Scratch, WorkingSummary,
+};
 use pgs_core::{SsummConfig, Summary, SuperId};
 use pgs_graph::gen::{barabasi_albert, erdos_renyi, planted_partition};
 use pgs_graph::Graph;
@@ -78,10 +85,11 @@ proptest! {
         let w = weights_for(&g, wseed);
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         commit_random_merges(&mut ws, mseed, merges);
+        ws.refresh_stale(&Exec::serial());
         let mut scratch = Scratch::default();
         let group: Vec<SuperId> = ws.live_ids().into_iter().take(12).collect();
         prop_assume!(group.len() >= 2);
-        let mut view = GroupView::with_cache(&ws, &group, &mut scratch);
+        let mut view = GroupView::with_cache(&ws, &group);
         for i in 0..group.len() {
             for j in (i + 1)..group.len() {
                 let scan = ws.eval_merge(group[i], group[j], &mut scratch);
@@ -100,6 +108,78 @@ proptest! {
         }
     }
 
+    /// Post-merge group states, where memo hits occur: two cached views
+    /// replay the same intra-group merges and, between merges, price
+    /// every ordered pair — one in forward order, the other in reverse,
+    /// so each side cost is a memo hit in one view where the other
+    /// computes it. Between two merges a view's spans refresh to the
+    /// same contents whichever pair triggers the refresh, so every price
+    /// must agree bit for bit; a repeat pass (all memo hits) must too.
+    /// Against a scan view replaying the same merges, prices agree up to
+    /// the §7 scoped exception's final-ulp drift — a memo served at the
+    /// wrong `log2|S|` would be off by orders of magnitude more.
+    #[test]
+    fn memoized_side_costs_price_like_fresh_ones(
+        g in arb_graph(),
+        wseed in any::<u64>(),
+        mseed in any::<u64>(),
+        local in 1usize..6,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let w = weights_for(&g, wseed);
+        let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
+        commit_random_merges(&mut ws, mseed, 4);
+        ws.refresh_stale(&Exec::serial());
+        let mut scratch = Scratch::default();
+        let mut group: Vec<SuperId> = ws.live_ids().into_iter().take(10).collect();
+        prop_assume!(group.len() >= 3);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(mseed ^ 0x5EED);
+        let mut fwd = GroupView::with_cache(&ws, &group);
+        let mut rev = GroupView::with_cache(&ws, &group);
+        let mut scan = GroupView::new(&ws);
+        for step in 0..=local.min(group.len() - 2) {
+            let pairs: Vec<(SuperId, SuperId)> = group
+                .iter()
+                .flat_map(|&a| group.iter().filter(move |&&b| b != a).map(move |&b| (a, b)))
+                .collect();
+            let first: Vec<_> = pairs
+                .iter()
+                .map(|&(a, b)| fwd.eval_merge_cached(a, b, &mut scratch))
+                .collect();
+            let mut second: Vec<_> = pairs
+                .iter()
+                .rev()
+                .map(|&(a, b)| rev.eval_merge_cached(a, b, &mut scratch))
+                .collect();
+            second.reverse();
+            for (k, &(a, b)) in pairs.iter().enumerate() {
+                let s = eval_merge_view(&scan, a, b, &mut scratch);
+                for (c, x) in [(first[k].delta, s.delta), (first[k].relative, s.relative)] {
+                    prop_assert!(
+                        (c - x).abs() <= 1e-9 * x.abs().max(1.0),
+                        "pair ({}, {}) after {} local merges: cached {} scan {}",
+                        a, b, step, c, x
+                    );
+                }
+                let repeat = fwd.eval_merge_cached(a, b, &mut scratch);
+                for other in [second[k], repeat] {
+                    prop_assert!(
+                        first[k].delta.to_bits() == other.delta.to_bits()
+                            && first[k].relative.to_bits() == other.relative.to_bits(),
+                        "pair ({}, {}) after {} local merges: {:?} vs {:?}",
+                        a, b, step, first[k], other
+                    );
+                }
+            }
+            let i = rng.random_range(0..group.len());
+            let j = (i + 1 + rng.random_range(0..group.len() - 1)) % group.len();
+            let (a, b) = (group[i], group[j]);
+            let kept = fwd.merge_local(a, b, &mut scratch);
+            prop_assert_eq!(rev.merge_local(a, b, &mut scratch), kept);
+            prop_assert_eq!(scan.merge_local(a, b, &mut scratch), kept);
+            group.retain(|&s| s == kept || (s != a && s != b));
+        }
+    }
 }
 
 /// The full group round (sampling, intra-group merges, threshold

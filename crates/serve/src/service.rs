@@ -2190,6 +2190,10 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
         *state = JobState::Done(Box::new(Finished { result, timings }));
         job.done_cv.notify_all();
     }
+    // The blob only ever fed panic-retry, which is over; a held handle
+    // would otherwise pin it for its whole lifetime. Freed after the
+    // result is visible, so the waiter never pays for the drop.
+    job.last_checkpoint.lock().unwrap().take();
     // A freed in-flight slot (or drained queue) may unblock any worker.
     inner.work_cv.notify_all();
 }
@@ -2227,6 +2231,36 @@ mod tests {
         assert_eq!(stats[0].submitted, 1);
         assert_eq!(stats[0].completed, 1);
         assert_eq!(stats[0].budget_met, 1);
+    }
+
+    #[test]
+    fn published_durable_job_holds_no_checkpoint_blob() {
+        let dir = std::env::temp_dir().join(format!("pgs-service-blob-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let svc = SummaryService::new(
+            Arc::new(barabasi_albert(300, 3, 7)),
+            Arc::new(Pegasus::default()),
+            ServiceConfig {
+                workers: 1,
+                checkpoint_every: 1,
+                checkpoint_dir: Some(dir.clone()),
+                ..Default::default()
+            },
+        );
+        let req = SummarizeRequest::new(Budget::Ratio(0.3)).targets(&[0, 1]);
+        let h = svc
+            .submit(SubmitRequest::new("alice", req).durable("blob-job"))
+            .unwrap();
+        let out = h.wait().unwrap();
+        assert!(out.stats.checkpoints > 0, "the run must have checkpointed");
+        // Dropping the service joins its worker, so the publish that
+        // woke `wait` has fully returned.
+        drop(svc);
+        assert!(
+            h.job.last_checkpoint.lock().unwrap().is_none(),
+            "a held handle must not pin the finished job's last blob"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]
