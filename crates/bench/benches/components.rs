@@ -1,20 +1,18 @@
-//! Criterion micro-benchmarks for PeGaSus's internal phases: candidate
-//! generation (shingles), merge evaluation (Lemma 1), personalized
-//! weights (multi-source BFS), error evaluation, and partitioning.
+//! Criterion micro-benchmarks for PeGaSus's internal phases: merge
+//! evaluation (Lemma 1), personalized weights (multi-source BFS), error
+//! evaluation, and partitioning. Candidate generation has its own bench
+//! (`candidates.rs`).
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
 
 use pgs_core::cost::CostModel;
 use pgs_core::error::personalized_error;
-use pgs_core::shingle::{candidate_groups, ShingleParams};
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
 use pgs_core::{summarize, PegasusConfig};
 use pgs_graph::gen::{barabasi_albert, planted_partition};
 use pgs_graph::traverse::multi_source_bfs;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn bench_components(c: &mut Criterion) {
     let g = barabasi_albert(10_000, 5, 1);
@@ -27,14 +25,6 @@ fn bench_components(c: &mut Criterion) {
 
     c.bench_function("weights/personalized_build_10k", |b| {
         b.iter(|| black_box(NodeWeights::personalized(&g, &[0, 1, 2], 1.25)))
-    });
-
-    c.bench_function("shingle/candidate_groups_10k", |b| {
-        let ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let params = ShingleParams::default();
-        let mut rng = StdRng::seed_from_u64(3);
-        let exec = pgs_core::exec::Exec::serial();
-        b.iter(|| black_box(candidate_groups(&ws, &mut rng, &params, &exec)))
     });
 
     c.bench_function("merge/eval_merge_pair", |b| {

@@ -1,7 +1,6 @@
 //! Criterion micro-benchmarks for the merge-evaluation hot loop
-//! (DESIGN.md §7): the group-local superedge-weight cache vs the legacy
-//! member-edge-rescan evaluator, on single evaluations and on whole
-//! Alg.-2 group rounds.
+//! (DESIGN.md §7): the group-local span cache vs the member-edge-rescan
+//! evaluator, on single evaluations and on whole Alg.-2 group rounds.
 
 use criterion::{criterion_group, criterion_main, Criterion};
 use std::hint::black_box;
@@ -38,21 +37,6 @@ fn bench_merge_eval(c: &mut Criterion) {
     let ws = premerged(&g, &w, 2_000);
     let group: Vec<SuperId> = ws.live_ids().into_iter().take(400).collect();
 
-    c.bench_function("merge_eval/pair_legacy_hash", |b| {
-        let view = GroupView::new(&ws);
-        let mut scratch = pgs_core::legacy_eval::HashScratch::default();
-        let mut i = 0usize;
-        b.iter(|| {
-            i = (i + 2) % (group.len() - 1);
-            black_box(pgs_core::legacy_eval::eval_merge_hash(
-                &view,
-                group[i],
-                group[i + 1],
-                &mut scratch,
-            ))
-        })
-    });
-
     c.bench_function("merge_eval/pair_scan", |b| {
         let view = GroupView::new(&ws);
         let mut scratch = Scratch::default();
@@ -75,19 +59,6 @@ fn bench_merge_eval(c: &mut Criterion) {
         b.iter(|| {
             i = (i + 2) % (group.len() - 1);
             black_box(view.eval_merge_cached(group[i], group[i + 1], &mut scratch))
-        })
-    });
-
-    c.bench_function("merge_eval/group_round_legacy_hash", |b| {
-        b.iter(|| {
-            black_box(evaluate_group_with(
-                &ws,
-                &group,
-                0.2,
-                7,
-                false,
-                MergeEvaluator::LegacyHash,
-            ))
         })
     });
 

@@ -1,6 +1,6 @@
 //! Criterion benchmark for the parallel evaluate/commit engine:
 //! end-to-end `summarize` at 1, 2, and `available_parallelism` worker
-//! threads, plus the parallel candidate-generation phase in isolation.
+//! threads.
 //! On a multi-core box the N-thread rows should show the speedup; on a
 //! single core they bound the engine's coordination overhead (the rows
 //! should be within a few percent of each other).
@@ -8,14 +8,8 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use std::hint::black_box;
 
-use pgs_core::exec::Exec;
 use pgs_core::pegasus::{summarize, PegasusConfig};
-use pgs_core::shingle::{candidate_groups, ShingleParams};
-use pgs_core::weights::NodeWeights;
-use pgs_core::working::WorkingSummary;
 use pgs_graph::gen::barabasi_albert;
-use rand::rngs::StdRng;
-use rand::SeedableRng;
 
 fn thread_counts() -> Vec<usize> {
     let hw = rayon::current_num_threads();
@@ -38,20 +32,6 @@ fn bench_parallel(c: &mut Criterion) {
         };
         group.bench_with_input(BenchmarkId::from_parameter(threads), &cfg, |b, cfg| {
             b.iter(|| black_box(summarize(&g, &[0, 1], budget, cfg)))
-        });
-    }
-    group.finish();
-
-    let w = NodeWeights::personalized(&g, &[0, 1], 1.25);
-    let ws = WorkingSummary::new(&g, &w, pgs_core::cost::CostModel::ErrorCorrection);
-    let mut group = c.benchmark_group("parallel_candidate_groups_10k");
-    group.sample_size(10);
-    for threads in thread_counts() {
-        let exec = Exec::new(threads);
-        group.bench_with_input(BenchmarkId::from_parameter(threads), &exec, |b, exec| {
-            let mut rng = StdRng::seed_from_u64(3);
-            let params = ShingleParams::default();
-            b.iter(|| black_box(candidate_groups(&ws, &mut rng, &params, exec)))
         });
     }
     group.finish();

@@ -5,8 +5,7 @@ use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
 use pgs_core::exec::Exec;
 use pgs_core::pegasus::PegasusConfig;
 use pgs_core::summary_io::{read_summary, write_summary};
-use pgs_core::working::MergeEvaluator;
-use pgs_core::{CandidateGen, SsummConfig};
+use pgs_core::SsummConfig;
 use pgs_graph::io::read_edge_list;
 use pgs_graph::traverse::effective_diameter;
 use pgs_graph::Graph;
@@ -28,8 +27,6 @@ USAGE:
                 [--targets 1,2,3] [--alpha 1.25] [--beta 0.1] [--seed 0]
                 [--deadline-secs T]   (stop at the next commit boundary past T)
                 [--threads N]   (0 = all hardware threads; same output at any N)
-                [--evaluator cached|scan|legacy]   (non-default = baseline evaluators)
-                [--candidate-gen incremental|recompute]   (default incremental)
   pgs query <out.summary> --type rwr|hop|php|pagerank --node <q> [--top 10]
             [--truth <edges.txt>]
   pgs query <out.summary> --type rwr|hop|php (--nodes <ids.txt> | --sample <k>)
@@ -61,6 +58,8 @@ answers all nodes (from the --nodes id file, or --sample k nodes drawn with
 --seed) in parallel over --threads workers, and prints TSV rows
 `query  rank  node  score` (top --top nodes per query; accuracy vs --truth
 goes to stderr). Answers are byte-identical at any --threads value.
+
+Every subcommand rejects a flag it does not read (`unknown flag --X`).
 
 serve replays a request file through the multi-tenant SummaryService
 (bounded worker pool, per-tenant FIFO + priority scheduling, shared-BFS
@@ -94,13 +93,34 @@ struct Args {
     flags: Vec<(String, String)>,
 }
 
+/// The flags [`build_algorithm`] reads, accepted by every subcommand
+/// that calls it.
+const ALGORITHM_FLAGS: &[&str] = &[
+    "algorithm",
+    "method",
+    "alpha",
+    "beta",
+    "tmax",
+    "seed",
+    "threads",
+    "c",
+    "iterations",
+];
+
 impl Args {
-    fn parse(raw: &[String]) -> Result<Self, String> {
+    /// Parses `raw`, accepting only the flag names listed in `accepted`
+    /// (a subcommand's own list, plus [`ALGORITHM_FLAGS`] where it
+    /// builds an algorithm), so a misspelled or retired flag is an error
+    /// rather than silently ignored.
+    fn parse(raw: &[String], accepted: &[&[&str]]) -> Result<Self, String> {
         let mut positional = Vec::new();
         let mut flags = Vec::new();
         let mut it = raw.iter();
         while let Some(tok) = it.next() {
             if let Some(name) = tok.strip_prefix("--").or_else(|| tok.strip_prefix('-')) {
+                if !accepted.iter().any(|list| list.contains(&name)) {
+                    return Err(format!("unknown flag {tok}"));
+                }
                 let value = it
                     .next()
                     .ok_or_else(|| format!("flag --{name} needs a value"))?;
@@ -137,7 +157,7 @@ fn load_graph(path: &str) -> Result<Graph, String> {
 
 /// `pgs info <edges.txt>`.
 pub fn info(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[])?;
     let path = args
         .positional
         .first()
@@ -157,7 +177,18 @@ pub fn info(raw: &[String]) -> Result<(), String> {
 /// `pgs summarize <edges.txt> -o out [--algorithm a] [budget flags] ...`:
 /// every algorithm dispatches through `dyn Summarizer`.
 pub fn summarize(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    const FLAGS: &[&str] = &[
+        "o",
+        "out",
+        "budget-supernodes",
+        "budget-bits",
+        "bits",
+        "budget-ratio",
+        "ratio",
+        "targets",
+        "deadline-secs",
+    ];
+    let args = Args::parse(raw, &[FLAGS, ALGORITHM_FLAGS])?;
     let path = args
         .positional
         .first()
@@ -225,27 +256,12 @@ pub fn summarize(raw: &[String]) -> Result<(), String> {
 }
 
 /// Builds the `--algorithm` summarizer from the shared flag set
-/// (`--alpha`, `--beta`, `--tmax`, `--seed`, `--threads`,
-/// `--evaluator`, `--candidate-gen`; `--method` stays as an alias of
+/// ([`ALGORITHM_FLAGS`]: `--alpha`, `--beta`, `--tmax`, `--seed`,
+/// `--threads`, `--c`, `--iterations`; `--method` stays as an alias of
 /// `--algorithm`). Shared by `summarize` and `serve`.
 fn build_algorithm(args: &Args) -> Result<Box<dyn Summarizer + Send + Sync>, String> {
     let seed: u64 = args.get_parse("seed", 0)?;
     let num_threads: usize = args.get_parse("threads", 0)?;
-    let evaluator = match args.get("evaluator").unwrap_or("cached") {
-        "cached" => MergeEvaluator::Cached,
-        "scan" => MergeEvaluator::Scan,
-        "legacy" => MergeEvaluator::LegacyHash,
-        other => return Err(format!("unknown evaluator {other:?} (cached|scan|legacy)")),
-    };
-    let candidate_gen = match args.get("candidate-gen").unwrap_or("incremental") {
-        "incremental" => CandidateGen::Incremental,
-        "recompute" => CandidateGen::Recompute,
-        other => {
-            return Err(format!(
-                "unknown candidate generator {other:?} (incremental|recompute)"
-            ))
-        }
-    };
     let algorithm = args
         .get("algorithm")
         .or_else(|| args.get("method"))
@@ -257,16 +273,12 @@ fn build_algorithm(args: &Args) -> Result<Box<dyn Summarizer + Send + Sync>, Str
             t_max: args.get_parse("tmax", 20)?,
             seed,
             num_threads,
-            evaluator,
-            candidate_gen,
             ..Default::default()
         })),
         "ssumm" => Box::new(Ssumm(SsummConfig {
             t_max: args.get_parse("tmax", 20)?,
             seed,
             num_threads,
-            evaluator,
-            candidate_gen,
             ..Default::default()
         })),
         "kgrass" => Box::new(KGrass(KGrassConfig {
@@ -343,7 +355,10 @@ pub fn query(raw: &[String]) -> Result<(), String> {
     const QUERY_USAGE: &str = "usage: pgs query <out.summary> --type rwr|hop|php|pagerank \
          (--node <q> | --nodes <ids.txt> | --sample <k>) \
          [--top 10] [--seed 0] [--threads N] [--truth <edges.txt>]";
-    let args = Args::parse(raw)?;
+    const FLAGS: &[&str] = &[
+        "type", "node", "nodes", "sample", "top", "seed", "threads", "truth",
+    ];
+    let args = Args::parse(raw, &[FLAGS])?;
     let path = args.positional.first().ok_or(QUERY_USAGE)?;
     let s = read_summary(path).map_err(|e| format!("reading {path}: {e}"))?;
     let qtype = args
@@ -553,7 +568,27 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
          [--checkpoint-dir D] [--stall-timeout-ms S] [--breaker-window W] \
          [--breaker-threshold F] [--breaker-cooldown-ms C] [--metrics-dump M] \
          [--events E] [--event-capacity N] [flags]";
-    let args = Args::parse(raw)?;
+    const FLAGS: &[&str] = &[
+        "requests",
+        "workers",
+        "inflight",
+        "tenant-deadline-ms",
+        "cache",
+        "queue-depth",
+        "global-queue",
+        "retries",
+        "retry-backoff-ms",
+        "checkpoint-every",
+        "checkpoint-dir",
+        "stall-timeout-ms",
+        "breaker-window",
+        "breaker-threshold",
+        "breaker-cooldown-ms",
+        "metrics-dump",
+        "events",
+        "event-capacity",
+    ];
+    let args = Args::parse(raw, &[FLAGS, ALGORITHM_FLAGS])?;
     let path = args.positional.first().ok_or(SERVE_USAGE)?;
     let reqs_path = args.get("requests").ok_or(SERVE_USAGE)?;
     let g = load_graph(path)?;
@@ -726,7 +761,7 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
 /// one-shot text report.
 pub fn top(raw: &[String]) -> Result<(), String> {
     use pgs_observe::Json;
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[])?;
     let path = args
         .positional
         .first()
@@ -885,7 +920,7 @@ fn histogram_quantiles(h: &pgs_observe::Json) -> (String, String) {
 
 /// `pgs partition <edges.txt> -m 8 [--method louvain]`.
 pub fn partition(raw: &[String]) -> Result<(), String> {
-    let args = Args::parse(raw)?;
+    let args = Args::parse(raw, &[&["m", "method", "seed"]])?;
     let path = args
         .positional
         .first()
@@ -929,7 +964,11 @@ mod tests {
 
     #[test]
     fn args_parse_flags_and_positionals() {
-        let a = Args::parse(&strs(&["file.txt", "--ratio", "0.4", "-o", "out"])).unwrap();
+        let a = Args::parse(
+            &strs(&["file.txt", "--ratio", "0.4", "-o", "out"]),
+            &[&["ratio", "o", "missing"]],
+        )
+        .unwrap();
         assert_eq!(a.positional, vec!["file.txt"]);
         assert_eq!(a.get("ratio"), Some("0.4"));
         assert_eq!(a.get("o"), Some("out"));
@@ -938,14 +977,39 @@ mod tests {
 
     #[test]
     fn args_missing_value_errors() {
-        assert!(Args::parse(&strs(&["--ratio"])).is_err());
+        assert!(Args::parse(&strs(&["--ratio"]), &[&["ratio"]]).is_err());
     }
 
     #[test]
     fn get_parse_defaults_and_errors() {
-        let a = Args::parse(&strs(&["--x", "nope"])).unwrap();
+        let a = Args::parse(&strs(&["--x", "nope"]), &[&["x", "y"]]).unwrap();
         assert_eq!(a.get_parse("y", 7usize).unwrap(), 7);
         assert!(a.get_parse::<f64>("x", 0.0).is_err());
+    }
+
+    #[test]
+    fn unknown_flags_are_rejected() {
+        // A typo and the two retired engine selectors all fail before
+        // any file is read, with the flag named.
+        for (flag, value) in [
+            ("--treads", "2"),
+            ("--evaluator", "legacy"),
+            ("--candidate-gen", "recompute"),
+        ] {
+            let argv = strs(&["g.txt", "-o", "out.summary", flag, value]);
+            assert_eq!(summarize(&argv), Err(format!("unknown flag {flag}")));
+            let argv = strs(&["g.txt", "--requests", "reqs.txt", flag, value]);
+            assert_eq!(serve(&argv), Err(format!("unknown flag {flag}")));
+        }
+        // Every subcommand checks against its own list: a flag another
+        // subcommand reads is still unknown here.
+        let bad = |cmd: fn(&[String]) -> Result<(), String>, argv: &[&str], flag: &str| {
+            assert_eq!(cmd(&strs(argv)), Err(format!("unknown flag {flag}")));
+        };
+        bad(info, &["g.txt", "--threads", "2"], "--threads");
+        bad(top, &["m.json", "--top", "3"], "--top");
+        bad(partition, &["g.txt", "--threads", "2"], "--threads");
+        bad(query, &["s.summary", "--type", "rwr", "-o", "x"], "-o");
     }
 
     #[test]

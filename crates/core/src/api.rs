@@ -64,8 +64,8 @@ use std::time::{Duration, Instant};
 
 use crate::checkpoint::{CheckpointError, RunCheckpoint};
 use crate::fault::FaultPlan;
-use crate::pegasus::{pegasus_loop, PegasusConfig, RunStats};
-use crate::ssumm::{ssumm_loop, SsummConfig};
+use crate::pegasus::{run_loop, PegasusConfig, RunStats};
+use crate::ssumm::SsummConfig;
 use crate::summary::Summary;
 use crate::weights::NodeWeights;
 use pgs_graph::{Graph, NodeId};
@@ -740,10 +740,11 @@ impl Summarizer for Pegasus {
         }
         let budget_bits = req.budget().to_bits(g, self.name())?;
         let weights = req.resolve_weights(g, cfg.alpha)?;
+        let spec = cfg.spec();
         let control = req.control_ref();
-        let resume = control.decode_resume(crate::checkpoint::ALGO_PEGASUS, g.num_nodes())?;
+        let resume = control.decode_resume(spec.algorithm, g.num_nodes())?;
         let (summary, stats, stop) =
-            pegasus_loop(g, &weights, budget_bits, cfg, control, resume.as_ref())
+            run_loop(g, &weights, budget_bits, &spec, control, resume.as_ref())
                 .map_err(checkpoint_invalid)?;
         Ok(finish_run(g, summary, stats, stop))
     }
@@ -765,10 +766,13 @@ impl Summarizer for Ssumm {
         }
         req.require_uniform(self.name())?;
         let budget_bits = req.budget().to_bits(g, self.name())?;
+        let spec = self.0.spec();
         let control = req.control_ref();
-        let resume = control.decode_resume(crate::checkpoint::ALGO_SSUMM, g.num_nodes())?;
-        let (summary, stats, stop) = ssumm_loop(g, budget_bits, &self.0, control, resume.as_ref())
-            .map_err(checkpoint_invalid)?;
+        let resume = control.decode_resume(spec.algorithm, g.num_nodes())?;
+        let weights = NodeWeights::uniform(g.num_nodes());
+        let (summary, stats, stop) =
+            run_loop(g, &weights, budget_bits, &spec, control, resume.as_ref())
+                .map_err(checkpoint_invalid)?;
         Ok(finish_run(g, summary, stats, stop))
     }
 }

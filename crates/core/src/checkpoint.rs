@@ -1,7 +1,7 @@
 //! Iteration-boundary run checkpoints (DESIGN.md §10).
 //!
-//! Both engine loops commit one iteration's merge log serially and only
-//! then mutate shared state again, so the top of an iteration is the one
+//! The engine loop commits one iteration's merge log serially and only
+//! then mutates shared state again, so the top of an iteration is the one
 //! point where the whole run is describable by plain data: the
 //! [`crate::working::WorkingSummary`] partition, the adaptive-threshold
 //! scalar, the stall cap, and the iteration counter. [`RunCheckpoint`]
@@ -42,13 +42,9 @@ pub const ALGO_PEGASUS: u8 = 1;
 pub const ALGO_SSUMM: u8 = 2;
 
 const MAGIC: [u8; 4] = *b"PGSC";
-/// Format version. Each version appends a trailing section to its
-/// predecessor, so older blobs remain decodable with the newer fields
-/// defaulted: version 2 added candidate-generation stats + per-
-/// supernode gain EMAs for the incremental candidate path, version 3
-/// adds the remaining [`PhaseTimings`](crate::pegasus::PhaseTimings)
-/// words (commit / sparsify seconds). A vN blob is byte-for-byte a
-/// v(N+1) blob minus that version's trailing section.
+/// Format version. Only this version decodes; a blob carrying any other
+/// tag is [`CheckpointError::Corrupt`]. (Versions 1 and 2 were prefixes
+/// of this layout, without the gain EMAs and the later phase words.)
 const VERSION: u16 = 3;
 
 /// Deterministic per-iteration seed derivation: iteration `t` of a run
@@ -130,9 +126,8 @@ pub struct RunCheckpoint {
     pub supers: Vec<SuperRecord>,
     /// Superedges as sorted `(min, max)` pairs, self-loops as `(s, s)`.
     pub superedges: Vec<(SuperId, SuperId)>,
-    /// Per-supernode gain EMAs of the incremental candidate scheduler,
-    /// as raw f64 bits aligned with `supers`. Empty when the run uses
-    /// the recompute path (or the blob predates version 2). The
+    /// Per-supernode gain EMAs of the candidate scheduler, as raw f64
+    /// bits aligned with `supers` (exactly one per supernode). The
     /// signature bank itself is *not* stored: it is a pure function of
     /// `(graph, seed, partition)` and is rebuilt on resume
     /// (composition under union, DESIGN.md §11).
@@ -141,9 +136,8 @@ pub struct RunCheckpoint {
 
 impl RunCheckpoint {
     /// Snapshots a live [`WorkingSummary`] plus the driver scalars.
-    /// `gains` carries the incremental candidate scheduler's
-    /// per-supernode EMAs (indexed by supernode id; `None` for the
-    /// recompute path).
+    /// `gains` carries the candidate scheduler's per-supernode EMAs,
+    /// indexed by supernode id.
     pub fn capture(
         algorithm: u8,
         next_iteration: u64,
@@ -151,15 +145,11 @@ impl RunCheckpoint {
         stall_cap: f64,
         stats: RunStats,
         ws: &WorkingSummary<'_>,
-        gains: Option<&[f64]>,
+        gains: &[f64],
     ) -> Self {
         let mut supers = Vec::with_capacity(ws.num_supernodes());
         let mut superedges = Vec::with_capacity(ws.num_superedges());
-        let mut gain_bits = Vec::with_capacity(if gains.is_some() {
-            ws.num_supernodes()
-        } else {
-            0
-        });
+        let mut gain_bits = Vec::with_capacity(ws.num_supernodes());
         for s in ws.live_iter() {
             supers.push(SuperRecord {
                 id: s,
@@ -172,9 +162,7 @@ impl RunCheckpoint {
                     superedges.push((s, x));
                 }
             }
-            if let Some(g) = gains {
-                gain_bits.push(g[s as usize].to_bits());
-            }
+            gain_bits.push(gains[s as usize].to_bits());
         }
         superedges.sort_unstable();
         RunCheckpoint {
@@ -191,10 +179,10 @@ impl RunCheckpoint {
     }
 
     /// Expands the stored gain EMAs back to the id-indexed vector the
-    /// drivers maintain. Slots of dead (or never-stored) supernodes are
-    /// zero — they are never read, since candidate groups only contain
-    /// live supernodes, so a resumed run's schedule is bit-identical to
-    /// the uninterrupted one.
+    /// driver maintains. Slots of dead supernodes are zero — they are
+    /// never read, since candidate groups only contain live supernodes,
+    /// so a resumed run's schedule is bit-identical to the uninterrupted
+    /// one.
     pub fn restore_gains(&self, num_nodes: usize) -> Vec<f64> {
         let mut gains = vec![0.0; num_nodes];
         for (rec, &bits) in self.supers.iter().zip(&self.gains) {
@@ -304,9 +292,7 @@ impl RunCheckpoint {
             buf.extend_from_slice(&a.to_le_bytes());
             buf.extend_from_slice(&b.to_le_bytes());
         }
-        // Version-2 trailing section: candidate-generation stats and the
-        // incremental scheduler's gain EMAs (absent for the recompute
-        // path). Everything above is byte-identical to the v1 layout.
+        // Candidate-generation stats and the scheduler's gain EMAs.
         buf.extend_from_slice(&self.stats.phases.candidates.to_bits().to_le_bytes());
         buf.extend_from_slice(&self.stats.groups.to_le_bytes());
         buf.extend_from_slice(&self.stats.grouped_supernodes.to_le_bytes());
@@ -314,18 +300,19 @@ impl RunCheckpoint {
         for &bits in &self.gains {
             buf.extend_from_slice(&bits.to_le_bytes());
         }
-        // Version-3 trailing section: the remaining per-phase wall
-        // words of the profiling taxonomy (DESIGN.md §14).
+        // The remaining per-phase wall words of the profiling taxonomy
+        // (DESIGN.md §14).
         buf.extend_from_slice(&self.stats.phases.commit.to_bits().to_le_bytes());
         buf.extend_from_slice(&self.stats.phases.sparsify.to_bits().to_le_bytes());
         buf
     }
 
     /// Parses and structurally validates a blob produced by
-    /// [`RunCheckpoint::encode`]: the member lists must partition
-    /// `0..num_nodes`, supernode ids must be unique members of
-    /// themselves, and superedges must be sorted unique `(min, max)`
-    /// pairs between live supernodes.
+    /// [`RunCheckpoint::encode`]: the version tag must be the current
+    /// one, the member lists must partition `0..num_nodes`, supernode ids
+    /// must be unique members of themselves, superedges must be sorted
+    /// unique `(min, max)` pairs between live supernodes, and there must
+    /// be one finite gain EMA per supernode.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let mut r = Reader { bytes, pos: 0 };
         let magic = r.take(4)?;
@@ -333,7 +320,7 @@ impl RunCheckpoint {
             return Err(CheckpointError::Corrupt("bad magic".into()));
         }
         let version = r.u16()?;
-        if version == 0 || version > VERSION {
+        if version != VERSION {
             return Err(CheckpointError::Corrupt(format!(
                 "unsupported checkpoint version {version}"
             )));
@@ -459,33 +446,26 @@ impl RunCheckpoint {
             prev_edge = Some((a, b));
             superedges.push((a, b));
         }
-        // Version-2 trailing section; a v1 blob simply ends here.
-        let mut gains = Vec::new();
-        if version >= 2 {
-            stats.phases.candidates = f64::from_bits(r.u64()?);
-            stats.groups = r.u64()?;
-            stats.grouped_supernodes = r.u64()?;
-            let gain_count = r.u32()? as usize;
-            if gain_count != 0 && gain_count != supers.len() {
-                return Err(CheckpointError::Corrupt(format!(
-                    "gain count {gain_count} does not match {} supernodes",
-                    supers.len()
-                )));
-            }
-            gains.reserve(gain_count);
-            for _ in 0..gain_count {
-                let bits = r.u64()?;
-                if !f64::from_bits(bits).is_finite() {
-                    return Err(CheckpointError::Corrupt("non-finite gain EMA".into()));
-                }
-                gains.push(bits);
-            }
+        stats.phases.candidates = f64::from_bits(r.u64()?);
+        stats.groups = r.u64()?;
+        stats.grouped_supernodes = r.u64()?;
+        let gain_count = r.u32()? as usize;
+        if gain_count != supers.len() {
+            return Err(CheckpointError::Corrupt(format!(
+                "gain count {gain_count} does not match {} supernodes",
+                supers.len()
+            )));
         }
-        // Version-3 trailing section; a v2 blob simply ends here.
-        if version >= 3 {
-            stats.phases.commit = f64::from_bits(r.u64()?);
-            stats.phases.sparsify = f64::from_bits(r.u64()?);
+        let mut gains = Vec::with_capacity(gain_count);
+        for _ in 0..gain_count {
+            let bits = r.u64()?;
+            if !f64::from_bits(bits).is_finite() {
+                return Err(CheckpointError::Corrupt("non-finite gain EMA".into()));
+            }
+            gains.push(bits);
         }
+        stats.phases.commit = f64::from_bits(r.u64()?);
+        stats.phases.sparsify = f64::from_bits(r.u64()?);
         if r.pos != r.bytes.len() {
             return Err(CheckpointError::Corrupt(format!(
                 "{} trailing bytes",
@@ -576,15 +556,7 @@ mod tests {
         let mut gains = vec![0.0; g.num_nodes()];
         gains[0] = 0.75;
         gains[4] = 1.5;
-        let ck = RunCheckpoint::capture(
-            ALGO_PEGASUS,
-            4,
-            0.25,
-            f64::INFINITY,
-            stats,
-            &ws,
-            Some(&gains),
-        );
+        let ck = RunCheckpoint::capture(ALGO_PEGASUS, 4, 0.25, f64::INFINITY, stats, &ws, &gains);
         (g, w, ck)
     }
 
@@ -617,90 +589,52 @@ mod tests {
         assert_eq!(gains[5], 0.0);
     }
 
-    #[test]
-    fn recompute_path_stores_no_gains() {
-        let g = barabasi_albert(40, 3, 2);
-        let w = NodeWeights::uniform(g.num_nodes());
-        let ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let ck = RunCheckpoint::capture(
-            ALGO_PEGASUS,
-            2,
-            0.5,
-            f64::INFINITY,
-            RunStats::default(),
-            &ws,
-            None,
-        );
-        let decoded = RunCheckpoint::decode(&ck.encode()).unwrap();
-        assert!(decoded.gains.is_empty());
-        assert!(decoded.restore_gains(40).iter().all(|&g| g == 0.0));
-    }
-
     /// Bytes of the v3 trailing section (commit + sparsify bits).
     const V3_TRAIL: usize = 8 + 8;
 
     #[test]
-    fn version_1_blobs_still_decode() {
-        // A v1 blob is byte-for-byte a v3 blob minus both trailing
-        // sections: splice one together and check the new fields
-        // default.
+    fn other_version_tags_are_corrupt() {
+        // Versions 1 and 2 were prefixes of this layout; neither they
+        // nor any later tag decode, whether or not the bytes would fit.
         let (_, _, ck) = sample_checkpoint();
         let v3 = ck.encode();
-        let trail = V3_TRAIL + 8 + 8 + 8 + 4 + 8 * ck.gains.len();
-        let mut v1 = v3[..v3.len() - trail].to_vec();
-        v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-        let decoded = RunCheckpoint::decode(&v1).unwrap();
-        assert_eq!(decoded.supers, ck.supers);
-        assert_eq!(decoded.superedges, ck.superedges);
-        assert!(decoded.gains.is_empty());
-        assert_eq!(decoded.stats.phases.candidates, 0.0);
-        assert_eq!(decoded.stats.groups, 0);
-        // ...but a v1-tagged blob *with* the trailing sections is
-        // corrupt.
-        let mut bad = v3.clone();
-        bad[4..6].copy_from_slice(&1u16.to_le_bytes());
-        assert!(matches!(
-            RunCheckpoint::decode(&bad),
-            Err(CheckpointError::Corrupt(_))
-        ));
-    }
-
-    #[test]
-    fn version_2_blobs_still_decode() {
-        // A v2 blob is a v3 blob minus the commit/sparsify words: the
-        // v2 fields survive, the v3-only phases default to zero.
-        let (_, _, ck) = sample_checkpoint();
-        let v3 = ck.encode();
-        let mut v2 = v3[..v3.len() - V3_TRAIL].to_vec();
-        v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-        let decoded = RunCheckpoint::decode(&v2).unwrap();
-        assert_eq!(decoded.supers, ck.supers);
-        assert_eq!(decoded.gains, ck.gains);
-        assert_eq!(decoded.stats.phases.candidates, 0.5);
-        assert_eq!(decoded.stats.phases.evaluate, 1.25);
-        assert_eq!(decoded.stats.phases.commit, 0.0);
-        assert_eq!(decoded.stats.phases.sparsify, 0.0);
-        // ...and a v2-tagged blob carrying the v3 words is corrupt.
-        let mut bad = v3.clone();
-        bad[4..6].copy_from_slice(&2u16.to_le_bytes());
-        assert!(matches!(
-            RunCheckpoint::decode(&bad),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        let v2_len = v3.len() - V3_TRAIL;
+        let v1_len = v2_len - (8 + 8 + 8 + 4 + 8 * ck.gains.len());
+        for (tag, len) in [
+            (0u16, v3.len()),
+            (1, v1_len),
+            (1, v3.len()),
+            (2, v2_len),
+            (2, v3.len()),
+            (4, v3.len()),
+        ] {
+            let mut blob = v3[..len].to_vec();
+            blob[4..6].copy_from_slice(&tag.to_le_bytes());
+            assert!(
+                matches!(
+                    RunCheckpoint::decode(&blob),
+                    Err(CheckpointError::Corrupt(_))
+                ),
+                "version tag {tag}, {len} bytes"
+            );
+        }
     }
 
     #[test]
     fn mismatched_gain_count_is_corrupt() {
         let (_, _, ck) = sample_checkpoint();
-        let mut blob = ck.encode();
-        // The gain count lives V3_TRAIL + 4 + 8·|gains| bytes from the
-        // end.
-        let pos = blob.len() - V3_TRAIL - 4 - 8 * ck.gains.len();
-        blob[pos..pos + 4].copy_from_slice(&((ck.gains.len() as u32) - 1).to_le_bytes());
-        assert!(matches!(
-            RunCheckpoint::decode(&blob),
-            Err(CheckpointError::Corrupt(_))
-        ));
+        // The gain count lives V3_TRAIL + 4 + 8·|gains| bytes from
+        // the end; one gain per supernode is the only valid count.
+        let good = ck.encode();
+        let pos = good.len() - V3_TRAIL - 4 - 8 * ck.gains.len();
+        for count in [0, ck.gains.len() as u32 - 1] {
+            let mut blob = good.clone();
+            blob[pos..pos + 4].copy_from_slice(&count.to_le_bytes());
+            assert!(matches!(
+                RunCheckpoint::decode(&blob),
+                Err(CheckpointError::Corrupt(_))
+            ));
+        }
     }
 
     #[test]

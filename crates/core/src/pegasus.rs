@@ -5,6 +5,12 @@
 //! (Sect. III-E) until the summary fits the bit budget or `t_max`
 //! iterations elapse, then sparsifies (Sect. III-F) if needed.
 //!
+//! The same loop drives SSumM ([`crate::ssumm`]): Sect. III-G defines
+//! PeGaSus as SSumM plus personalized weights, adaptive thresholding and
+//! the error-correction-only cost model, so the driver takes those
+//! differences as data ([`LoopSpec`] plus the node weights) rather than
+//! as a second copy of the loop.
+//!
 //! Each iteration fans out across [`PegasusConfig::num_threads`] workers:
 //! candidate groups are disjoint supernode sets, so their Alg.-2 rounds
 //! are *evaluated* concurrently against the frozen iteration-start
@@ -21,13 +27,10 @@ use crate::api::{RunControl, StopReason};
 use crate::checkpoint::{iteration_seed, CheckpointError, RunCheckpoint, ALGO_PEGASUS};
 use crate::cost::CostModel;
 use crate::exec::Exec;
-use crate::shingle::{
-    attach_signatures, candidate_groups, candidate_groups_incremental, lane_count, CandidateGen,
-    ShingleParams,
-};
+use crate::shingle::{attach_signatures, candidate_groups_incremental, lane_count, ShingleParams};
 use crate::sparsify::sparsify;
-use crate::summary::Summary;
-use crate::threshold::AdaptiveThreshold;
+use crate::summary::{Summary, SuperId};
+use crate::threshold::{ssumm_schedule, AdaptiveThreshold, GAIN_DECAY};
 use crate::weights::NodeWeights;
 use crate::working::{evaluate_group_with, MergeEvaluator, Scratch, WorkingSummary};
 use pgs_graph::{Graph, NodeId};
@@ -55,14 +58,9 @@ pub struct PegasusConfig {
     /// The output is identical at any setting; only wall-clock changes.
     pub num_threads: usize,
     /// Which merge evaluator prices candidate pairs: the group-local
-    /// span cache (default) or the legacy member-edge scan
-    /// (kept as the benchmark / equivalence baseline, DESIGN.md §7).
+    /// span cache (default) or the member-edge scan the equivalence
+    /// suites compare it against (DESIGN.md §7).
     pub evaluator: MergeEvaluator,
-    /// Which candidate generator forms the per-iteration groups: the
-    /// persistent-signature incremental path (default) or the legacy
-    /// per-iteration recompute (kept as the oracle / bench baseline,
-    /// DESIGN.md §11).
-    pub candidate_gen: CandidateGen,
 }
 
 impl Default for PegasusConfig {
@@ -77,7 +75,26 @@ impl Default for PegasusConfig {
             use_absolute_cost: false,
             num_threads: 0,
             evaluator: MergeEvaluator::default(),
-            candidate_gen: CandidateGen::default(),
+        }
+    }
+}
+
+impl PegasusConfig {
+    /// This configuration as the shared driver reads it.
+    pub(crate) fn spec(&self) -> LoopSpec {
+        LoopSpec {
+            algorithm: ALGO_PEGASUS,
+            model: CostModel::ErrorCorrection,
+            adaptive_beta: Some(self.beta),
+            use_absolute_cost: self.use_absolute_cost,
+            t_max: self.t_max,
+            seed: self.seed,
+            shingle: ShingleParams {
+                max_group: self.max_group,
+                depth: self.shingle_depth,
+            },
+            num_threads: self.num_threads,
+            evaluator: self.evaluator,
         }
     }
 }
@@ -86,7 +103,7 @@ impl Default for PegasusConfig {
 /// taxonomy of DESIGN.md §14, replacing the ad-hoc per-phase fields
 /// that used to live directly on [`RunStats`].
 ///
-/// Every iteration of both drivers decomposes into candidate
+/// Every iteration of the driver decomposes into candidate
 /// generation (Sect. III-C), parallel group evaluation (Sect. III-D),
 /// and the serial commit of the merge logs; sparsification
 /// (Sect. III-F) runs once at the end when the budget is still unmet.
@@ -201,15 +218,55 @@ pub fn summarize_with_weights(
     budget_bits: f64,
     cfg: &PegasusConfig,
 ) -> (Summary, RunStats) {
-    match pegasus_loop(g, weights, budget_bits, cfg, &RunControl::default(), None) {
+    run_fresh(g, weights, budget_bits, &cfg.spec())
+}
+
+/// Everything the shared driver [`run_loop`] reads from a configuration.
+/// Beside the node weights, PeGaSus and SSumM differ only in the first
+/// four fields (Sect. III-G); the rest are the common engine settings.
+#[derive(Clone, Copy, Debug)]
+pub(crate) struct LoopSpec {
+    /// Checkpoint algorithm tag ([`ALGO_PEGASUS`] or
+    /// [`crate::checkpoint::ALGO_SSUMM`]).
+    pub(crate) algorithm: u8,
+    /// Per-pair encoding model.
+    pub(crate) model: CostModel,
+    /// `Some(β)`: adaptive thresholding (Sect. III-E) under the stall
+    /// guard. `None`: SSumM's fixed schedule `θ(t) = (1+t)^{-1}`.
+    pub(crate) adaptive_beta: Option<f64>,
+    /// Rank merges by the absolute reduction Eq. (10) instead of the
+    /// relative reduction Eq. (11).
+    pub(crate) use_absolute_cost: bool,
+    /// Maximum number of iterations.
+    pub(crate) t_max: usize,
+    /// Run seed.
+    pub(crate) seed: u64,
+    /// Candidate-group size cap and re-splitting depth.
+    pub(crate) shingle: ShingleParams,
+    /// Worker threads (`0` = all hardware threads).
+    pub(crate) num_threads: usize,
+    /// Merge evaluator.
+    pub(crate) evaluator: MergeEvaluator,
+}
+
+/// [`run_loop`] without run control or a resume checkpoint — the engine
+/// behind the free functions of both algorithms.
+pub(crate) fn run_fresh(
+    g: &Graph,
+    weights: &NodeWeights,
+    budget_bits: f64,
+    spec: &LoopSpec,
+) -> (Summary, RunStats) {
+    match run_loop(g, weights, budget_bits, spec, &RunControl::default(), None) {
         Ok((summary, stats, _)) => (summary, stats),
         // pgs-allow: PGS004 the loop fails only on a resume checkpoint, and none is passed
         Err(e) => unreachable!("fresh run: {e}"),
     }
 }
 
-/// The Alg.-1 driver with run control threaded in — the engine behind
-/// both the legacy free functions and [`crate::api::Pegasus`].
+/// The Alg.-1 driver of both PeGaSus and SSumM, with run control
+/// threaded in — the engine behind the free functions and
+/// [`crate::api::Pegasus`] / [`crate::api::Ssumm`].
 ///
 /// Cancel/deadline checks sit at the top of each iteration — a commit
 /// boundary: the previous iteration's merge log is fully committed, so
@@ -219,63 +276,58 @@ pub fn summarize_with_weights(
 /// instead of a met budget).
 ///
 /// Each iteration draws its randomness from a fresh RNG seeded with
-/// [`iteration_seed`]`(cfg.seed, t)` rather than one sequential stream,
+/// [`iteration_seed`]`(spec.seed, t)` rather than one sequential stream,
 /// so a run resumed from a `resume` checkpoint at iteration `k` replays
 /// iterations `k..` bit-identically to the uninterrupted run — the
 /// checkpoint/resume correctness contract of DESIGN.md §10. A resume
 /// checkpoint that does not fit the graph is the loop's only error.
-pub(crate) fn pegasus_loop(
+pub(crate) fn run_loop(
     g: &Graph,
     weights: &NodeWeights,
     budget_bits: f64,
-    cfg: &PegasusConfig,
+    spec: &LoopSpec,
     control: &RunControl,
     resume: Option<&RunCheckpoint>,
 ) -> Result<(Summary, RunStats, StopReason), CheckpointError> {
     let started = std::time::Instant::now();
     let mut scratch = Scratch::default();
-    let exec = Exec::new(cfg.num_threads);
-    let shingle_params = ShingleParams {
-        max_group: cfg.max_group,
-        depth: cfg.shingle_depth,
-    };
-    let (mut ws, mut threshold, mut stats, mut t, mut stall_cap) = match resume {
+    let exec = Exec::new(spec.num_threads);
+    // PeGaSus's adaptive θ and its stall-guard cap; `None` for SSumM,
+    // whose θ is a pure function of `t` (so it ignores the checkpoint's
+    // θ and stall-cap words).
+    let mut adaptive = spec.adaptive_beta.map(|beta| match resume {
         Some(ck) => (
-            ck.restore_working(g, weights, CostModel::ErrorCorrection)?,
-            AdaptiveThreshold::restore(cfg.beta, f64::from_bits(ck.theta_bits)),
-            ck.stats,
-            ck.next_iteration as usize,
+            AdaptiveThreshold::restore(beta, f64::from_bits(ck.theta_bits)),
             f64::from_bits(ck.stall_cap_bits),
         ),
+        None => (AdaptiveThreshold::new(beta), f64::INFINITY),
+    });
+    let (mut ws, mut stats, mut t, mut gains) = match resume {
+        Some(ck) => (
+            ck.restore_working(g, weights, spec.model)?,
+            ck.stats,
+            ck.next_iteration as usize,
+            ck.restore_gains(g.num_nodes()),
+        ),
         None => (
-            WorkingSummary::new(g, weights, CostModel::ErrorCorrection),
-            AdaptiveThreshold::new(cfg.beta),
+            WorkingSummary::new(g, weights, spec.model),
             RunStats::default(),
             1,
-            f64::INFINITY,
+            vec![0.0; g.num_nodes()],
         ),
     };
-    // Incremental candidate generation: attach the persistent lane bank
-    // once (bit-identical at any thread count) and restore / zero the
-    // per-supernode gain EMAs. The bank is a pure function of (graph,
-    // seed, current partition), so attaching after a checkpoint restore
-    // reproduces exactly the signatures the uninterrupted run maintained
+    // Attach the persistent lane bank once (bit-identical at any thread
+    // count). The bank is a pure function of (graph, seed, current
+    // partition), so attaching after a checkpoint restore reproduces
+    // exactly the signatures the uninterrupted run maintained
     // (composition under union, DESIGN.md §11).
-    let incremental = cfg.candidate_gen == CandidateGen::Incremental;
-    let mut gains: Vec<f64> = Vec::new();
-    if incremental {
-        attach_signatures(&mut ws, cfg.seed, lane_count(cfg.shingle_depth), &exec);
-        gains = match resume {
-            Some(ck) => ck.restore_gains(g.num_nodes()),
-            None => vec![0.0; g.num_nodes()],
-        };
-    }
+    attach_signatures(&mut ws, spec.seed, lane_count(spec.shingle.depth), &exec);
 
     let stop = loop {
         if ws.size_bits() <= budget_bits {
             break StopReason::BudgetMet;
         }
-        if t > cfg.t_max {
+        if t > spec.t_max {
             break StopReason::MaxIters;
         }
         if let Some(reason) = control.interrupted(started) {
@@ -283,23 +335,22 @@ pub(crate) fn pegasus_loop(
         }
         control.beat();
         control.fault_point(t as u64);
-        let mut rng = StdRng::seed_from_u64(iteration_seed(cfg.seed, t as u64));
+        let mut rng = StdRng::seed_from_u64(iteration_seed(spec.seed, t as u64));
         let cand_start = std::time::Instant::now();
-        let groups = if incremental {
-            candidate_groups_incremental(&ws, &mut rng, &shingle_params, &gains)
-        } else {
-            candidate_groups(&ws, &mut rng, &shingle_params, &exec)
-        };
+        let groups = candidate_groups_incremental(&ws, &mut rng, &spec.shingle, &gains);
         stats.phases.candidates += cand_start.elapsed().as_secs_f64();
         stats.groups += groups.len() as u64;
         stats.grouped_supernodes += groups.iter().map(|grp| grp.len() as u64).sum::<u64>();
         let before = ws.num_supernodes();
-        let theta = threshold.theta().min(stall_cap);
+        let theta = match &adaptive {
+            Some((threshold, stall_cap)) => threshold.theta().min(*stall_cap),
+            None => ssumm_schedule(t, spec.t_max),
+        };
 
         // Evaluate phase (parallel, read-only): every group gets a seed
         // drawn serially here, then workers run the Alg.-2 sampling loop
         // against the frozen summary, producing merge logs.
-        let seeded: Vec<(Vec<crate::summary::SuperId>, u64)> = groups
+        let seeded: Vec<(Vec<SuperId>, u64)> = groups
             .into_iter()
             .map(|grp| (grp, rng.next_u64()))
             .collect();
@@ -314,8 +365,8 @@ pub(crate) fn pegasus_loop(
                 group,
                 theta,
                 *seed,
-                cfg.use_absolute_cost,
-                cfg.evaluator,
+                spec.use_absolute_cost,
+                spec.evaluator,
             )
         });
         stats.phases.evaluate += eval_start.elapsed().as_secs_f64();
@@ -324,53 +375,68 @@ pub(crate) fn pegasus_loop(
         // Commit phase (serial, deterministic group order): replay each
         // group's merge log against the shared summary (which repairs
         // the signature bank lane-wise in O(K) per merge), fold its
-        // rejection samples into the adaptive threshold, and update the
-        // members' gain EMAs with the group's accepted savings.
+        // rejection samples into the adaptive threshold (SSumM discards
+        // them), and update the members' gain EMAs with the group's
+        // accepted savings.
         let commit_start = std::time::Instant::now();
         for ((group, _), outcome) in seeded.iter().zip(&outcomes) {
             for &(a, b) in &outcome.merges {
                 ws.merge(a, b, &mut scratch);
             }
-            threshold.fold_rejections(&outcome.rejected);
-            if incremental {
-                let share = outcome.accepted_delta / group.len() as f64;
-                for &s in group {
-                    gains[s as usize] = crate::threshold::GAIN_DECAY * gains[s as usize] + share;
-                }
+            if let Some((threshold, _)) = &mut adaptive {
+                threshold.fold_rejections(&outcome.rejected);
+            }
+            let share = outcome.accepted_delta / group.len() as f64;
+            for &s in group {
+                gains[s as usize] = GAIN_DECAY * gains[s as usize] + share;
             }
         }
         stats.phases.commit += commit_start.elapsed().as_secs_f64();
         let merged = before - ws.num_supernodes();
         stats.merges += merged;
-        threshold.end_iteration();
-        // Stall guard (see DESIGN.md): on graphs whose relative
-        // reductions cluster at discrete values, the ⌊β|L|⌋-th-largest
-        // update can plateau just above the cluster and merging stops
-        // while the summary is still over budget. When an iteration
-        // merges less than 0.5% of the supernodes under budget pressure,
-        // fall back to SSumM's guaranteed-decay schedule as a cap.
-        if merged * 200 < before && ws.size_bits() > budget_bits {
-            stall_cap = crate::threshold::ssumm_schedule(t, cfg.t_max).min(stall_cap);
+        match &mut adaptive {
+            Some((threshold, stall_cap)) => {
+                threshold.end_iteration();
+                // Stall guard (DESIGN.md §1): on graphs whose relative
+                // reductions cluster at discrete values, the
+                // ⌊β|L|⌋-th-largest update can plateau just above the
+                // cluster and merging stops while the summary is still
+                // over budget. When an iteration merges less than 0.5% of
+                // the supernodes under budget pressure, fall back to
+                // SSumM's guaranteed-decay schedule as a cap.
+                if merged * 200 < before && ws.size_bits() > budget_bits {
+                    *stall_cap = ssumm_schedule(t, spec.t_max).min(*stall_cap);
+                }
+            }
+            None => stats.final_theta = theta,
         }
         stats.iterations = t;
         control.notify(&stats);
         // Snapshot after the commit + threshold/stall updates: this is
         // the consistency point a resumed run restarts from (at t + 1).
         let snapshot = stats;
+        let (theta_word, stall_cap) = adaptive
+            .as_ref()
+            .map_or((theta, f64::INFINITY), |(threshold, stall_cap)| {
+                (threshold.theta(), *stall_cap)
+            });
         control.maybe_checkpoint(t as u64, &mut stats, || {
             RunCheckpoint::capture(
-                ALGO_PEGASUS,
+                spec.algorithm,
                 (t + 1) as u64,
-                threshold.theta(),
+                theta_word,
                 stall_cap,
                 snapshot,
                 &ws,
-                incremental.then_some(gains.as_slice()),
+                &gains,
             )
         });
         t += 1;
     };
-    stats.final_theta = threshold.theta();
+    // SSumM reported each iteration's θ as it went.
+    if let Some((threshold, _)) = &adaptive {
+        stats.final_theta = threshold.theta();
+    }
 
     // Only uninterrupted runs sparsify down to the budget; a cancelled
     // or deadline-stopped run hands back its partial summary promptly.

@@ -7,26 +7,29 @@
 //! F(U) = min_{u∈U} min_{v∈N(u)∪{u}} f(v)           (Eq. 12)
 //! ```
 //!
-//! for a per-iteration random hash `f : V → u64`; the probability that
-//! two supernodes share a shingle equals the Jaccard similarity of their
-//! (closed) neighbor sets, so groups collect supernodes with similar
-//! connectivity. Oversized groups are re-split recursively with fresh
+//! for a random hash `f : V → u64`; the probability that two supernodes
+//! share a shingle equals the Jaccard similarity of their (closed)
+//! neighbor sets, so groups collect supernodes with similar
+//! connectivity. Oversized groups are re-split recursively by further
 //! hashes (at most [`ShingleParams::depth`] rounds, paper constant 10)
 //! and finally split randomly to at most [`ShingleParams::max_group`]
 //! members (paper constant 500).
 //!
-//! # Parallelism and determinism
+//! # Persistent lanes, parallelism and determinism
 //!
 //! The paper draws `f` as a random permutation; the engine uses a keyed
 //! 64-bit mix (`hash_node`) instead, which has the same collision
 //! semantics (64-bit keys make ties vanishingly rare, and any tie breaks
-//! identically everywhere) but is a *pure function* of `(seed, v)`. That
-//! makes `node_minhash` embarrassingly parallel over node ranges — no
-//! shared RNG state, no sequential Fisher–Yates — so the min-hash pass
-//! splits across [`Exec`] workers and produces bit-identical output at
-//! any thread count. All residual randomness (per-round hash seeds, the
-//! final random division of structurally identical supernodes) is drawn
-//! serially from the driver's RNG.
+//! identically everywhere) but is a *pure function* of `(seed, v)`. A
+//! run hashes a fixed bank of such functions once
+//! ([`attach_signatures`], parallel over node ranges and bit-identical
+//! at any thread count) and the commit phase keeps every supernode's
+//! shingles current in O(lanes) per merge, because `min` composes under
+//! union (DESIGN.md §11). Each iteration then groups by a rotating lane
+//! of that bank ([`candidate_groups_incremental`]). All residual
+//! randomness (the starting lane, the final random division of
+//! structurally identical supernodes) is drawn serially from the
+//! driver's RNG.
 
 use pgs_graph::{FxHashMap, NodeId};
 use rand::rngs::StdRng;
@@ -36,23 +39,6 @@ use rand::RngCore;
 use crate::exec::Exec;
 use crate::summary::SuperId;
 use crate::working::WorkingSummary;
-
-/// Which generator forms the per-iteration candidate groups.
-///
-/// The incremental path (default) buckets supernodes by persistent
-/// min-hash signature lanes attached once per run and repaired in O(K)
-/// at every commit merge; the legacy path recomputes full min-hash
-/// passes every iteration and is kept as the oracle / bench baseline,
-/// exactly like [`crate::working::MergeEvaluator::Scan`] for the
-/// evaluator (DESIGN.md §11).
-#[derive(Clone, Copy, Debug, Default, PartialEq, Eq)]
-pub enum CandidateGen {
-    /// Persistent signature lanes + gain-ordered group scheduling.
-    #[default]
-    Incremental,
-    /// Per-iteration full min-hash recomputation (the original path).
-    Recompute,
-}
 
 /// Grouping parameters (paper constants in Sect. III-C).
 #[derive(Clone, Copy, Debug)]
@@ -151,11 +137,11 @@ pub fn attach_signatures(ws: &mut WorkingSummary<'_>, bank_seed: u64, lanes: usi
     ws.set_signature_bank(lanes, data);
 }
 
-/// Buckets `ids` by their persisted signature in `lane` — the O(live)
-/// incremental counterpart of [`split_by_shingle`] (each signature is a
-/// single array read instead of a member-list rescan). Groups come back
-/// sorted by signature key with members in `ids` iteration order, the
-/// same canonical ordering the commit phase relies on.
+/// Buckets `ids` by their persisted signature in `lane`, in O(|ids|)
+/// (each signature is a single array read). Groups come back sorted by
+/// signature key with members in `ids` iteration order — an ordering
+/// independent of both hash-map iteration order and thread count, which
+/// the deterministic commit phase relies on.
 fn bucket_by_lane(
     ws: &WorkingSummary<'_>,
     ids: impl Iterator<Item = SuperId>,
@@ -191,99 +177,16 @@ fn schedule_by_gain(groups: &mut Vec<Vec<SuperId>>, gains: &[f64]) {
     *groups = keyed.into_iter().map(|(_, grp)| grp).collect();
 }
 
-/// Splits `ids` into groups by supernode shingle. The supernode shingles
-/// are computed in parallel (aligned with `ids`); bucketing and the
-/// canonical ordering are serial. Groups come back sorted by shingle
-/// key, with members in `ids` order — an ordering independent of both
-/// hash-map iteration order and thread count, which the deterministic
-/// commit phase relies on.
-fn split_by_shingle(
-    ws: &WorkingSummary<'_>,
-    ids: &[SuperId],
-    minhash: &[u64],
-    exec: &Exec,
-) -> Vec<Vec<SuperId>> {
-    let shingles: Vec<u64> = exec.map_indexed(ids, |_, &s| {
-        ws.members(s)
-            .iter()
-            .map(|&u| minhash[u as usize])
-            .min()
-            // pgs-allow: PGS004 a supernode always contains at least its seed node
-            .expect("supernodes are non-empty")
-    });
-    let mut buckets: FxHashMap<u64, Vec<SuperId>> = FxHashMap::default();
-    for (&s, &key) in ids.iter().zip(&shingles) {
-        buckets.entry(key).or_default().push(s);
-    }
-    let mut groups: Vec<(u64, Vec<SuperId>)> = buckets.into_iter().collect();
-    groups.sort_unstable_by_key(|(key, _)| *key);
-    groups.into_iter().map(|(_, grp)| grp).collect()
-}
-
-/// Generates this iteration's candidate groups (Alg. 1 line 4).
-///
-/// Groups of size 1 are dropped (no pairs to merge). The union of the
-/// returned groups is therefore a subset of the live supernodes, each
-/// appearing exactly once. Group order is canonical (by shingle key,
-/// then split order), so downstream per-group seeding and the commit
-/// phase see the same sequence at any thread count.
-pub fn candidate_groups(
-    ws: &WorkingSummary<'_>,
-    rng: &mut StdRng,
-    params: &ShingleParams,
-    exec: &Exec,
-) -> Vec<Vec<SuperId>> {
-    let live = ws.live_ids();
-    if live.len() < 2 {
-        return Vec::new();
-    }
-    let minhash = node_minhash(ws, rng.next_u64(), exec);
-    let mut groups = split_by_shingle(ws, &live, &minhash, exec);
-
-    for _ in 1..params.depth {
-        if groups.iter().all(|g| g.len() <= params.max_group) {
-            break;
-        }
-        let minhash = node_minhash(ws, rng.next_u64(), exec);
-        let mut next = Vec::with_capacity(groups.len());
-        for group in groups {
-            if group.len() <= params.max_group {
-                next.push(group);
-            } else {
-                next.extend(split_by_shingle(ws, &group, &minhash, exec));
-            }
-        }
-        groups = next;
-    }
-
-    // Random division of any still-oversized group (structurally identical
-    // supernodes can never be separated by shingles).
-    let mut result = Vec::with_capacity(groups.len());
-    for mut group in groups {
-        if group.len() > params.max_group {
-            group.shuffle(rng);
-            for chunk in group.chunks(params.max_group) {
-                if chunk.len() > 1 {
-                    result.push(chunk.to_vec());
-                }
-            }
-        } else if group.len() > 1 {
-            result.push(group);
-        }
-    }
-    result
-}
-
-/// The incremental counterpart of [`candidate_groups`]: groups by the
-/// persistent signature lanes attached via [`attach_signatures`]
-/// instead of recomputing min-hash passes. Iteration-to-iteration
-/// variety comes from rotating the starting lane (drawn from the driver
-/// RNG, preserving the fixed-seed determinism contract); recursive
-/// re-splitting of oversized groups consumes successive lanes instead
-/// of fresh global passes. The still-oversized random division is
-/// identical to the legacy path. Finally groups are ordered by expected
-/// gain ([`schedule_by_gain`]) so high-yield groups evaluate first and
-/// deadline/cancel cutoffs land after the most valuable work.
+/// Generates this iteration's candidate groups (Alg. 1 line 4) from the
+/// persistent signature lanes attached via [`attach_signatures`].
+/// Iteration-to-iteration variety comes from rotating the starting lane
+/// (drawn from the driver RNG, preserving the fixed-seed determinism
+/// contract); recursive re-splitting of oversized groups consumes
+/// successive lanes. Groups of size 1 are dropped (no pairs to merge),
+/// so every live supernode appears in at most one group. Finally groups
+/// are ordered by expected gain ([`schedule_by_gain`]) so high-yield
+/// groups evaluate first and deadline/cancel cutoffs land after the
+/// most valuable work.
 ///
 /// Serial and `O(live)` per round — no `Exec` involved, so the output
 /// is thread-count independent by construction.
@@ -323,9 +226,8 @@ pub fn candidate_groups_incremental(
         groups = next;
     }
 
-    // Random division of any still-oversized group, exactly as in the
-    // legacy path (supernodes colliding on every lane can never be
-    // separated by signatures).
+    // Random division of any still-oversized group (supernodes
+    // colliding on every lane can never be separated by signatures).
     let mut result = Vec::with_capacity(groups.len());
     for mut group in groups {
         if group.len() > params.max_group {
@@ -352,123 +254,6 @@ mod tests {
     use pgs_graph::gen::barabasi_albert;
     use rand::SeedableRng;
 
-    fn groups_for(g: &pgs_graph::Graph, params: &ShingleParams, seed: u64) -> Vec<Vec<SuperId>> {
-        let w = NodeWeights::uniform(g.num_nodes());
-        let ws = WorkingSummary::new(g, &w, CostModel::ErrorCorrection);
-        let mut rng = StdRng::seed_from_u64(seed);
-        candidate_groups(&ws, &mut rng, params, &Exec::serial())
-    }
-
-    #[test]
-    fn groups_identical_at_any_thread_count() {
-        let g = barabasi_albert(300, 4, 6);
-        let w = NodeWeights::uniform(g.num_nodes());
-        let ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let reference = {
-            let mut rng = StdRng::seed_from_u64(9);
-            candidate_groups(&ws, &mut rng, &ShingleParams::default(), &Exec::serial())
-        };
-        for threads in [2, 3, 8] {
-            let mut rng = StdRng::seed_from_u64(9);
-            let got = candidate_groups(
-                &ws,
-                &mut rng,
-                &ShingleParams::default(),
-                &Exec::new(threads),
-            );
-            assert_eq!(got, reference, "threads = {threads}");
-        }
-    }
-
-    #[test]
-    fn twins_usually_land_in_same_group() {
-        // Nodes 0 and 1 share the open neighborhood {2,3}; their closed
-        // neighborhoods overlap with Jaccard 0.5, so they share a shingle
-        // with probability 1/2 per permutation. Over 40 seeds they must
-        // be grouped together far more often than never.
-        let g = graph_from_edges(4, &[(0, 2), (0, 3), (1, 2), (1, 3)]);
-        let mut together = 0;
-        for seed in 0..40 {
-            let groups = groups_for(&g, &ShingleParams::default(), seed);
-            if groups
-                .iter()
-                .any(|grp| grp.contains(&0) && grp.contains(&1))
-            {
-                together += 1;
-            }
-        }
-        assert!(
-            (10..=35).contains(&together),
-            "twins together {together}/40 times; expected near 20"
-        );
-    }
-
-    #[test]
-    fn groups_are_disjoint_and_within_live() {
-        let g = barabasi_albert(200, 3, 7);
-        let groups = groups_for(&g, &ShingleParams::default(), 3);
-        let mut seen = std::collections::HashSet::new();
-        for grp in &groups {
-            assert!(grp.len() >= 2, "singleton group leaked");
-            for &s in grp {
-                assert!(seen.insert(s), "supernode {s} in two groups");
-                assert!((s as usize) < 200);
-            }
-        }
-    }
-
-    #[test]
-    fn max_group_is_enforced() {
-        // A star graph: every leaf has closed neighborhood {leaf, center};
-        // min-hash collapses all leaves into one group, forcing the random
-        // split path.
-        let n = 60;
-        let edges: Vec<(u32, u32)> = (1..n).map(|v| (0u32, v)).collect();
-        let g = graph_from_edges(n as usize, &edges);
-        let params = ShingleParams {
-            max_group: 10,
-            depth: 3,
-        };
-        let groups = groups_for(&g, &params, 1);
-        assert!(!groups.is_empty(), "the shared-hub leaves must form groups");
-        for grp in &groups {
-            assert!(grp.len() <= 10, "group of size {} exceeds cap", grp.len());
-        }
-    }
-
-    #[test]
-    fn different_seeds_give_different_groups() {
-        let g = barabasi_albert(150, 3, 2);
-        let g1 = groups_for(&g, &ShingleParams::default(), 1);
-        let g2 = groups_for(&g, &ShingleParams::default(), 2);
-        // Compare the multiset of sorted groups; different permutations
-        // should produce different clusterings on a random graph.
-        let norm = |mut gs: Vec<Vec<SuperId>>| {
-            for g in &mut gs {
-                g.sort_unstable();
-            }
-            gs.sort();
-            gs
-        };
-        assert_ne!(norm(g1), norm(g2));
-    }
-
-    #[test]
-    fn tiny_graphs_yield_no_groups() {
-        let g = graph_from_edges(1, &[]);
-        let groups = groups_for(&g, &ShingleParams::default(), 0);
-        assert!(groups.is_empty());
-    }
-
-    #[test]
-    fn isolated_nodes_group_by_own_hash() {
-        // Isolated nodes have closed neighborhood = {self}: shingles are
-        // all distinct, so they form only singletons (dropped).
-        let g = pgs_graph::Graph::empty(5);
-        let groups = groups_for(&g, &ShingleParams::default(), 0);
-        assert!(groups.is_empty());
-    }
-
     fn incremental_groups_for(
         g: &pgs_graph::Graph,
         params: &ShingleParams,
@@ -486,6 +271,62 @@ mod tests {
         let mut rng = StdRng::seed_from_u64(seed);
         let gains = vec![0.0; g.num_nodes()];
         candidate_groups_incremental(&ws, &mut rng, params, &gains)
+    }
+
+    #[test]
+    fn twins_usually_land_in_same_group() {
+        // Nodes 0 and 1 share the open neighborhood {2,3}; their closed
+        // neighborhoods overlap with Jaccard 0.5, so they share a shingle
+        // with probability 1/2 per hash lane. Over 40 seeds they must
+        // be grouped together far more often than never.
+        let g = graph_from_edges(4, &[(0, 2), (0, 3), (1, 2), (1, 3)]);
+        let mut together = 0;
+        for seed in 0..40 {
+            let groups = incremental_groups_for(&g, &ShingleParams::default(), seed, 1);
+            if groups
+                .iter()
+                .any(|grp| grp.contains(&0) && grp.contains(&1))
+            {
+                together += 1;
+            }
+        }
+        assert!(
+            (10..=35).contains(&together),
+            "twins together {together}/40 times; expected near 20"
+        );
+    }
+
+    #[test]
+    fn different_seeds_give_different_groups() {
+        let g = barabasi_albert(150, 3, 2);
+        let g1 = incremental_groups_for(&g, &ShingleParams::default(), 1, 1);
+        let g2 = incremental_groups_for(&g, &ShingleParams::default(), 2, 1);
+        // Compare the multiset of sorted groups; different permutations
+        // should produce different clusterings on a random graph.
+        let norm = |mut gs: Vec<Vec<SuperId>>| {
+            for g in &mut gs {
+                g.sort_unstable();
+            }
+            gs.sort();
+            gs
+        };
+        assert_ne!(norm(g1), norm(g2));
+    }
+
+    #[test]
+    fn tiny_graphs_yield_no_groups() {
+        let g = graph_from_edges(1, &[]);
+        let groups = incremental_groups_for(&g, &ShingleParams::default(), 0, 1);
+        assert!(groups.is_empty());
+    }
+
+    #[test]
+    fn isolated_nodes_group_by_own_hash() {
+        // Isolated nodes have closed neighborhood = {self}: shingles are
+        // all distinct, so they form only singletons (dropped).
+        let g = pgs_graph::Graph::empty(5);
+        let groups = incremental_groups_for(&g, &ShingleParams::default(), 0, 1);
+        assert!(groups.is_empty());
     }
 
     #[test]

@@ -2107,10 +2107,6 @@ pub enum MergeEvaluator {
     /// same canonical order as `Cached` — the bitwise equivalence
     /// baseline (`tests/eval_equivalence.rs`).
     Scan,
-    /// The pre-cache evaluator preserved verbatim ([`crate::legacy_eval`]):
-    /// per-call `FxHashMap` accumulation, hash-order summation. Decision-
-    /// equivalent but not bit-comparable; benchmark baseline only.
-    LegacyHash,
 }
 
 /// The read-only half of one group's Alg.-2 round with the default
@@ -2156,9 +2152,8 @@ pub fn evaluate_group_with(
     with_thread_scratch(|scratch| {
         let mut view = match evaluator {
             MergeEvaluator::Cached => GroupView::with_cache(ws, group),
-            MergeEvaluator::Scan | MergeEvaluator::LegacyHash => GroupView::new(ws),
+            MergeEvaluator::Scan => GroupView::new(ws),
         };
-        let mut hash_scratch = crate::legacy_eval::HashScratch::default();
         let mut group: Vec<SuperId> = group.to_vec();
         let mut rng = StdRng::seed_from_u64(seed);
         let mut outcome = GroupOutcome::default();
@@ -2185,9 +2180,6 @@ pub fn evaluate_group_with(
                 let eval = match evaluator {
                     MergeEvaluator::Cached => view.eval_merge_cached(a, b, scratch),
                     MergeEvaluator::Scan => eval_merge_view(&view, a, b, scratch),
-                    MergeEvaluator::LegacyHash => {
-                        crate::legacy_eval::eval_merge_hash(&view, a, b, &mut hash_scratch)
-                    }
                 };
                 outcome.evals += 1;
                 let key = if use_absolute_cost {

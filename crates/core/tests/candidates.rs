@@ -7,8 +7,8 @@
 //! * **Determinism** — for a fixed seed the incremental path returns a
 //!   byte-identical summary at 1, 2, and 8 threads, and across every
 //!   checkpoint/resume cut.
-//! * **Equivalence of purpose** — incremental and recompute paths both
-//!   meet the budget; the oracle stays selectable.
+//! * **Purpose** — PeGaSus and SSumM both meet the budget through it
+//!   and account its groups and time.
 
 use std::sync::{Arc, Mutex};
 
@@ -21,7 +21,7 @@ use pgs_core::shingle::attach_signatures;
 use pgs_core::ssumm::{ssumm_summarize, SsummConfig};
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
-use pgs_core::{summarize, CandidateGen, CheckpointSink, PegasusConfig, Summary};
+use pgs_core::{summarize, CheckpointSink, PegasusConfig, Summary};
 use pgs_graph::gen::{barabasi_albert, erdos_renyi, planted_partition};
 use pgs_graph::Graph;
 
@@ -88,8 +88,7 @@ proptest! {
 }
 
 /// Fixed seed ⇒ byte-identical summary at any thread count, for the
-/// incremental path specifically (the legacy path is pinned by
-/// `parallel_determinism.rs`).
+/// incremental path specifically.
 #[test]
 fn incremental_path_is_byte_identical_at_any_thread_count() {
     let g = planted_partition(400, 8, 1600, 250, 3);
@@ -101,7 +100,6 @@ fn incremental_path_is_byte_identical_at_any_thread_count() {
             &PegasusConfig {
                 num_threads: 1,
                 seed,
-                candidate_gen: CandidateGen::Incremental,
                 ..Default::default()
             },
         );
@@ -113,7 +111,6 @@ fn incremental_path_is_byte_identical_at_any_thread_count() {
                 &PegasusConfig {
                     num_threads: threads,
                     seed,
-                    candidate_gen: CandidateGen::Incremental,
                     ..Default::default()
                 },
             );
@@ -135,7 +132,6 @@ fn incremental_resume_is_byte_identical_across_cuts() {
     for seed in [1u64, 42] {
         let algo = Pegasus(PegasusConfig {
             seed,
-            candidate_gen: CandidateGen::Incremental,
             ..Default::default()
         });
         let req = SummarizeRequest::new(Budget::Ratio(0.35)).targets(&[0, 5]);
@@ -165,31 +161,19 @@ fn incremental_resume_is_byte_identical_across_cuts() {
     }
 }
 
-/// Both candidate paths deliver the budget (they need not agree on the
-/// exact summary — grouping differs by design), and the incremental
-/// runs attribute their candidate time separately from eval time.
+/// PeGaSus delivers the budget and attributes its candidate time
+/// separately from eval time; SSumM, on the same engine, delivers it
+/// too.
 #[test]
-fn both_paths_meet_budget_and_populate_candidate_stats() {
+fn pegasus_and_ssumm_meet_budget_and_populate_candidate_stats() {
     let g = barabasi_albert(400, 4, 11);
     let budget = 0.4 * g.size_bits();
-    for gen in [CandidateGen::Incremental, CandidateGen::Recompute] {
-        let cfg = PegasusConfig {
-            candidate_gen: gen,
-            ..Default::default()
-        };
-        let (s, stats) = pgs_core::pegasus::summarize_with_stats(&g, &[0], budget, &cfg);
-        assert!(s.size_bits() <= budget + 1e-9, "{gen:?} missed the budget");
-        assert!(stats.groups > 0, "{gen:?} formed no groups");
-        assert!(stats.grouped_supernodes >= stats.groups, "{gen:?} counters");
-        assert!(stats.phases.candidates > 0.0, "{gen:?} candidate time");
-    }
-    // SSumM shares the engine.
-    for gen in [CandidateGen::Incremental, CandidateGen::Recompute] {
-        let cfg = SsummConfig {
-            candidate_gen: gen,
-            ..Default::default()
-        };
-        let s = ssumm_summarize(&g, budget, &cfg);
-        assert!(s.size_bits() <= budget + 1e-9, "ssumm {gen:?}");
-    }
+    let cfg = PegasusConfig::default();
+    let (s, stats) = pgs_core::pegasus::summarize_with_stats(&g, &[0], budget, &cfg);
+    assert!(s.size_bits() <= budget + 1e-9, "missed the budget");
+    assert!(stats.groups > 0, "formed no groups");
+    assert!(stats.grouped_supernodes >= stats.groups, "counters");
+    assert!(stats.phases.candidates > 0.0, "candidate time");
+    let s = ssumm_summarize(&g, budget, &SsummConfig::default());
+    assert!(s.size_bits() <= budget + 1e-9, "ssumm");
 }

@@ -6,7 +6,7 @@
 //! as a structurally valid decode.
 //!
 //! The exhaustive sweeps (every prefix length, every single-bit flip of
-//! every byte) run on v1, v2, and v3 blobs; proptest layers random
+//! every byte) run on a current-version blob; proptest layers random
 //! multi-byte mutations on top.
 
 use proptest::prelude::*;
@@ -43,30 +43,9 @@ fn v3_blob() -> Vec<u8> {
             ..Default::default()
         },
         &ws,
-        Some(&gains),
+        &gains,
     );
     ck.encode()
-}
-
-/// The v2 form of the same snapshot: byte-for-byte the v3 blob minus
-/// the v3 trailing section (commit + sparsify phase words), re-tagged
-/// version 2.
-fn v2_blob() -> Vec<u8> {
-    let v3 = v3_blob();
-    let mut v2 = v3[..v3.len() - 16].to_vec();
-    v2[4..6].copy_from_slice(&2u16.to_le_bytes());
-    v2
-}
-
-/// The v1 form: the v2 blob minus its trailing section (candidate
-/// stats + gains), re-tagged version 1.
-fn v1_blob() -> Vec<u8> {
-    let v2 = v2_blob();
-    let ck = RunCheckpoint::decode(&v2).expect("sample blob must decode");
-    let trail = 8 + 8 + 8 + 4 + 8 * ck.gains.len();
-    let mut v1 = v2[..v2.len() - trail].to_vec();
-    v1[4..6].copy_from_slice(&1u16.to_le_bytes());
-    v1
 }
 
 /// Decoding must never panic; an `Ok` must be structurally sane.
@@ -80,28 +59,26 @@ fn assert_no_panic_decode(bytes: &[u8]) {
 
 #[test]
 fn every_prefix_truncation_is_a_typed_error() {
-    for blob in [v1_blob(), v2_blob(), v3_blob()] {
-        assert!(RunCheckpoint::decode(&blob).is_ok(), "sanity: full blob");
-        for cut in 0..blob.len() {
-            let prefix = &blob[..cut];
-            assert!(
-                RunCheckpoint::decode(prefix).is_err(),
-                "prefix of length {cut}/{} must not decode",
-                blob.len()
-            );
-        }
+    let blob = v3_blob();
+    assert!(RunCheckpoint::decode(&blob).is_ok(), "sanity: full blob");
+    for cut in 0..blob.len() {
+        let prefix = &blob[..cut];
+        assert!(
+            RunCheckpoint::decode(prefix).is_err(),
+            "prefix of length {cut}/{} must not decode",
+            blob.len()
+        );
     }
 }
 
 #[test]
 fn every_single_bit_flip_errors_or_decodes_validly() {
-    for blob in [v1_blob(), v2_blob(), v3_blob()] {
-        for pos in 0..blob.len() {
-            for bit in 0..8u8 {
-                let mut mutated = blob.clone();
-                mutated[pos] ^= 1 << bit;
-                assert_no_panic_decode(&mutated);
-            }
+    let blob = v3_blob();
+    for pos in 0..blob.len() {
+        for bit in 0..8u8 {
+            let mut mutated = blob.clone();
+            mutated[pos] ^= 1 << bit;
+            assert_no_panic_decode(&mutated);
         }
     }
 }
@@ -129,13 +106,8 @@ proptest! {
     #[test]
     fn random_byte_mutations_never_panic(
         edits in proptest::collection::vec((0usize..4096, any::<u8>()), 1..16),
-        version in 1u16..=3,
     ) {
-        let mut blob = match version {
-            1 => v1_blob(),
-            2 => v2_blob(),
-            _ => v3_blob(),
-        };
+        let mut blob = v3_blob();
         for (pos, val) in edits {
             let idx = pos % blob.len();
             blob[idx] = val;

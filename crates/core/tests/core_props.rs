@@ -178,7 +178,7 @@ proptest! {
         }
 
         // A checkpoint round trip rebuilds every table fresh.
-        let ck = RunCheckpoint::capture(ALGO_PEGASUS, 2, 0.5, f64::INFINITY, RunStats::default(), &ws, None);
+        let ck = RunCheckpoint::capture(ALGO_PEGASUS, 2, 0.5, f64::INFINITY, RunStats::default(), &ws, &vec![0.0; g.num_nodes()]);
         let ck = RunCheckpoint::decode(&ck.encode()).unwrap();
         let restored = ck.restore_working(&g, &w, CostModel::ErrorCorrection).unwrap();
         check_tables(&restored, &model)?;

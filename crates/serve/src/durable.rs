@@ -267,7 +267,7 @@ mod tests {
             f64::INFINITY,
             RunStats::default(),
             &ws,
-            None,
+            &vec![0.0; g.num_nodes()],
         )
         .encode()
     }
