@@ -13,7 +13,7 @@
 //!
 //! Everything first-party is still *loaded* so the cross-file PGS005
 //! scan sees every `PgsError::` occurrence. Excluded entirely:
-//! `vendor/` (third-party), `crates/bench` (criterion harnesses, not
+//! `vendor/` (third-party), `crates/bench` (experiment binaries, not
 //! library code), and `crates/analysis` itself (its fixtures and rule
 //! tables are full of deliberate violations).
 

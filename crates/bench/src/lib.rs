@@ -1,9 +1,9 @@
 //! # pgs-bench — experiment harness for the PeGaSus evaluation
 //!
-//! One binary per table/figure of Sect. V (see `src/bin/`), plus
-//! Criterion micro-benchmarks (see `benches/`). This library holds what
-//! they share: the Table II dataset stand-ins, query-accuracy
-//! evaluation, and environment knobs.
+//! One binary per table/figure of Sect. V (see `src/bin/`). This
+//! library holds what they share: the Table II dataset stand-ins,
+//! query-accuracy evaluation, and environment knobs. Speed is measured
+//! by the end-to-end benchmark in `perfbench/`, not here.
 //!
 //! ## Dataset substitution (DESIGN.md §5)
 //!
@@ -56,15 +56,6 @@ fn scale() -> f64 {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(1.0)
-}
-
-/// Parses the environment knob `name`, falling back to `default` on
-/// absence or a malformed value (shared by the experiment binaries).
-pub fn env_or<T: std::str::FromStr>(name: &str, default: T) -> T {
-    std::env::var(name)
-        .ok()
-        .and_then(|s| s.parse().ok())
-        .unwrap_or(default)
 }
 
 /// Number of query nodes per accuracy measurement (`PGS_QUERIES`).

@@ -57,10 +57,6 @@ pub struct PegasusConfig {
     /// group evaluation). `0` means one per available hardware thread.
     /// The output is identical at any setting; only wall-clock changes.
     pub num_threads: usize,
-    /// Which merge evaluator prices candidate pairs: the group-local
-    /// span cache (default) or the member-edge scan the equivalence
-    /// suites compare it against (DESIGN.md §7).
-    pub evaluator: MergeEvaluator,
 }
 
 impl Default for PegasusConfig {
@@ -74,7 +70,6 @@ impl Default for PegasusConfig {
             shingle_depth: 10,
             use_absolute_cost: false,
             num_threads: 0,
-            evaluator: MergeEvaluator::default(),
         }
     }
 }
@@ -94,7 +89,7 @@ impl PegasusConfig {
                 depth: self.shingle_depth,
             },
             num_threads: self.num_threads,
-            evaluator: self.evaluator,
+            evaluator: MergeEvaluator::Cached,
         }
     }
 }
@@ -245,7 +240,8 @@ pub(crate) struct LoopSpec {
     pub(crate) shingle: ShingleParams,
     /// Worker threads (`0` = all hardware threads).
     pub(crate) num_threads: usize,
-    /// Merge evaluator.
+    /// Merge evaluator: always [`MergeEvaluator::Cached`] outside the
+    /// tests below, which compare it against [`MergeEvaluator::Scan`].
     pub(crate) evaluator: MergeEvaluator,
 }
 
@@ -454,6 +450,7 @@ pub(crate) fn run_loop(
 mod tests {
     use super::*;
     use crate::error::{personalized_error, reconstruction_error};
+    use crate::ssumm::SsummConfig;
     use pgs_graph::gen::{barabasi_albert, planted_partition};
 
     #[test]
@@ -588,5 +585,116 @@ mod tests {
         let s = summarize(&g, &[0], 2.0, &PegasusConfig::default());
         assert_eq!(s.num_nodes(), 2);
         assert!(s.size_bits() <= 2.0);
+    }
+
+    /// Full structural fingerprint of a summary: per-node assignment plus
+    /// the sorted superedge list.
+    fn fingerprint(s: &Summary) -> (Vec<u32>, Vec<(u32, u32)>) {
+        let assignment: Vec<u32> = (0..s.num_nodes() as u32)
+            .map(|u| s.supernode_of(u))
+            .collect();
+        let mut superedges: Vec<(u32, u32)> = s.superedges().map(|(a, b, _)| (a, b)).collect();
+        superedges.sort_unstable();
+        (assignment, superedges)
+    }
+
+    fn assert_stats_match(cached: &RunStats, scan: &RunStats, ctx: &str) {
+        assert_eq!(cached.iterations, scan.iterations, "{ctx}: iterations");
+        assert_eq!(cached.merges, scan.merges, "{ctx}: merges");
+        assert_eq!(cached.evals, scan.evals, "{ctx}: evals");
+        assert_eq!(cached.sparsified, scan.sparsified, "{ctx}: sparsified");
+        // final_theta is a selected rejection quantile; per the §7 scoped
+        // exception, post-local-merge cached evaluations may differ from a
+        // rescan in the final ulp, so across *evaluators* theta is pinned to
+        // near-equality, not bit-equality (same-evaluator runs stay
+        // byte-identical — that contract is pinned elsewhere).
+        let (a, b) = (cached.final_theta, scan.final_theta);
+        assert!(
+            (a - b).abs() <= 1e-12 * a.abs().max(b.abs()),
+            "{ctx}: final_theta {a} vs {b}"
+        );
+    }
+
+    /// End-to-end byte identity for PeGaSus (DESIGN.md §7): summaries are
+    /// byte-identical between the cached and the legacy scan evaluator,
+    /// at every thread count.
+    #[test]
+    fn pegasus_summaries_byte_identical_cached_vs_scan() {
+        let graphs = [
+            ("ba", barabasi_albert(600, 4, 7)),
+            ("pp", planted_partition(500, 10, 2_500, 400, 3)),
+        ];
+        for (name, g) in &graphs {
+            let budget = 0.4 * g.size_bits();
+            for threads in [1usize, 2, 8] {
+                let cfg = PegasusConfig {
+                    num_threads: threads,
+                    seed: 42,
+                    ..Default::default()
+                };
+                let weights = NodeWeights::personalized(g, &[0, 1], cfg.alpha);
+                let spec = cfg.spec();
+                let at =
+                    |evaluator| run_fresh(g, &weights, budget, &LoopSpec { evaluator, ..spec });
+                let (s_cached, st_cached) = at(MergeEvaluator::Cached);
+                let (s_scan, st_scan) = at(MergeEvaluator::Scan);
+                assert_eq!(
+                    fingerprint(&s_cached),
+                    fingerprint(&s_scan),
+                    "{name}: cached vs scan summaries diverged at {threads} threads"
+                );
+                assert_stats_match(&st_cached, &st_scan, &format!("{name}@{threads}"));
+            }
+        }
+    }
+
+    /// The same for SSumM (same engine, SsummMin cost model).
+    #[test]
+    fn ssumm_summaries_byte_identical_cached_vs_scan() {
+        let g = planted_partition(400, 8, 1_800, 300, 5);
+        let budget = 0.45 * g.size_bits();
+        let weights = NodeWeights::uniform(g.num_nodes());
+        for threads in [1usize, 2, 8] {
+            let cfg = SsummConfig {
+                num_threads: threads,
+                ..Default::default()
+            };
+            let spec = cfg.spec();
+            let at = |evaluator| run_fresh(&g, &weights, budget, &LoopSpec { evaluator, ..spec });
+            let (s_cached, st_cached) = at(MergeEvaluator::Cached);
+            let (s_scan, st_scan) = at(MergeEvaluator::Scan);
+            assert_eq!(
+                fingerprint(&s_cached),
+                fingerprint(&s_scan),
+                "SSumM cached vs scan diverged at {threads} threads"
+            );
+            assert_stats_match(&st_cached, &st_scan, &format!("ssumm@{threads}"));
+        }
+    }
+
+    /// Personalized weights and the absolute-cost ablation go through the
+    /// same evaluator plumbing — cover them end to end as well.
+    #[test]
+    fn personalized_and_ablation_runs_byte_identical_cached_vs_scan() {
+        let g = barabasi_albert(400, 3, 11);
+        let budget = 0.5 * g.size_bits();
+        for use_absolute_cost in [false, true] {
+            let cfg = PegasusConfig {
+                alpha: 1.5,
+                use_absolute_cost,
+                ..Default::default()
+            };
+            let weights = NodeWeights::personalized(&g, &[3, 17, 95], cfg.alpha);
+            let spec = cfg.spec();
+            let at = |evaluator| run_fresh(&g, &weights, budget, &LoopSpec { evaluator, ..spec });
+            let (s_cached, st_cached) = at(MergeEvaluator::Cached);
+            let (s_scan, st_scan) = at(MergeEvaluator::Scan);
+            assert_eq!(
+                fingerprint(&s_cached),
+                fingerprint(&s_scan),
+                "absolute_cost={use_absolute_cost}: summaries diverged"
+            );
+            assert_stats_match(&st_cached, &st_scan, "personalized");
+        }
     }
 }

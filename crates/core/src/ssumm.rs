@@ -39,8 +39,6 @@ pub struct SsummConfig {
     /// Worker threads for the evaluate phases (same engine as PeGaSus;
     /// `0` = all hardware threads; output identical at any setting).
     pub num_threads: usize,
-    /// Merge evaluator (same engine as PeGaSus; cached by default).
-    pub evaluator: MergeEvaluator,
 }
 
 impl Default for SsummConfig {
@@ -51,7 +49,6 @@ impl Default for SsummConfig {
             max_group: 500,
             shingle_depth: 10,
             num_threads: 0,
-            evaluator: MergeEvaluator::default(),
         }
     }
 }
@@ -72,7 +69,7 @@ impl SsummConfig {
                 depth: self.shingle_depth,
             },
             num_threads: self.num_threads,
-            evaluator: self.evaluator,
+            evaluator: MergeEvaluator::Cached,
         }
     }
 }

@@ -17,7 +17,7 @@
 //! throwaway [`QueryEngine`] plan per call. Callers answering more than
 //! one query on the same summary should build one engine and reuse it —
 //! the plan and scratch buffers then amortize across the whole batch
-//! (see `DESIGN.md` §6 and `exp_query_throughput` for the numbers).
+//! (see `DESIGN.md` §6).
 
 use pgs_core::summary::Summary;
 use pgs_graph::NodeId;

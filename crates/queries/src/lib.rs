@@ -28,7 +28,8 @@
 //! reusable scratch buffers, and offers `*_batch` methods that fan
 //! independent query nodes out over [`pgs_core::exec::Exec`] with
 //! byte-identical results at any thread count. The original per-node
-//! implementations live on in [`reference`] as the oracle/baseline path.
+//! implementations live on as the test suite's oracle
+//! (`tests/support/reference.rs`).
 
 #![forbid(unsafe_code)]
 
@@ -37,7 +38,6 @@ pub mod engine;
 pub mod exact;
 pub mod extended;
 pub mod metrics;
-pub mod reference;
 
 pub use approx::{get_neighbors, hops_summary, php_summary, rwr_summary};
 pub use engine::QueryEngine;

@@ -1,6 +1,6 @@
 //! Property suite: on random summaries, every [`QueryEngine`] query —
 //! serial and batched at 1/2/8 threads — agrees with the independent
-//! per-node reference implementations in [`pgs_queries::reference`].
+//! per-node reference implementations in `support/reference.rs`.
 //!
 //! Two tiers of agreement:
 //!
@@ -20,9 +20,13 @@ use proptest::prelude::*;
 
 use pgs_core::exec::Exec;
 use pgs_core::Summary;
-use pgs_queries::{reference, QueryEngine};
+use pgs_graph::gen::barabasi_albert;
+use pgs_queries::QueryEngine;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
+
+#[path = "support/reference.rs"]
+mod reference;
 
 /// Builds a random summary: a random partition of `n` nodes into at
 /// most `k` supernodes with a random (possibly weighted, self-loops
@@ -177,4 +181,41 @@ proptest! {
         );
         prop_assert_eq!(e.degrees(), pgs_queries::degrees_summary(&s));
     }
+}
+
+/// A PeGaSus summary of a small BA graph: the engine answers every
+/// query type like the per-node reference path.
+#[test]
+fn engine_agrees_with_reference_path() {
+    let g = barabasi_albert(120, 3, 4);
+    let s = pgs_core::summarize(&g, &[0], 0.5 * g.size_bits(), &Default::default());
+    let e = QueryEngine::new(&s);
+    for q in [0u32, 17, 63] {
+        assert_close(
+            &e.rwr(q, 0.05),
+            &reference::rwr_summary(&s, q, 0.05),
+            1e-8,
+            "rwr vs reference",
+        );
+        assert_close(
+            &e.php(q, 0.95),
+            &reference::php_summary(&s, q, 0.95),
+            1e-8,
+            "php vs reference",
+        );
+        assert_eq!(e.hops(q), reference::hops_summary(&s, q));
+    }
+    assert_close(
+        &e.pagerank(0.85),
+        &reference::pagerank_summary(&s, 0.85),
+        1e-8,
+        "pagerank vs reference",
+    );
+    assert_close(
+        &e.eigenvector_centrality(50),
+        &reference::eigenvector_centrality_summary(&s, 50),
+        1e-6,
+        "eigen vs reference",
+    );
+    assert_eq!(e.degrees(), reference::degrees_summary(&s));
 }

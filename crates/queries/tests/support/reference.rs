@@ -1,26 +1,16 @@
 //! Paper-literal per-node query implementations, kept as the *reference
-//! path*.
+//! path* of the equivalence suite.
 //!
 //! These are the original free-function bodies that answered every query
-//! by iterating over all `|V|` node states each pass. They remain for
-//! two reasons:
-//!
-//! 1. **Oracle** — the [`crate::engine::QueryEngine`] collapses per-node
-//!    state to per-supernode state (see `engine.rs` for why that is
-//!    exact); the equivalence test-suite checks the engine against these
-//!    independent implementations on random summaries.
-//! 2. **Baseline** — `exp_query_throughput` measures the engine's
-//!    plan-reuse and batching gains against this per-call path, which
-//!    recomputes weighted degrees and reallocates all its `|V|`-sized
-//!    buffers on every invocation.
-//!
-//! Production callers should use [`crate::engine::QueryEngine`] (or the
-//! public free functions, which wrap it).
+//! by iterating over all `|V|` node states each pass. The
+//! [`pgs_queries::QueryEngine`] collapses per-node state to per-supernode
+//! state (see `engine.rs` for why that is exact); the suite checks the
+//! engine against these independent implementations on random summaries.
 
 use pgs_core::summary::{Summary, SuperId};
 use pgs_graph::NodeId;
 
-use crate::{MAX_ITERS, TOLERANCE};
+use pgs_queries::{MAX_ITERS, TOLERANCE};
 
 /// Per-node HOP reference (Alg. 5): BFS hop counts from `q` on `Ĝ`,
 /// assigning distances member-by-member. Unreachable nodes get

@@ -4,8 +4,9 @@
 //! The in-memory retry slot ([`service`](crate::service)) survives a
 //! worker panic but not a process death. [`FileCheckpointSink`] extends
 //! the same blobs to disk: each write goes to a temp file in the target
-//! directory and is renamed into place, so a reader never observes a
-//! half-written checkpoint. At startup [`recover_checkpoints`] scans the
+//! directory and is renamed into place (`atomic_write`, shared with
+//! the admission journal), so a reader never observes a half-written
+//! checkpoint. At startup [`recover_checkpoints`] scans the
 //! directory once; submissions carrying a matching
 //! [`SubmitRequest::durable`](crate::service::SubmitRequest::durable)
 //! key are seeded with the recovered blob and replay the remaining
@@ -25,16 +26,23 @@ use std::sync::Arc;
 
 use pgs_core::checkpoint::{CheckpointError, RunCheckpoint};
 
-/// The file name a durable key persists under: the key with every
-/// character outside `[A-Za-z0-9_-]` replaced by `_`, an FNV-1a hash
-/// suffix (so distinct keys never collide after sanitization), and a
-/// `.ckpt` extension.
-pub fn ckpt_filename(key: &str) -> String {
+/// FNV-1a over `bytes`: the hash suffix of every durable file name and
+/// the journal record checksum.
+pub(crate) fn fnv1a(bytes: &[u8]) -> u64 {
     let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for b in key.bytes() {
+    for &b in bytes {
         hash ^= b as u64;
         hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
     }
+    hash
+}
+
+/// The file name a durable key persists under: the key with every
+/// character outside `[A-Za-z0-9_-]` replaced by `_`, an FNV-1a hash
+/// suffix (so distinct keys never collide after sanitization), and the
+/// extension `ext`.
+pub(crate) fn key_filename(key: &str, ext: &str) -> String {
+    let hash = fnv1a(key.as_bytes());
     let safe: String = key
         .chars()
         .take(64)
@@ -46,12 +54,39 @@ pub fn ckpt_filename(key: &str) -> String {
             }
         })
         .collect();
-    format!("{safe}-{hash:016x}.ckpt")
+    format!("{safe}-{hash:016x}.{ext}")
+}
+
+/// The checkpoint file name of a durable key (`key_filename` with a
+/// `.ckpt` extension).
+pub fn ckpt_filename(key: &str) -> String {
+    key_filename(key, "ckpt")
+}
+
+/// Replaces `path` with `bytes` atomically: creates the parent
+/// directory, writes `<path>.tmp`, `sync_all`s it and renames it over
+/// `path`. On any failure the previous file at `path` is untouched.
+/// I/O errors map to [`CheckpointError::WriteFailed`].
+pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
+    let io = |e: std::io::Error| CheckpointError::WriteFailed(e.to_string());
+    let dir = path
+        .parent()
+        .ok_or_else(|| CheckpointError::WriteFailed(format!("{} has no parent", path.display())))?;
+    fs::create_dir_all(dir).map_err(io)?;
+    let mut tmp = path.as_os_str().to_owned();
+    tmp.push(".tmp");
+    let tmp = PathBuf::from(tmp);
+    {
+        let mut f = fs::File::create(&tmp).map_err(io)?;
+        f.write_all(bytes).map_err(io)?;
+        f.sync_all().map_err(io)?;
+    }
+    fs::rename(&tmp, path).map_err(io)
 }
 
 /// Writes checkpoint blobs for one durable key atomically into a
-/// directory: temp file first, then rename — on any failure the
-/// previous good checkpoint file is untouched.
+/// directory (`atomic_write`) — on any failure the previous good
+/// checkpoint file is untouched.
 #[derive(Clone, Debug)]
 pub struct FileCheckpointSink {
     path: PathBuf,
@@ -76,19 +111,7 @@ impl FileCheckpointSink {
     /// [`CheckpointError::WriteFailed`], which the engines absorb (the
     /// run continues; `checkpoint_failures` is bumped).
     pub fn write(&self, blob: &[u8]) -> Result<(), CheckpointError> {
-        let io = |e: std::io::Error| CheckpointError::WriteFailed(e.to_string());
-        let dir = self
-            .path
-            .parent()
-            .ok_or_else(|| CheckpointError::WriteFailed("checkpoint path has no parent".into()))?;
-        fs::create_dir_all(dir).map_err(io)?;
-        let tmp = self.path.with_extension("ckpt.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(io)?;
-            f.write_all(blob).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        fs::rename(&tmp, &self.path).map_err(io)
+        atomic_write(&self.path, blob)
     }
 
     /// Removes the checkpoint file (the run finished; nothing to

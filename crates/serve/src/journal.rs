@@ -13,7 +13,7 @@
 //! any point loses no durable job.
 //!
 //! Records are written with the same tmp-write + rename discipline as
-//! checkpoint blobs (one file per key, atomic replace), and decode is
+//! checkpoint blobs (`atomic_write`, one file per key), and decode is
 //! fully self-validating (magic, version, FNV-1a checksum, field
 //! plausibility): a torn or corrupt record is detected and discarded at
 //! replay, never replayed as garbage.
@@ -26,7 +26,6 @@
 //! operator release.
 
 use std::fs;
-use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::time::Duration;
 
@@ -35,36 +34,16 @@ use pgs_core::checkpoint::CheckpointError;
 use pgs_core::weights::NodeWeights;
 use pgs_graph::NodeId;
 
+use crate::durable::{atomic_write, fnv1a, key_filename};
+
 const MAGIC: &[u8; 4] = b"PGSJ";
 const VERSION: u16 = 1;
 
-/// FNV-1a over `bytes` — the record checksum (and the filename hash,
-/// matching [`crate::durable::ckpt_filename`]'s scheme).
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= b as u64;
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
-}
-
-/// The file name a durable key journals under: sanitized key + FNV-1a
-/// hash (collision-free after sanitization) + `.job`.
+/// The file name a durable key journals under (`key_filename` with a
+/// `.job` extension; the checkpoint of the same key differs only in
+/// its extension).
 pub fn job_filename(key: &str) -> String {
-    let hash = fnv1a(key.as_bytes());
-    let safe: String = key
-        .chars()
-        .take(64)
-        .map(|c| {
-            if c.is_ascii_alphanumeric() || c == '_' || c == '-' {
-                c
-            } else {
-                '_'
-            }
-        })
-        .collect();
-    format!("{safe}-{hash:016x}.job")
+    key_filename(key, "job")
 }
 
 /// The wire form of one admitted durable job — everything a restarted
@@ -360,22 +339,14 @@ impl Journal {
     /// crash mid-write on a filesystem without atomic rename, which the
     /// replay scan must absorb.
     pub fn append(&self, rec: &JobRecord, torn: bool) -> Result<(), CheckpointError> {
-        let io = |e: std::io::Error| CheckpointError::WriteFailed(e.to_string());
-        fs::create_dir_all(&self.dir).map_err(io)?;
         let path = self.record_path(&rec.key);
         let bytes = rec.encode();
-        if torn {
-            let cut = bytes.len() / 2;
-            fs::write(&path, &bytes[..cut]).map_err(io)?;
-            return Ok(());
+        if !torn {
+            return atomic_write(&path, &bytes);
         }
-        let tmp = path.with_extension("job.tmp");
-        {
-            let mut f = fs::File::create(&tmp).map_err(io)?;
-            f.write_all(&bytes).map_err(io)?;
-            f.sync_all().map_err(io)?;
-        }
-        fs::rename(&tmp, &path).map_err(io)
+        let io = |e: std::io::Error| CheckpointError::WriteFailed(e.to_string());
+        fs::create_dir_all(&self.dir).map_err(io)?;
+        fs::write(&path, &bytes[..bytes.len() / 2]).map_err(io)
     }
 
     /// Retires the record for `key` — the job published a result (or
@@ -385,16 +356,17 @@ impl Journal {
         let _ = fs::remove_file(self.record_path(key));
     }
 
-    /// Quarantines `rec`: writes it under `quarantine/` and removes the
-    /// live record. The move is write-then-remove, so a crash between
-    /// the two leaves the record visible in *both* places — replay
-    /// skips quarantined keys, so the job is still never re-admitted.
-    pub fn quarantine(&self, rec: &JobRecord) {
-        let io_ok = fs::create_dir_all(&self.quarantine_dir).is_ok();
-        if io_ok {
-            let _ = fs::write(self.quarantine_path(&rec.key), rec.encode());
-        }
+    /// Quarantines `rec`: writes it under `quarantine/` with the same
+    /// atomic write as [`Journal::append`] and, only once that
+    /// succeeded, removes the live record. A crash between the two
+    /// leaves the record visible in *both* places — replay skips
+    /// quarantined keys, so the job is still never re-admitted. A
+    /// failed write leaves the live record where it was, so the next
+    /// start finds it poisoned and quarantines it again.
+    pub fn quarantine(&self, rec: &JobRecord) -> Result<(), CheckpointError> {
+        atomic_write(&self.quarantine_path(&rec.key), &rec.encode())?;
         self.retire(&rec.key);
+        Ok(())
     }
 
     /// Releases a quarantined key so an operator can resubmit it.
@@ -588,7 +560,7 @@ mod tests {
         let j = Journal::new(&root);
         let rec = sample("poison", 1);
         j.append(&rec, false).unwrap();
-        j.quarantine(&rec);
+        j.quarantine(&rec).unwrap();
         assert!(
             j.replay().is_empty(),
             "quarantined record leaves the journal"

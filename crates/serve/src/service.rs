@@ -920,7 +920,10 @@ impl SummaryService {
         }
         for rec in &poisoned {
             if let Some(j) = &inner.journal {
-                j.quarantine(rec);
+                // A failed write keeps the live record, which the next
+                // start finds poisoned again; this process refuses the
+                // key either way.
+                let _ = j.quarantine(rec);
             }
             inner.quarantined.lock().unwrap().insert(rec.key.clone());
             let mut sched = inner.sched.lock().unwrap();
@@ -2074,7 +2077,10 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             let rec = job.journal_rec.lock().unwrap();
             if let Some(rec) = rec.as_ref() {
                 if matches!(outcome, Ok(StopReason::RetriesExhausted)) {
-                    journal.quarantine(rec);
+                    // On a failed write the live record stays, and its
+                    // persisted attempt count quarantines it at the
+                    // next start.
+                    let _ = journal.quarantine(rec);
                     inner.quarantined.lock().unwrap().insert(rec.key.clone());
                     quarantined_now = true;
                 } else {

@@ -146,6 +146,47 @@ fn high_attempt_record_is_quarantined_at_startup_until_released() {
     let _ = fs::remove_dir_all(&dir);
 }
 
+/// A quarantine that cannot be written must not lose the job: with a
+/// plain file squatting on `<dir>/quarantine`, the poisoned record
+/// stays in the live journal (this process still refuses the key), and
+/// once the obstruction is gone the next start quarantines it for good.
+#[test]
+fn failed_quarantine_write_keeps_the_live_record() {
+    let g = graph();
+    let dir = temp_dir("quarantine-blocked");
+    let journal = Journal::new(&dir);
+    let rec = JobRecord {
+        tenant: "t".into(),
+        key: "poison".into(),
+        priority: 0,
+        seq: 0,
+        attempts: 7,
+        budget: Budget::Ratio(0.4),
+        personalization: Personalization::Targets(vec![0]),
+        deadline: None,
+    };
+    journal.append(&rec, false).expect("fabricated record");
+    let blocker = dir.join("quarantine");
+    fs::write(&blocker, b"not a directory").expect("blocking file");
+
+    let svc = SummaryService::new(Arc::clone(&g), algorithm(1), config(&dir));
+    assert!(svc.recovered_handles().is_empty());
+    assert_eq!(svc.quarantined_keys(), vec!["poison".to_string()]);
+    assert_eq!(job_files(&dir), 1, "the unquarantined record stays live");
+    drop(svc);
+
+    fs::remove_file(&blocker).expect("unblock");
+    let svc2 = SummaryService::new(Arc::clone(&g), algorithm(1), config(&dir));
+    assert!(
+        svc2.recovered_handles().is_empty(),
+        "poisoned record must not replay"
+    );
+    assert_eq!(svc2.quarantined_keys(), vec!["poison".to_string()]);
+    assert_eq!(job_files(&dir), 0, "record moved out of the live journal");
+    assert_eq!(journal.quarantined().len(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Panics on every call — a deterministically poisonous workload.
 struct AlwaysPanics;
 

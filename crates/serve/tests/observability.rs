@@ -1,7 +1,8 @@
 //! The live observability layer (DESIGN.md §14): metrics snapshots
 //! stay coherent while hammered from a reader thread, lifecycle events
-//! tell each job's story in order, the NDJSON sink round-trips through
-//! the bundled JSON parser, stall forensics capture the event tail at
+//! tell each job's story in order, the NDJSON sink and the snapshot
+//! round-trip through the bundled JSON parser with exactly the
+//! documented keys, stall forensics capture the event tail at
 //! escalation, retried jobs report honest per-attempt timings (the
 //! conflated-wait bugfix), and instrumentation never perturbs
 //! byte-identity.
@@ -18,8 +19,71 @@ use pgs_graph::Graph;
 use pgs_observe::{EventKind, Json};
 use pgs_serve::{ServiceConfig, SubmitRequest, SummaryService};
 
+/// The stable metric key sets of DESIGN.md §14. Renaming or adding a
+/// key without updating these lists (and the docs) fails this suite.
+const EXPECTED_COUNTERS: &[&str] = &[
+    "engine.evals",
+    "engine.iterations",
+    "engine.merges",
+    "engine.phase.candidates_us",
+    "engine.phase.commit_us",
+    "engine.phase.evaluate_us",
+    "engine.phase.sparsify_us",
+    "serve.cache.hits",
+    "serve.cache.misses",
+    "serve.jobs.completed",
+    "serve.jobs.errors",
+    "serve.jobs.quarantined",
+    "serve.jobs.rejected",
+    "serve.jobs.replayed",
+    "serve.jobs.retried",
+    "serve.jobs.shed",
+    "serve.jobs.stalled",
+    "serve.jobs.submitted",
+];
+const EXPECTED_GAUGES: &[&str] = &["serve.jobs.running", "serve.queue.depth"];
+const EXPECTED_HISTOGRAMS: &[&str] = &["serve.latency.run_us", "serve.latency.wait_us"];
+const EXPECTED_SNAPSHOT_KEYS: &[&str] = &[
+    "cache",
+    "event_seq",
+    "journal",
+    "metrics",
+    "queued",
+    "running",
+    "tenants",
+    "workers",
+];
+const EVENT_KINDS: &[&str] = &[
+    "admitted",
+    "replayed",
+    "queued",
+    "running",
+    "checkpointed",
+    "retried",
+    "shed",
+    "rejected",
+    "stalled",
+    "quarantined",
+    "completed",
+];
+
 fn graph() -> Arc<Graph> {
     Arc::new(planted_partition(400, 8, 1600, 250, 3))
+}
+
+/// Exact-set key check: unknown keys are as fatal as missing ones, so a
+/// metric rename fails here instead of silently forking the schema
+/// consumers depend on.
+fn assert_exact_keys(section: &Json, expected: &[&str], what: &str) {
+    let mut keys: Vec<&str> = section.keys();
+    keys.sort_unstable();
+    let missing: Vec<&&str> = expected.iter().filter(|k| !keys.contains(k)).collect();
+    let unknown: Vec<&&str> = keys.iter().filter(|k| !expected.contains(k)).collect();
+    assert!(
+        missing.is_empty() && unknown.is_empty(),
+        "{what}: schema drift — missing {missing:?}, unknown {unknown:?} \
+         (update DESIGN.md §14 and the EXPECTED_* lists if intentional)"
+    );
 }
 
 fn algorithm(seed: u64) -> Arc<Pegasus> {
@@ -182,8 +246,8 @@ fn events_tell_each_jobs_story_in_order() {
 }
 
 /// The NDJSON sink writes one parseable object per line with the
-/// documented keys, in seq order, and the snapshot's JSON rendering
-/// parses too (the same shape the CI smoke step pins).
+/// documented keys and a known kind, in seq order, and the snapshot's
+/// JSON rendering parses with exactly the §14 key sets.
 #[test]
 fn event_sink_and_snapshot_json_round_trip() {
     let dir = std::env::temp_dir().join(format!("pgs-observe-test-{}", std::process::id()));
@@ -208,17 +272,33 @@ fn event_sink_and_snapshot_json_round_trip() {
     drop(svc);
 
     let parsed = Json::parse(&snapshot_json).expect("snapshot JSON parses");
-    for key in [
-        "queued",
-        "running",
-        "workers",
-        "cache",
-        "journal",
-        "event_seq",
-        "metrics",
-        "tenants",
-    ] {
-        assert!(parsed.get(key).is_some(), "snapshot missing key {key}");
+    assert_exact_keys(&parsed, EXPECTED_SNAPSHOT_KEYS, "snapshot");
+    let metrics = parsed.get("metrics").expect("snapshot.metrics");
+    let counters = metrics.get("counters").expect("metrics.counters");
+    assert_exact_keys(counters, EXPECTED_COUNTERS, "counters");
+    let gauges = metrics.get("gauges").expect("metrics.gauges");
+    assert_exact_keys(gauges, EXPECTED_GAUGES, "gauges");
+    let hists = metrics.get("histograms").expect("metrics.histograms");
+    assert_exact_keys(hists, EXPECTED_HISTOGRAMS, "histograms");
+    for key in EXPECTED_HISTOGRAMS {
+        let h = hists.get(key).expect("histogram entry");
+        let bounds = h.get("bounds").and_then(Json::as_arr).expect("bounds");
+        let counts = h.get("counts").and_then(Json::as_arr).expect("counts");
+        assert_eq!(
+            counts.len(),
+            bounds.len() + 1,
+            "{key}: counts must carry one overflow bucket"
+        );
+    }
+    let tenants = parsed
+        .get("tenants")
+        .and_then(Json::as_arr)
+        .expect("tenants");
+    assert!(!tenants.is_empty(), "the submitting tenant is listed");
+    for t in tenants {
+        for key in ["tenant", "submitted", "completed", "wait_secs", "run_secs"] {
+            assert!(t.get(key).is_some(), "tenant entry missing {key:?}");
+        }
     }
 
     let text = std::fs::read_to_string(&path).expect("sink written");
@@ -232,6 +312,8 @@ fn event_sink_and_snapshot_json_round_trip() {
         for key in ["job", "tenant", "attempt", "kind"] {
             assert!(ev.get(key).is_some(), "event missing key {key}");
         }
+        let kind = ev.get("kind").and_then(Json::as_str).expect("kind");
+        assert!(EVENT_KINDS.contains(&kind), "unknown event kind {kind:?}");
         lines += 1;
     }
     assert!(lines >= 4, "admitted/queued/running/completed at minimum");

@@ -11,6 +11,9 @@
 //!   [`StopReason::RetriesExhausted`], not an error or a hang.
 //! * A request whose tenant deadline fully expired while queued is
 //!   answered without invoking the engine at all.
+//! * A multi-tenant budget sweep with one injected worker panic still
+//!   finishes every job, error-free, with exactly one weight BFS per
+//!   tenant.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
@@ -21,7 +24,7 @@ use pgs_core::api::{
 };
 use pgs_core::pegasus::PegasusConfig;
 use pgs_core::{FaultPlan, Summary};
-use pgs_graph::gen::planted_partition;
+use pgs_graph::gen::{barabasi_albert, planted_partition};
 use pgs_graph::Graph;
 use pgs_serve::{JobStatus, ServiceConfig, SubmitRequest, SummaryHandle, SummaryService};
 
@@ -445,4 +448,61 @@ fn tenant_graph_overrides_scope_swaps_and_cache_invalidation() {
         .wait()
         .unwrap();
     assert_eq!(out_b3.summary.num_nodes(), 200, "b back on the default");
+}
+
+/// The chaos smoke: 3 tenants each sweep budgets 0.6 then 0.4 over
+/// their own targets on a 1,200-node BA graph, submitted budget-major
+/// so adjacent submissions belong to different tenants. The first
+/// submission panics its worker (fault seed 42) and is retried from its
+/// checkpoint. Every job still completes without an error, and each
+/// tenant's sweep resolves one BFS and hits the cache for its second
+/// budget.
+#[test]
+fn tenant_sweep_survives_an_injected_worker_panic() {
+    const NODES: usize = 1_200;
+    const TENANTS: usize = 3;
+    const BUDGETS: [f64; 2] = [0.6, 0.4];
+    let g = Arc::new(barabasi_albert(NODES, 5, 42));
+    let svc = SummaryService::new(
+        Arc::clone(&g),
+        algorithm(0),
+        ServiceConfig {
+            retry_budget: 2,
+            retry_backoff: Duration::from_millis(1),
+            ..Default::default()
+        },
+    );
+    let handles: Vec<SummaryHandle> = BUDGETS
+        .iter()
+        .flat_map(|&ratio| (0..TENANTS).map(move |t| (ratio, t)))
+        .map(|(ratio, t)| {
+            let targets: Vec<u32> = (0..3)
+                .map(|k| ((t * 131 + k * 17) % NODES) as u32)
+                .collect();
+            let mut req = SummarizeRequest::new(Budget::Ratio(ratio)).targets(&targets);
+            if t == 0 && ratio == BUDGETS[0] {
+                req = req.fault_plan(Arc::new(FaultPlan::seeded_panic(42, 6)));
+            }
+            svc.submit(SubmitRequest::new(format!("tenant-{t:02}"), req))
+                .expect("unbounded queues admit everything")
+        })
+        .collect();
+    for h in &handles {
+        h.wait().expect("every job completes");
+    }
+    let stats = svc.tenant_stats();
+    assert_eq!(stats.len(), TENANTS);
+    for s in &stats {
+        assert_eq!(s.completed, BUDGETS.len() as u64, "{} terminated", s.tenant);
+        assert_eq!(s.errors, 0, "{} must not surface errors", s.tenant);
+    }
+    let retries: u64 = stats.iter().map(|s| s.retries).sum();
+    assert!(retries >= 1, "fault seed 42 must force at least one retry");
+    let cache = svc.cache_stats();
+    assert_eq!(cache.misses, TENANTS as u64, "one BFS per tenant");
+    assert_eq!(
+        cache.hits,
+        (TENANTS * (BUDGETS.len() - 1)) as u64,
+        "every later budget in a sweep must hit"
+    );
 }

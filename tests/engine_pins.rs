@@ -1,12 +1,13 @@
 //! Pins the engine's exact output in tier-1: PeGaSus (10 targets,
 //! ratio 0.25) and SSumM on a seeded 3k-node Barabási–Albert graph, at
-//! 1 and 2 threads. Every count (evals, merges, iterations, groups) and
-//! a digest of the node→supernode assignment plus the sorted superedge
-//! list must match the recorded constants exactly, so any change to
-//! the evaluate/commit path that is not bit-for-bit neutral fails here.
+//! 1, 2 and 8 threads. Every count (evals, merges, iterations, groups)
+//! and a digest of the node→supernode assignment plus the sorted
+//! superedge list must match the recorded constants exactly, so any
+//! change to the evaluate/commit path that is not bit-for-bit neutral,
+//! or that makes the output depend on the thread count, fails here.
 //! The same runs' final θ, `sparsified` flag and the checkpoint written
-//! after iteration 5 are pinned too, so a change to the threshold rule
-//! or to what a checkpoint carries fails as well.
+//! after iteration 5 are pinned too (at 1 and 2 threads), so a change
+//! to the threshold rule or to what a checkpoint carries fails as well.
 
 use std::sync::{Arc, Mutex};
 
@@ -63,11 +64,11 @@ fn pin_of(out: &RunOutput) -> Pin {
 }
 
 #[test]
-fn pegasus_output_is_pinned_at_1_and_2_threads() {
+fn pegasus_output_is_pinned_at_1_2_and_8_threads() {
     let g = barabasi_albert(NODES, ATTACH, GRAPH_SEED);
     let t = targets();
     let req = SummarizeRequest::new(Budget::Ratio(RATIO)).targets(&t);
-    for threads in [1usize, 2] {
+    for threads in [1usize, 2, 8] {
         let out = Pegasus(PegasusConfig {
             num_threads: threads,
             ..Default::default()
@@ -80,10 +81,10 @@ fn pegasus_output_is_pinned_at_1_and_2_threads() {
 }
 
 #[test]
-fn ssumm_output_is_pinned_at_1_and_2_threads() {
+fn ssumm_output_is_pinned_at_1_2_and_8_threads() {
     let g = barabasi_albert(NODES, ATTACH, GRAPH_SEED);
     let req = SummarizeRequest::new(Budget::Ratio(RATIO));
-    for threads in [1usize, 2] {
+    for threads in [1usize, 2, 8] {
         let out = Ssumm(SsummConfig {
             num_threads: threads,
             ..Default::default()
