@@ -346,9 +346,10 @@ pub struct RunControl {
     /// loop starts; a mismatch is [`PgsError::CheckpointInvalid`].
     pub resume: Option<Arc<Vec<u8>>>,
     /// Liveness heartbeat for an external watchdog: engines bump this
-    /// counter at *group-evaluate* granularity (at least once per
-    /// candidate group evaluated, plus once per iteration commit), so a
-    /// supervisor observing a stuck value for longer than its stall
+    /// counter at *group* granularity — once per iteration, once per
+    /// candidate group evaluated, once per group committed, and once per
+    /// run of survivors or neighbor tables in the commit's table passes —
+    /// so a supervisor observing a stuck value for longer than its stall
     /// timeout may conclude the run is wedged and escalate to `cancel`.
     /// `None` costs nothing on the hot path.
     pub heartbeat: Option<Arc<AtomicU64>>,
@@ -413,7 +414,8 @@ impl RunControl {
     }
 
     /// Stamps the liveness heartbeat (no-op without one). Engines call
-    /// this at group-evaluate granularity; see [`RunControl::heartbeat`].
+    /// this at group granularity in evaluate and commit; see
+    /// [`RunControl::heartbeat`].
     #[inline]
     pub fn beat(&self) {
         if let Some(hb) = &self.heartbeat {
@@ -973,11 +975,15 @@ mod tests {
         let req = SummarizeRequest::new(Budget::Ratio(0.5)).heartbeat(Arc::clone(&hb));
         let out = Pegasus::default().run(&g, &req).unwrap();
         assert_eq!(out.stop, StopReason::BudgetMet);
-        // Group-evaluate granularity: at least one beat per committed
-        // iteration, and strictly more when groups were evaluated.
+        // Group granularity: one beat per iteration, one per group
+        // evaluated and one per group committed, plus the commit's table
+        // passes (at least one run each in an iteration that merged).
+        let beats = hb.load(Ordering::Relaxed) - 2;
+        let (iterations, groups) = (out.stats.iterations as u64, out.stats.groups);
+        assert!(out.stats.merges > 0);
         assert!(
-            hb.load(Ordering::Relaxed) >= 2 + out.stats.iterations as u64,
-            "heartbeat must advance at least once per iteration"
+            beats >= 2 + iterations + 2 * groups,
+            "{beats} beats over {iterations} iterations and {groups} groups"
         );
     }
 

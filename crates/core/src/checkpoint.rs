@@ -1,8 +1,8 @@
 //! Iteration-boundary run checkpoints (DESIGN.md §10).
 //!
-//! The engine loop commits one iteration's merge log serially and only
-//! then mutates shared state again, so the top of an iteration is the one
-//! point where the whole run is describable by plain data: the
+//! The engine loop commits one iteration's merge logs as one batch and
+//! only then mutates shared state again, so the top of an iteration is
+//! the one point where the whole run is describable by plain data: the
 //! [`crate::working::WorkingSummary`] partition, the adaptive-threshold
 //! scalar, the stall cap, and the iteration counter. [`RunCheckpoint`]
 //! captures exactly that state and [`RunCheckpoint::encode`] freezes it
@@ -531,16 +531,14 @@ impl Reader<'_> {
 mod tests {
     use super::*;
     use crate::api::{Budget, Pegasus, PgsError, SummarizeRequest, Summarizer};
-    use crate::working::Scratch;
     use pgs_graph::gen::barabasi_albert;
 
     fn sample_checkpoint() -> (Graph, NodeWeights, RunCheckpoint) {
         let g = barabasi_albert(60, 3, 5);
         let w = NodeWeights::uniform(g.num_nodes());
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
-        ws.merge(0, 1, &mut scratch);
-        ws.merge(4, 5, &mut scratch);
+        ws.merge(0, 1);
+        ws.merge(4, 5);
         let stats = RunStats {
             iterations: 3,
             merges: 2,

@@ -104,6 +104,35 @@ impl Exec {
             }
         });
     }
+
+    /// Runs `f` on every run of at most `run` consecutive items of
+    /// `items`, in place. Run `r` goes to worker `r mod t` — the
+    /// round-robin assignment of [`Exec::map_indexed`], which spreads a
+    /// heavy head of the slice over all workers. `f` is expected to be a
+    /// pure function of its run, so the result is independent of
+    /// scheduling; with one worker (or one run) everything runs inline.
+    pub fn for_each_run<T, F>(&self, items: &mut [T], run: usize, f: F)
+    where
+        T: Send,
+        F: Fn(&mut [T]) + Sync,
+    {
+        let runs: Vec<&mut [T]> = items.chunks_mut(run.max(1)).collect();
+        let t = self.threads.min(runs.len());
+        if t <= 1 {
+            runs.into_iter().for_each(f);
+            return;
+        }
+        let mut shares: Vec<Vec<&mut [T]>> = (0..t).map(|_| Vec::new()).collect();
+        for (r, items) in runs.into_iter().enumerate() {
+            shares[r % t].push(items);
+        }
+        rayon::scope(|s| {
+            for share in shares {
+                let f = &f;
+                s.spawn(move |_| share.into_iter().for_each(f));
+            }
+        });
+    }
 }
 
 #[cfg(test)]
@@ -143,6 +172,27 @@ mod tests {
             let expect: Vec<usize> = (0..103).collect();
             assert_eq!(out, expect, "threads = {threads}");
         }
+    }
+
+    #[test]
+    fn for_each_run_covers_every_item_once() {
+        for threads in [1, 2, 5, 8] {
+            let exec = Exec::new(threads);
+            for run in [1, 4, 200] {
+                let mut items: Vec<(usize, usize)> = (0..103).map(|i| (i, 0)).collect();
+                exec.for_each_run(&mut items, run, |chunk| {
+                    for (i, seen) in chunk.iter_mut() {
+                        *seen += *i + 1;
+                    }
+                });
+                assert!(
+                    items.iter().all(|&(i, seen)| seen == i + 1),
+                    "threads = {threads}, run = {run}"
+                );
+            }
+        }
+        // An empty slice runs nothing and does not panic.
+        Exec::new(4).for_each_run(&mut [] as &mut [u8], 8, |_| unreachable!());
     }
 
     #[test]

@@ -15,7 +15,9 @@
 //! candidate groups are disjoint supernode sets, so their Alg.-2 rounds
 //! are *evaluated* concurrently against the frozen iteration-start
 //! summary ([`crate::working::evaluate_group`]), and the resulting merge
-//! logs are *committed* serially in canonical group order. All
+//! logs are *committed* as one batch
+//! ([`crate::working::WorkingSummary::commit`]) whose parallel passes
+//! reproduce, bit for bit, a serial replay in canonical group order. All
 //! randomness is drawn serially (per-round hash seeds, per-group RNG
 //! seeds), which makes the output a pure function of the seed — the same
 //! summary comes back at any thread count (see DESIGN.md §2).
@@ -32,7 +34,7 @@ use crate::sparsify::sparsify;
 use crate::summary::{Summary, SuperId};
 use crate::threshold::{ssumm_schedule, AdaptiveThreshold, GAIN_DECAY};
 use crate::weights::NodeWeights;
-use crate::working::{evaluate_group_with, MergeEvaluator, Scratch, WorkingSummary};
+use crate::working::{evaluate_group_with, MergeEvaluator, WorkingSummary};
 use pgs_graph::{Graph, NodeId};
 
 /// Configuration of PeGaSus (paper defaults from Sect. V-A).
@@ -53,9 +55,10 @@ pub struct PegasusConfig {
     /// Ablation switch: rank merges by the absolute reduction Eq. (10)
     /// instead of the relative reduction Eq. (11).
     pub use_absolute_cost: bool,
-    /// Worker threads for the evaluate phases (candidate generation and
-    /// group evaluation). `0` means one per available hardware thread.
-    /// The output is identical at any setting; only wall-clock changes.
+    /// Worker threads for the parallel phases (candidate generation,
+    /// group evaluation and commit). `0` means one per available hardware
+    /// thread. The output is identical at any setting; only wall-clock
+    /// changes.
     pub num_threads: usize,
 }
 
@@ -100,7 +103,7 @@ impl PegasusConfig {
 ///
 /// Every iteration of the driver decomposes into candidate
 /// generation (Sect. III-C), parallel group evaluation (Sect. III-D),
-/// and the serial commit of the merge logs; sparsification
+/// and the batched commit of the merge logs; sparsification
 /// (Sect. III-F) runs once at the end when the budget is still unmet.
 /// All four accumulate across checkpoint/resume like the other
 /// wall-clock stats, and all four live *outside* the byte-identity
@@ -113,9 +116,9 @@ pub struct PhaseTimings {
     /// Parallel merge evaluation (Sect. III-D) — the denominator of
     /// the merge-evals/sec throughput metric.
     pub evaluate: f64,
-    /// Serial commit of the merge logs (threshold folds and gain-EMA
-    /// updates included — everything between evaluate and the
-    /// iteration boundary).
+    /// Batched commit of the merge logs — its three parallel passes plus
+    /// the serial threshold folds and gain-EMA updates (everything
+    /// between evaluate and the iteration boundary).
     pub commit: f64,
     /// Final sparsification (Sect. III-F), zero when the budget was
     /// met by merging alone.
@@ -286,7 +289,6 @@ pub(crate) fn run_loop(
     resume: Option<&RunCheckpoint>,
 ) -> Result<(Summary, RunStats, StopReason), CheckpointError> {
     let started = std::time::Instant::now();
-    let mut scratch = Scratch::default();
     let exec = Exec::new(spec.num_threads);
     // PeGaSus's adaptive θ and its stall-guard cap; `None` for SSumM,
     // whose θ is a pure function of `t` (so it ignores the checkpoint's
@@ -368,17 +370,17 @@ pub(crate) fn run_loop(
         stats.phases.evaluate += eval_start.elapsed().as_secs_f64();
         stats.evals += outcomes.iter().map(|o| o.evals).sum::<u64>();
 
-        // Commit phase (serial, deterministic group order): replay each
-        // group's merge log against the shared summary (which repairs
-        // the signature bank lane-wise in O(K) per merge), fold its
-        // rejection samples into the adaptive threshold (SSumM discards
-        // them), and update the members' gain EMAs with the group's
-        // accepted savings.
+        // Commit phase: apply every group's merge log to the shared
+        // summary in one batch (parallel passes, bit for bit the serial
+        // replay in canonical group order; DESIGN.md §7). Then, serially
+        // and in group order, fold each group's rejection samples into
+        // the adaptive threshold (SSumM discards them) and update the
+        // members' gain EMAs with the group's accepted savings.
         let commit_start = std::time::Instant::now();
+        ws.commit(outcomes.iter().map(|o| o.merges.as_slice()), &exec, || {
+            control.beat()
+        });
         for ((group, _), outcome) in seeded.iter().zip(&outcomes) {
-            for &(a, b) in &outcome.merges {
-                ws.merge(a, b, &mut scratch);
-            }
             if let Some((threshold, _)) = &mut adaptive {
                 threshold.fold_rejections(&outcome.rejected);
             }

@@ -110,13 +110,14 @@ fn lane_seed(bank_seed: u64, lane: usize) -> u64 {
 /// Builds the persistent signature bank: `lanes` independent closed-
 /// neighborhood min-hash lanes over graph nodes, folded into
 /// per-supernode minima and attached to `ws`. One-time
-/// `O(K·(|V|+|E|))` cost per run; afterwards [`WorkingSummary::merge`]
-/// repairs the surviving supernode's signature as the lane-wise min of
-/// the two in O(K). Because each lane value is a min over *original
-/// graph nodes* (which never change during a run) and `u64::min` is
-/// associative and commutative, the maintained signatures stay bitwise
-/// equal to rerunning this from-scratch computation after any merge
-/// sequence — min-hash composes under union (DESIGN.md §11).
+/// `O(K·(|V|+|E|))` cost per run; afterwards every
+/// [`WorkingSummary::commit`] repairs each survivor's signature as the
+/// lane-wise min of its sides, O(K) per merge. Because each lane value
+/// is a min over *original graph nodes* (which never change during a
+/// run) and `u64::min` is associative and commutative, the maintained
+/// signatures stay bitwise equal to rerunning this from-scratch
+/// computation after any merge sequence — min-hash composes under union
+/// (DESIGN.md §11).
 ///
 /// The node-level hash passes are embarrassingly parallel (`hash_node`
 /// is pure in `(seed, v)`), so the bank is bit-identical at any thread
@@ -409,9 +410,8 @@ mod tests {
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         let lanes = 8;
         attach_signatures(&mut ws, 42, lanes, &Exec::serial());
-        let mut scratch = crate::working::Scratch::default();
         for &(a, b) in &[(0u32, 1u32), (2, 3), (0, 2), (10, 50), (10, 51)] {
-            ws.merge(a, b, &mut scratch);
+            ws.merge(a, b);
         }
         let maintained: Vec<(SuperId, Vec<u64>)> = ws
             .live_iter()

@@ -80,7 +80,6 @@ mod tests {
     use super::*;
     use crate::cost::CostModel;
     use crate::weights::NodeWeights;
-    use crate::working::Scratch;
     use pgs_graph::gen::barabasi_albert;
 
     #[test]
@@ -112,8 +111,7 @@ mod tests {
         let g = pgs_graph::builder::graph_from_edges(5, &[(0, 2), (0, 3), (1, 2), (1, 3), (3, 4)]);
         let w = NodeWeights::uniform(g.num_nodes());
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
-        let c = ws.merge(0, 1, &mut scratch); // twins: superedges {C,2},{C,3},{3,4}
+        let c = ws.merge(0, 1); // twins: superedges {C,2},{C,3},{3,4}
         assert_eq!(ws.num_superedges(), 3);
         // Budget forcing exactly one drop: each superedge is 2*log2(4)=4 bits.
         let budget = ws.size_bits() - 1.0;
@@ -147,13 +145,8 @@ mod tests {
         let budget = 0.35 * g.size_bits();
         let fingerprint = |threads: usize| {
             let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-            let mut scratch = Scratch::default();
             for s in 0..40u32 {
-                ws.merge(
-                    ws.supernode_of(2 * s),
-                    ws.supernode_of(2 * s + 1),
-                    &mut scratch,
-                );
+                ws.merge(ws.supernode_of(2 * s), ws.supernode_of(2 * s + 1));
             }
             sparsify(&mut ws, budget, &Exec::new(threads));
             let mut edges: Vec<(SuperId, SuperId)> = Vec::new();
@@ -187,9 +180,8 @@ mod tests {
         );
         let w = NodeWeights::uniform(g.num_nodes());
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
-        let c_twins = ws.merge(0, 1, &mut scratch);
-        let c_mixed = ws.merge(4, 5, &mut scratch);
+        let c_twins = ws.merge(0, 1);
+        let c_mixed = ws.merge(4, 5);
         // Mixed block {45}-{6}: exact (both 4-6 and 5-6 exist). The
         // {45}-{7} block: tot 2, e 1 -> superedge only if worth it.
         assert!(ws.has_superedge(c_twins, 2));

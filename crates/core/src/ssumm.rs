@@ -36,7 +36,7 @@ pub struct SsummConfig {
     pub max_group: usize,
     /// Maximum recursive shingle-splitting depth (10).
     pub shingle_depth: usize,
-    /// Worker threads for the evaluate phases (same engine as PeGaSus;
+    /// Worker threads for the parallel phases (same engine as PeGaSus;
     /// `0` = all hardware threads; output identical at any setting).
     pub num_threads: usize,
 }

@@ -14,10 +14,16 @@
 //!   returning a [`GroupOutcome`] merge log instead of mutating shared
 //!   state. Groups are disjoint supernode sets, so overlays never
 //!   conflict and workers share the summary immutably.
-//! * **Commit** — serial. [`WorkingSummary::merge`] applies one logged
-//!   merge to the shared summary; the driver replays each group's log in
-//!   deterministic group order (Alg. 2's superedge re-addition then runs
-//!   against the true global state).
+//! * **Commit** — batched, parallel. [`WorkingSummary::commit`] applies a
+//!   whole iteration's merge logs at once, in three passes through
+//!   [`Exec`]: per group, the unions in log order; per surviving
+//!   supernode, one scan of its final member list (Alg. 2's superedge
+//!   re-addition, priced against the true global state); per table that
+//!   receives superedge bits from a survivor, one pass that takes them
+//!   (relabeling an untouched table's merged keys on the way). The
+//!   result is bit for bit what applying the merges one at a time in
+//!   canonical group order gives ([`WorkingSummary::merge`] is the
+//!   one-merge case).
 //!
 //! # The merge-evaluation hot loop (DESIGN.md §7)
 //!
@@ -26,9 +32,8 @@
 //!
 //! * **Persistent neighbor tables** ([`WorkingSummary`]): per supernode,
 //!   a sorted table of `(neighbor supernode, flat member-edge weight
-//!   sum, superedge bit)` entries, kept exact by every commit-phase
-//!   merge. They are the superedge adjacency and the evaluator's weight
-//!   vectors at once.
+//!   sum, superedge bit)` entries, kept exact by every commit. They are
+//!   the superedge adjacency and the evaluator's weight vectors at once.
 //! * An **epoch-stamped dense scratch** ([`Scratch`]): per-supernode
 //!   accumulators are flat `stamp`/`val` arrays indexed by `SuperId`
 //!   plus a `touched` list, cleared in `O(touched)` by bumping an epoch
@@ -260,12 +265,7 @@ pub trait SummaryView {
     /// `log2` of the live supernode count (0 when ≤ 1 remain).
     #[inline]
     fn view_log_s(&self) -> f64 {
-        let live = self.live_count();
-        if live <= 1 {
-            0.0
-        } else {
-            (live as f64).log2()
-        }
+        log2_live(self.live_count())
     }
 }
 
@@ -583,11 +583,11 @@ impl Iterator for LiveIter<'_> {
 /// independent hash lanes per supernode, flat-indexed `s * lanes + k`.
 /// Lane `k` of supernode `U` holds `min_{u∈U} min_{v∈N(u)∪{u}}
 /// f_k(v)` — Eq. (12) under the `k`-th bank hash. Because `u64::min` is
-/// exactly associative and commutative, a commit-phase merge repairs the
-/// survivor's signature as the lane-wise min of the two sides in
-/// `O(lanes)`, and the maintained value is **bitwise equal** to a
-/// from-scratch recompute over the merged member set (pinned by
-/// `signatures_match_recompute_after_merges` and the proptest in
+/// exactly associative and commutative, a commit repairs the survivor's
+/// signature as the lane-wise min of its sides in `O(lanes)` per merge,
+/// and the maintained value is **bitwise equal** to a from-scratch
+/// recompute over the merged member set (pinned by
+/// `signatures_match_recompute_after_merges` and the proptests in
 /// `tests/core_props.rs`).
 struct SigBank {
     lanes: usize,
@@ -693,6 +693,16 @@ impl Slot {
     fn range(self) -> Range<usize> {
         self.start as usize..self.start as usize + self.len()
     }
+
+    /// Keeps the window's first `len` entries, the stale flag unchanged;
+    /// an emptied window moves to 0 like every empty table.
+    fn truncate(&mut self, len: usize) {
+        debug_assert!(len <= self.len());
+        if len == 0 {
+            self.start = 0;
+        }
+        self.meta = (self.meta & STALE) | len as u32;
+    }
 }
 
 /// Reserved table slack, as a right shift of the initial entry count
@@ -707,15 +717,16 @@ const TABLE_SLACK_SHIFT: u32 = 5;
 /// fresh scan computes — and the superedge bit of `{s, x}`.
 ///
 /// All tables share one flat arena whose allocation is fixed at
-/// construction. A merge never grows the total entry count (the
-/// survivor's table is at most the union of both sides', and neighbors
-/// only relabel or drop entries), so a new table is rewritten in place
-/// over an old slot when it fits, appended into the reserved slack
-/// otherwise, and the arena compacts in place when the slack runs out.
+/// construction. A merge never grows the total entry count (a survivor's
+/// table has at most as many keys as its parts' tables together, and
+/// neighbors only relabel or drop entries), so a commit frees the merged
+/// supernodes' slots and appends each survivor's new table in a window
+/// sized by its parts' old lengths, compacting the arena in place first
+/// when the slack runs out.
 ///
-/// A neighbor holding *both* merged supernodes cannot combine its two
-/// subtotals exactly (they interleave in visit order), so its table is
-/// marked stale: keys and bits stay exact, and
+/// An untouched table in which two keys collapse onto one survivor
+/// cannot combine their two subtotals exactly (they interleave in visit
+/// order), so it is marked stale: keys and bits stay exact, and
 /// [`WorkingSummary::refresh_stale`] rescans the values before they are
 /// next read.
 #[derive(Default)]
@@ -768,82 +779,25 @@ impl NeighborTables {
         self.slots[s as usize].stale()
     }
 
-    /// Number of superedges incident to `s` (its set bits).
-    fn superedges(&self, s: SuperId) -> usize {
-        self.table(s).iter().filter(|e| e.superedge()).count()
-    }
-
-    fn mark_stale(&mut self, s: SuperId) {
-        let slot = &mut self.slots[s as usize];
-        if !slot.stale() {
-            slot.meta |= STALE;
-            self.stale_ids.push(s);
+    /// Appends one window per `(supernode, size)` at the arena end and
+    /// points each supernode's slot at its window, returning the arena
+    /// index the windows start at. The old slots must be freed first; the
+    /// arena compacts before appending when the slack cannot hold the
+    /// windows.
+    fn append_windows(&mut self, windows: &[(SuperId, usize)], live: LiveIter<'_>) -> usize {
+        let need: usize = windows.iter().map(|&(_, size)| size).sum();
+        if self.entries.len() + need > self.entries.capacity() {
+            self.compact(live);
         }
-    }
-
-    /// Rewrites `y`'s entry at arena index `at` (the merged-away
-    /// supernode's) as `keep` with superedge bit `superedge`, sliding it
-    /// to keep's sorted position. The value moves unchanged: `y` has no
-    /// edge into `keep`, so the same edges in the same visit order make
-    /// up its sum.
-    fn relabel(&mut self, y: SuperId, at: usize, keep: SuperId, superedge: bool) {
-        let r = self.slots[y as usize].range();
-        let moved = Entry::new(keep, superedge, self.entries[at].val());
-        let to = if keep > self.entries[at].key() {
-            let to = at + self.entries[at + 1..r.end].partition_point(|e| e.key() < keep);
-            self.entries.copy_within(at + 1..to + 1, at);
-            to
-        } else {
-            let to = r.start + self.entries[r.start..at].partition_point(|e| e.key() < keep);
-            self.entries.copy_within(to..at, to + 1);
-            to
-        };
-        self.entries[to] = moved;
-    }
-
-    /// Deletes `y`'s entry at arena index `at`; the slot's tail becomes
-    /// a hole until the next compaction.
-    fn remove(&mut self, y: SuperId, at: usize) {
-        let end = self.slots[y as usize].range().end;
-        self.entries.copy_within(at + 1..end, at);
-        self.slots[y as usize].meta -= 1;
-    }
-
-    /// Installs the survivor `keep`'s new table `fresh` and frees the
-    /// old slots of `keep` and `dead`. The table goes over whichever old
-    /// slot fits it, else at the arena end (after giving back either old
-    /// slot that ends the arena), compacting first when the slack runs
-    /// out.
-    fn install(&mut self, keep: SuperId, dead: SuperId, fresh: &[Entry], live: LiveIter<'_>) {
-        let need = fresh.len();
-        let (k, d) = (keep as usize, dead as usize);
-        let old = [self.slots[k].range(), self.slots[d].range()];
-        self.slots[k] = Slot::default();
-        self.slots[d] = Slot::default();
-        let at = match old.iter().find(|r| need <= r.len()) {
-            Some(r) => r.start,
-            None => {
-                let mut end = self.entries.len();
-                for _ in 0..2 {
-                    for r in &old {
-                        if r.end == end {
-                            end = r.start;
-                        }
-                    }
-                }
-                self.entries.truncate(end);
-                if end + need > self.entries.capacity() {
-                    self.compact(live);
-                }
-                debug_assert!(self.entries.len() + need <= self.entries.capacity());
-                self.entries.len()
-            }
-        };
-        if at + need > self.entries.len() {
-            self.entries.resize(at + need, Entry::default());
+        debug_assert!(self.entries.len() + need <= self.entries.capacity());
+        let base = self.entries.len();
+        self.entries.resize(base + need, Entry::default());
+        let mut at = base;
+        for &(s, size) in windows {
+            self.slots[s as usize] = Slot::new(at, size);
+            at += size;
         }
-        self.entries[at..at + need].copy_from_slice(fresh);
-        self.slots[k] = Slot::new(at, need);
+        base
     }
 
     /// Slides every live table down in arena order, dropping holes and
@@ -888,18 +842,147 @@ pub struct WorkingSummary<'a> {
     /// Per-supernode neighbor tables; a self-loop is the entry keyed by
     /// the supernode's own id.
     tables: NeighborTables,
-    /// The survivor's new table, a buffer reused across merges.
-    fresh: Vec<Entry>,
     /// Number of live supernodes `|S|`.
     live: usize,
     /// Number of superedges `|P|` (self-loops count once).
     num_superedges: usize,
-    /// Persistent live-id list, maintained in O(1) by `merge`.
+    /// Persistent live-id list, maintained in O(1) per merge by `commit`.
     live_list: LiveList,
     /// Persistent min-hash signature lanes; attached by the incremental
     /// candidate generator ([`crate::shingle::attach_signatures`]) and
-    /// repaired lane-wise at every commit-phase merge.
+    /// repaired lane-wise at every commit.
     sigs: Option<SigBank>,
+    /// Per-id marks of [`WorkingSummary::commit`]. Between commits every
+    /// live id is [`mark::UNTOUCHED`]; ids merged away in this run stay
+    /// [`mark::DEAD`].
+    marks: Vec<u32>,
+}
+
+/// What [`WorkingSummary::commit`] records per supernode id in `marks`.
+mod mark {
+    /// Live, and not named by any merge of the commit in progress.
+    pub(super) const UNTOUCHED: u32 = 0;
+    /// Merged away (kept for good: dead ids are never named again). Its
+    /// final survivor is `node_super[id]`, since every supernode
+    /// contains its own id.
+    pub(super) const DEAD: u32 = u32::MAX;
+    /// Untouched, with a table that names a merged supernode (pass 3):
+    /// the mark is `QUEUED` plus the table's index among those tables.
+    pub(super) const QUEUED: u32 = 1 << 31;
+
+    /// A survivor of the commit: the mark is one plus the batch index of
+    /// the last merge it absorbed (during pass 1, one plus its index in
+    /// its log's part list).
+    #[inline]
+    pub(super) fn is_survivor(m: u32) -> bool {
+        m != UNTOUCHED && m < QUEUED
+    }
+
+    /// The pass-3 index of a queued untouched table.
+    #[inline]
+    pub(super) fn queued(m: u32) -> Option<usize> {
+        (QUEUED..DEAD).contains(&m).then(|| (m - QUEUED) as usize)
+    }
+}
+
+/// `log2` of a live supernode count (0 when ≤ 1 remain).
+#[inline]
+fn log2_live(live: usize) -> f64 {
+    if live <= 1 {
+        0.0
+    } else {
+        (live as f64).log2()
+    }
+}
+
+/// Survivors or tables per work run of the commit's table passes: the
+/// heartbeat granularity, small enough that a heavy head of survivors
+/// still spreads over every worker.
+const COMMIT_RUN: usize = 64;
+
+/// One supernode a merge log names, as pass 1 of
+/// [`WorkingSummary::commit`] evolves it.
+struct Part {
+    id: SuperId,
+    /// 0 until the part survives a merge, then one plus the batch index
+    /// of its last merge; [`mark::DEAD`] once merged away.
+    last: u32,
+    /// Member count before the commit: only later members change
+    /// supernode.
+    orig: u32,
+    /// Old table lengths of every part folded into this one: an upper
+    /// bound on the survivor's new table.
+    cap: u32,
+    /// Member list, taken out of the summary for the pass.
+    members: Vec<NodeId>,
+    wsum: f64,
+    sqsum: f64,
+}
+
+/// One non-empty merge log's share of a batched commit (pass 1).
+struct GroupCommit<'l> {
+    log: &'l [(SuperId, SuperId)],
+    /// Batch index of the log's first merge.
+    first: usize,
+    /// The supernodes the log names, in first-appearance order.
+    parts: Vec<Part>,
+    /// Superedges incident to the parts before the commit, each counted
+    /// once.
+    dropped: usize,
+}
+
+/// A survivor's new table window (pass 2).
+struct Rebuild<'t> {
+    id: SuperId,
+    table: &'t mut [Entry],
+    /// Entries written.
+    len: usize,
+    /// Superedges this side decided to keep.
+    added: usize,
+    /// Entries whose bit the other side decides (it merged later).
+    deferred: usize,
+}
+
+/// A run of untouched tables that name merged supernodes (pass 3): the
+/// arena region from the first table's start to the last one's end,
+/// and the tables' [`Queued`] records.
+struct RelabelRun<'t> {
+    tables: &'t mut [Queued],
+    /// The [`Columns`] column of `tables[0]`.
+    first: usize,
+    region: &'t mut [Entry],
+    /// Arena index of `region[0]`.
+    start: usize,
+}
+
+/// An untouched table that names a merged supernode (pass 3): its arena
+/// start, its id, and the number of survivors it neighbors — which pass
+/// 3 overwrites with the table's new length, or'd with [`STALE`] when
+/// keys collapsed.
+type Queued = (u32, SuperId, u32);
+
+/// The superedge bits pass 3 hands out (the transpose of the survivors'
+/// decisions): column `c` holds, in ascending order of the deciding
+/// survivor's id, the bits one table takes from the survivors that
+/// decide its pairs — columns `0..S` for the survivors (their pairs with
+/// survivors that merged later), then one per queued untouched table.
+struct Columns {
+    /// One past each column's last bit; column `c` starts where `c - 1`
+    /// ends.
+    end: Vec<u32>,
+    bits: Vec<u64>,
+}
+
+impl Columns {
+    fn range(&self, c: usize) -> Range<usize> {
+        let start = if c == 0 { 0 } else { self.end[c - 1] as usize };
+        start..self.end[c] as usize
+    }
+
+    #[inline]
+    fn bit(&self, k: usize) -> bool {
+        (self.bits[k >> 6] >> (k & 63)) & 1 != 0
+    }
 }
 
 impl<'a> WorkingSummary<'a> {
@@ -934,11 +1017,11 @@ impl<'a> WorkingSummary<'a> {
             wsum,
             sqsum,
             tables,
-            fresh: Vec::new(),
             live: n,
             num_superedges: g.num_edges(),
             live_list: LiveList::new(n, |_| true),
             sigs: None,
+            marks: vec![mark::UNTOUCHED; n],
         }
     }
 
@@ -949,7 +1032,7 @@ impl<'a> WorkingSummary<'a> {
     /// tables are rebuilt by a fresh member-edge scan — exactly the
     /// values the live run's tables hold once refreshed — so the
     /// resulting state is indistinguishable from the one
-    /// [`WorkingSummary::merge`] built live: the checkpoint/resume
+    /// [`WorkingSummary::commit`] built live: the checkpoint/resume
     /// byte-identity contract (DESIGN.md §10).
     ///
     /// # Errors
@@ -999,11 +1082,11 @@ impl<'a> WorkingSummary<'a> {
             wsum,
             sqsum,
             tables: NeighborTables::default(),
-            fresh: Vec::new(),
             live,
             num_superedges: 0,
             live_list,
             sigs: None,
+            marks: vec![mark::UNTOUCHED; n],
         };
         let mut tables = NeighborTables::with_capacity(n, 2 * g.num_edges());
         let mut scratch = Scratch::default();
@@ -1081,11 +1164,7 @@ impl<'a> WorkingSummary<'a> {
     /// `log2 |S|` (0 when a single supernode remains).
     #[inline]
     pub fn log_s(&self) -> f64 {
-        if self.live <= 1 {
-            0.0
-        } else {
-            (self.live as f64).log2()
-        }
+        log2_live(self.live)
     }
 
     /// Current size in bits per Eq. (3).
@@ -1111,7 +1190,7 @@ impl<'a> WorkingSummary<'a> {
     }
 
     /// Ascending iterator over the live supernode ids, backed by the
-    /// persistent live list `merge` maintains in O(1) per commit.
+    /// persistent live list a commit maintains in O(1) per merge.
     pub fn live_iter(&self) -> LiveIter<'_> {
         self.live_list.iter()
     }
@@ -1128,8 +1207,8 @@ impl<'a> WorkingSummary<'a> {
     /// Installs the persistent signature bank (`lanes` min-hash values
     /// per supernode, flat-indexed `s * lanes + k`). Built by
     /// [`crate::shingle::attach_signatures`]; from here on every
-    /// [`WorkingSummary::merge`] repairs the survivor lane-wise in
-    /// `O(lanes)`.
+    /// [`WorkingSummary::commit`] repairs each survivor lane-wise in
+    /// `O(lanes)` per merge.
     pub(crate) fn set_signature_bank(&mut self, lanes: usize, data: Vec<u64>) {
         debug_assert_eq!(data.len(), self.g.num_nodes() * lanes);
         self.sigs = Some(SigBank { lanes, data });
@@ -1254,134 +1333,519 @@ impl<'a> WorkingSummary<'a> {
         eval_merge_view(self, a, b, scratch)
     }
 
-    /// Merges supernodes `a` and `b` (Alg. 2 lines 6–9): removes all
-    /// superedges incident to either, unions the member sets (smaller
-    /// into larger, so total relabeling work is `O(n log n)` across a
-    /// run), and selectively re-adds superedges incident to `A ∪ B` so
-    /// that `Cost_{A∪B}` (Eq. 9) is minimized. Returns the id of the
-    /// merged supernode (the survivor's id is reused).
+    /// Merges supernodes `a` and `b` (Alg. 2 lines 6–9) and returns the
+    /// id of the merged supernode (the larger side's id is reused) — the
+    /// one-log, one-merge case of [`WorkingSummary::commit`].
     ///
-    /// Every neighbor table stays exact in keys and superedge bits; the
-    /// survivor's table is the re-addition pass itself, and a neighbor
-    /// holding both endpoints is marked stale ([`NeighborTables`]).
-    pub fn merge(&mut self, a: SuperId, b: SuperId, scratch: &mut Scratch) -> SuperId {
-        assert!(
-            a != b && self.is_live(a) && self.is_live(b),
-            "merge needs two live supernodes"
-        );
-        // Weighted union: keep the larger side's id.
-        // pgs-allow: PGS004 liveness asserted at entry
-        let size_a = self.members[a as usize].as_ref().unwrap().len();
-        // pgs-allow: PGS004 liveness asserted at entry
-        let size_b = self.members[b as usize].as_ref().unwrap().len();
-        let (keep, dead) = if size_a >= size_b { (a, b) } else { (b, a) };
-
-        // Union member sets and aggregates.
-        // pgs-allow: PGS004 liveness asserted at entry
-        let dead_members = self.members[dead as usize].take().expect("dead side live");
-        {
-            let keep_members = self.members[keep as usize]
-                .as_mut()
-                // pgs-allow: PGS004 liveness asserted at entry
-                .expect("keep side live");
-            for &u in &dead_members {
-                self.node_super[u as usize] = keep;
-            }
-            keep_members.extend_from_slice(&dead_members);
-        }
-        self.wsum[keep as usize] += self.wsum[dead as usize];
-        self.sqsum[keep as usize] += self.sqsum[dead as usize];
-        self.live -= 1;
-        self.live_list.remove(dead);
-        if let Some(bank) = &mut self.sigs {
-            bank.fold_into(keep, dead);
-        }
-
-        // Selective superedge addition (Alg. 2 line 9): re-scan the merged
-        // supernode's incident input edges and keep exactly the
-        // cost-reducing superedges. The scan's sums are the survivor's new
-        // table values.
-        scratch.begin(self.g.num_nodes());
-        accumulate_edge_weights_view(self, keep, &mut scratch.a, scratch.epoch);
-        scratch.a.sort_touched();
-        let log_s = self.log_s();
-        let mut fresh = std::mem::take(&mut self.fresh);
-        fresh.clear();
-        let mut added = 0usize;
-        for &x in &scratch.a.touched {
-            let e_raw = scratch.a.val[x as usize];
-            let (tot, e) = if x == keep {
-                (tot_within_view(self, keep), e_raw / 2.0)
-            } else {
-                (tot_between_view(self, keep, x), e_raw)
-            };
-            let (_, add) = best_pair_cost(tot, e, log_s, &self.params);
-            fresh.push(Entry::new(x, add, e_raw));
-            added += usize::from(add);
-        }
-        // Every superedge incident to either endpoint is dropped (Alg. 2
-        // line 8); `{keep, dead}` sits in both tables but counts once.
-        let dropped = self.tables.superedges(keep) + self.tables.superedges(dead)
-            - usize::from(self.has_superedge(keep, dead));
-        self.num_superedges = self.num_superedges - dropped + added;
-        self.repoint_neighbors(keep, dead, &fresh);
-        self.tables
-            .install(keep, dead, &fresh, self.live_list.iter());
-        self.fresh = fresh;
-        keep
+    /// # Panics
+    /// Panics unless `a` and `b` are two distinct live supernodes.
+    pub fn merge(&mut self, a: SuperId, b: SuperId) -> SuperId {
+        self.commit([&[(a, b)][..]], &Exec::serial(), || {});
+        self.node_super[a as usize]
     }
 
-    /// Brings every neighbor table that names `keep` or `dead` in line
-    /// with the survivor's new table `fresh`, walking it alongside the
-    /// two old tables (all ascending by key). A neighbor `y` holding only
-    /// keep takes the new superedge bit; one holding only dead has that
-    /// entry relabeled to keep, value bits unchanged (`y` has no edge
-    /// into keep, so the same edges in the same visit order make up its
-    /// sum); one holding both drops its dead entry and is marked stale.
-    fn repoint_neighbors(&mut self, keep: SuperId, dead: SuperId, fresh: &[Entry]) {
-        let t = &mut self.tables;
-        let (kr, dr) = (
-            t.slots[keep as usize].range(),
-            t.slots[dead as usize].range(),
-        );
-        let (mut i, mut j) = (kr.start, dr.start);
-        for e in fresh {
-            let (y, bit) = (e.key(), e.superedge());
-            if y == keep {
+    /// Commits a batch of merge logs, bit for bit as if every log were
+    /// applied one merge at a time, log after log (DESIGN.md §7).
+    ///
+    /// Each merge is Alg. 2 lines 6–9: drop every superedge incident to
+    /// either side, union the member sets (keeping the larger side's id,
+    /// so total relabeling work is `O(n log n)` across a run), and
+    /// re-add exactly the superedges incident to the union that minimize
+    /// `Cost_{A∪B}` (Eq. 9). The logs name disjoint supernodes and are all
+    /// known up front, so the batch needs no replay. It runs three passes
+    /// through `exec`:
+    ///
+    /// 1. **Per log:** the unions in log order — keep/dead by member
+    ///    count, member lists, `Σ ŵ`/`Σ ŵ²` — and each survivor's last
+    ///    merge, whose position in the batch fixes the `log2|S|` that
+    ///    merge priced with. Signature lanes and `node_super` follow.
+    /// 2. **Per survivor:** one scan of its final member list writes its
+    ///    new table, keys and values exact. A pair's superedge bit is
+    ///    priced by whichever side merged last, from that side's scan at
+    ///    its last merge's `log2|S|` (later merges of other supernodes
+    ///    never touch the pair); a survivor always decides its pairs with
+    ///    untouched supernodes.
+    /// 3. **Per receiving table:** a serial transpose lays every decided
+    ///    bit out for the other side of its pair. Each survivor then takes
+    ///    the bits of the pairs it left to a later side, and each
+    ///    untouched table naming a merged supernode relabels those keys
+    ///    to their survivors and takes their bits; values move unchanged.
+    ///    Two keys collapsing onto one survivor leave one entry and mark
+    ///    the table stale.
+    ///
+    /// `beat` is called once per log and once per run of survivors or
+    /// tables, so a liveness watchdog sees the commit progress.
+    ///
+    /// # Panics
+    /// Panics if a merge names a supernode that is not live at that point
+    /// of its log, or if two logs name the same supernode.
+    pub fn commit<'l>(
+        &mut self,
+        logs: impl IntoIterator<Item = &'l [(SuperId, SuperId)]>,
+        exec: &Exec,
+        beat: impl Fn() + Sync,
+    ) {
+        let live_start = self.live;
+        let mut groups = self.take_parts(logs, &beat);
+        let this = &*self;
+        exec.for_each_run(&mut groups, 1, |run| {
+            for group in run {
+                beat();
+                this.union_group(group);
+            }
+        });
+        let (survivors, dropped) = self.apply_unions(groups);
+        let (added, base, deferred) = self.rebuild_survivors(&survivors, live_start, exec, &beat);
+        self.settle_bits(&survivors, &deferred, base, exec, &beat);
+        self.num_superedges = self.num_superedges - dropped + added;
+        for &(x, _) in &survivors {
+            self.marks[x as usize] = mark::UNTOUCHED;
+        }
+    }
+
+    /// Pass 1 set-up: moves every supernode a non-empty log names, with
+    /// its member list, into that log's part list and marks it with its
+    /// position there. An empty log commits nothing and just beats.
+    fn take_parts<'l>(
+        &mut self,
+        logs: impl IntoIterator<Item = &'l [(SuperId, SuperId)]>,
+        beat: &impl Fn(),
+    ) -> Vec<GroupCommit<'l>> {
+        let mut groups = Vec::new();
+        let mut first = 0;
+        for log in logs {
+            if log.is_empty() {
+                beat();
                 continue;
             }
-            while i < kr.end && t.entries[i].key() < y {
-                i += 1;
-            }
-            while j < dr.end && t.entries[j].key() < y {
-                j += 1;
-            }
-            let old_bit = (i < kr.end && t.entries[i].key() == y).then(|| t.entries[i].superedge());
-            let in_dead = j < dr.end && t.entries[j].key() == y;
-            // Tables are symmetric in their keys, so every lookup hits.
-            match (old_bit, in_dead) {
-                (Some(old), false) if old == bit => {}
-                (Some(_), false) => {
-                    if let Some(at) = t.find(y, keep) {
-                        t.entries[at].set_superedge(bit);
+            let mut parts: Vec<Part> = Vec::new();
+            for &(a, b) in log {
+                assert!(a != b, "merge needs two live supernodes");
+                for s in [a, b] {
+                    let i = s as usize;
+                    match self.marks.get(i).copied() {
+                        Some(mark::UNTOUCHED) => {}
+                        Some(m) if m != mark::DEAD => {
+                            assert!(
+                                parts.get(m as usize - 1).is_some_and(|p| p.id == s),
+                                "merge logs must name disjoint supernodes"
+                            );
+                            continue;
+                        }
+                        _ => {}
                     }
+                    assert!(self.is_live(s), "merge needs two live supernodes");
+                    let members = self.members[i].take().unwrap_or_default();
+                    parts.push(Part {
+                        id: s,
+                        last: 0,
+                        orig: members.len() as u32,
+                        cap: self.tables.slots[i].len() as u32,
+                        members,
+                        wsum: self.wsum[i],
+                        sqsum: self.sqsum[i],
+                    });
+                    self.marks[i] = parts.len() as u32;
                 }
-                (None, _) => {
-                    if let Some(at) = t.find(y, dead) {
-                        t.relabel(y, at, keep, bit);
-                    }
+            }
+            groups.push(GroupCommit {
+                log,
+                first,
+                parts,
+                dropped: 0,
+            });
+            first += log.len();
+        }
+        groups
+    }
+
+    /// Pass 1 for one log: replays its unions in order on the parts
+    /// taken out of the summary, then counts the superedges the old
+    /// tables hold incident to any part (a pair between two named
+    /// supernodes once, at its smaller id).
+    fn union_group(&self, group: &mut GroupCommit<'_>) {
+        let GroupCommit {
+            log,
+            first,
+            parts,
+            dropped,
+        } = group;
+        for (k, &(a, b)) in log.iter().enumerate() {
+            let ia = self.marks[a as usize] as usize - 1;
+            let ib = self.marks[b as usize] as usize - 1;
+            assert!(
+                parts[ia].last != mark::DEAD && parts[ib].last != mark::DEAD,
+                "merge needs two live supernodes"
+            );
+            let (keep, dead) = if parts[ia].members.len() >= parts[ib].members.len() {
+                (ia, ib)
+            } else {
+                (ib, ia)
+            };
+            let moved = std::mem::take(&mut parts[dead].members);
+            let (wsum, sqsum, cap) = (parts[dead].wsum, parts[dead].sqsum, parts[dead].cap);
+            parts[dead].last = mark::DEAD;
+            let kept = &mut parts[keep];
+            kept.members.extend_from_slice(&moved);
+            kept.wsum += wsum;
+            kept.sqsum += sqsum;
+            kept.cap += cap;
+            kept.last = (*first + k + 1) as u32;
+        }
+        *dropped = parts
+            .iter()
+            .map(|p| {
+                self.tables
+                    .table(p.id)
+                    .iter()
+                    .filter(|e| {
+                        e.superedge()
+                            && (e.key() >= p.id || self.marks[e.key() as usize] == mark::UNTOUCHED)
+                    })
+                    .count()
+            })
+            .sum();
+    }
+
+    /// Writes pass 1 back: survivors get their member lists and weight
+    /// sums, their new members' `node_super`, and their last merge as
+    /// their mark; merged-away supernodes fold their signatures into
+    /// their survivors and leave the live list. Every named supernode's
+    /// old table is freed. Returns the survivors, in log order, with
+    /// their new tables' size bounds, and the superedges dropped.
+    fn apply_unions(&mut self, groups: Vec<GroupCommit<'_>>) -> (Vec<(SuperId, usize)>, usize) {
+        let mut survivors = Vec::new();
+        let mut dropped = 0;
+        for mut group in groups {
+            dropped += group.dropped;
+            for part in group.parts.iter_mut().filter(|p| p.last != mark::DEAD) {
+                let s = part.id as usize;
+                debug_assert!(mark::is_survivor(part.last), "a named supernode merges");
+                for &u in &part.members[part.orig as usize..] {
+                    self.node_super[u as usize] = part.id;
                 }
-                (Some(_), true) => {
-                    if let Some(at) = t.find(y, dead) {
-                        t.remove(y, at);
-                    }
-                    t.mark_stale(y);
-                    if let Some(at) = t.find(y, keep) {
-                        t.entries[at].set_superedge(bit);
-                    }
+                self.members[s] = Some(std::mem::take(&mut part.members));
+                self.wsum[s] = part.wsum;
+                self.sqsum[s] = part.sqsum;
+                self.marks[s] = part.last;
+                self.tables.slots[s] = Slot::default();
+                survivors.push((part.id, part.cap as usize));
+            }
+            // `u64::min` is exact and order-free, so folding each dead
+            // part straight into its final survivor gives the lanes the
+            // one-merge-at-a-time folds give.
+            for part in group.parts.iter().filter(|p| p.last == mark::DEAD) {
+                let s = part.id as usize;
+                self.marks[s] = mark::DEAD;
+                self.tables.slots[s] = Slot::default();
+                self.live -= 1;
+                self.live_list.remove(part.id);
+                if let Some(bank) = &mut self.sigs {
+                    bank.fold_into(self.node_super[s], part.id);
                 }
             }
         }
+        (survivors, dropped)
+    }
+
+    /// Pass 2: one scan per survivor writes its new table into a window
+    /// sized by its parts' old tables. Returns the superedges the
+    /// survivors re-added, the arena index their windows start at, and
+    /// per survivor the number of pairs it left to a later side.
+    fn rebuild_survivors(
+        &mut self,
+        survivors: &[(SuperId, usize)],
+        live_start: usize,
+        exec: &Exec,
+        beat: &(impl Fn() + Sync),
+    ) -> (usize, usize, Vec<u32>) {
+        let base = self.tables.append_windows(survivors, self.live_list.iter());
+        // The tables move out so the scans can read the rest of `self`
+        // while the workers write disjoint windows of the arena.
+        let mut tables = std::mem::take(&mut self.tables);
+        let NeighborTables { entries, slots, .. } = &mut tables;
+        let mut windows = Vec::with_capacity(survivors.len());
+        let mut rest = &mut entries[base..];
+        for &(id, cap) in survivors {
+            let (table, tail) = std::mem::take(&mut rest).split_at_mut(cap);
+            windows.push(Rebuild {
+                id,
+                table,
+                len: 0,
+                added: 0,
+                deferred: 0,
+            });
+            rest = tail;
+        }
+        let this = &*self;
+        exec.for_each_run(&mut windows, COMMIT_RUN, |run| {
+            beat();
+            for w in run {
+                this.rebuild_table(w, live_start);
+            }
+        });
+        let mut added = 0;
+        let deferred = windows
+            .iter()
+            .map(|w| {
+                slots[w.id as usize].truncate(w.len);
+                added += w.added;
+                w.deferred as u32
+            })
+            .collect();
+        drop(windows);
+        self.tables = tables;
+        (added, base, deferred)
+    }
+
+    /// Pass 2 for one survivor `w.id`: scans its final member list into
+    /// its window — sorted keys, values in member-edge visit order — and
+    /// prices each pair it decides at its last merge's `log2|S|`. A pair
+    /// with a survivor that merged later is left to that side (bit unset
+    /// until pass 3).
+    fn rebuild_table(&self, w: &mut Rebuild<'_>, live_start: usize) {
+        let x = w.id;
+        let last = self.marks[x as usize];
+        let log_s = log2_live(live_start - last as usize);
+        with_thread_scratch(|scratch| {
+            scratch.begin(self.g.num_nodes());
+            accumulate_edge_weights_view(self, x, &mut scratch.a, scratch.epoch);
+            scratch.a.sort_touched();
+            let lane = &scratch.a;
+            w.len = lane.touched.len();
+            for (i, &y) in lane.touched.iter().enumerate() {
+                let e_raw = lane.val[y as usize];
+                let m = self.marks[y as usize];
+                let bit = if mark::is_survivor(m) && m > last {
+                    w.deferred += 1;
+                    false
+                } else {
+                    let (tot, e) = if y == x {
+                        (tot_within_view(self, x), e_raw / 2.0)
+                    } else {
+                        (tot_between_view(self, x, y), e_raw)
+                    };
+                    best_pair_cost(tot, e, log_s, &self.params).1
+                };
+                w.added += usize::from(bit);
+                w.table[i] = Entry::new(y, bit, e_raw);
+            }
+        });
+    }
+
+    /// Pass 3: hands every bit a survivor decided to the other side of
+    /// its pair. A serial transpose of the survivors' tables lays the
+    /// bits out per receiving table ([`Columns`]); then, in parallel over
+    /// disjoint arena windows, each survivor fills the pairs it left to a
+    /// later side, and each untouched table that names a merged
+    /// supernode relabels those keys to their survivors and takes their
+    /// bits. `base` is where pass 2 appended the survivors' tables, so
+    /// every untouched table lies below it.
+    fn settle_bits(
+        &mut self,
+        survivors: &[(SuperId, usize)],
+        deferred: &[u32],
+        base: usize,
+        exec: &Exec,
+        beat: &(impl Fn() + Sync),
+    ) {
+        let mut queued = self.queue_untouched(survivors);
+        let columns = self.transpose_bits(survivors, deferred, &queued);
+        let mut tables = std::mem::take(&mut self.tables);
+        let NeighborTables {
+            entries,
+            slots,
+            stale_ids,
+        } = &mut tables;
+        let (lower, upper) = entries.split_at_mut(base);
+
+        let mut later = Vec::new();
+        let (mut rest, mut at) = (upper, base);
+        for (c, (&(x, _), &d)) in survivors.iter().zip(deferred).enumerate() {
+            if d > 0 {
+                let r = slots[x as usize].range();
+                let (table, tail) = std::mem::take(&mut rest)[r.start - at..].split_at_mut(r.len());
+                later.push((x, c, table));
+                (rest, at) = (tail, r.end);
+            }
+        }
+        let mut runs = Vec::with_capacity(queued.len().div_ceil(COMMIT_RUN));
+        let (mut rest, mut at) = (lower, 0);
+        for (i, run) in queued.chunks_mut(COMMIT_RUN).enumerate() {
+            let start = run[0].0 as usize;
+            let end = slots[run[run.len() - 1].1 as usize].range().end;
+            let (region, tail) = std::mem::take(&mut rest)[start - at..].split_at_mut(end - start);
+            runs.push(RelabelRun {
+                tables: run,
+                first: survivors.len() + i * COMMIT_RUN,
+                region,
+                start,
+            });
+            (rest, at) = (tail, end);
+        }
+
+        let (this, slots_read, columns) = (&*self, &*slots, &columns);
+        exec.for_each_run(&mut later, COMMIT_RUN, |run| {
+            beat();
+            for (x, c, table) in run {
+                this.fill_later_bits(*x, table, columns.range(*c), columns);
+            }
+        });
+        exec.for_each_run(&mut runs, 1, |runs| {
+            for run in runs {
+                beat();
+                for (i, (_, y, out)) in run.tables.iter_mut().enumerate() {
+                    let r = slots_read[*y as usize].range();
+                    let table = &mut run.region[r.start - run.start..r.end - run.start];
+                    *out = this.relabel_table(table, columns.range(run.first + i), columns);
+                }
+            }
+        });
+        drop((later, runs));
+        for &(_, y, out) in &queued {
+            let slot = &mut slots[y as usize];
+            slot.truncate((out & !STALE) as usize);
+            if out & STALE != 0 && !slot.stale() {
+                slot.meta |= STALE;
+                stale_ids.push(y);
+            }
+            self.marks[y as usize] = mark::UNTOUCHED;
+        }
+        self.tables = tables;
+    }
+
+    /// Pass 3 set-up: the untouched tables that name a merged supernode
+    /// are exactly the untouched keys of the survivors' new tables. They
+    /// come back in arena order, each marked with its index there and
+    /// paired with the number of survivors it neighbors.
+    fn queue_untouched(&mut self, survivors: &[(SuperId, usize)]) -> Vec<Queued> {
+        let mut queued: Vec<Queued> = Vec::new();
+        for &(x, _) in survivors {
+            for e in self.tables.table(x) {
+                let y = e.key() as usize;
+                let q = match mark::queued(self.marks[y]) {
+                    Some(q) => q,
+                    None if self.marks[y] == mark::UNTOUCHED => {
+                        self.marks[y] = mark::QUEUED + queued.len() as u32;
+                        queued.push((self.tables.slots[y].start, e.key(), 0));
+                        queued.len() - 1
+                    }
+                    None => continue,
+                };
+                queued[q].2 += 1;
+            }
+        }
+        queued.sort_unstable_by_key(|&(start, ..)| start);
+        for (q, &(_, y, _)) in queued.iter().enumerate() {
+            self.marks[y as usize] = mark::QUEUED + q as u32;
+        }
+        queued
+    }
+
+    /// The serial transpose of pass 3: walks the survivors' tables in
+    /// ascending id order and appends each bit a survivor decided for a
+    /// pair whose other side is a queued table or an earlier survivor to
+    /// that side's column — so every column lists its bits in ascending
+    /// order of the deciding survivor, which is the order of the keys
+    /// that receive them.
+    fn transpose_bits(
+        &self,
+        survivors: &[(SuperId, usize)],
+        deferred: &[u32],
+        queued: &[Queued],
+    ) -> Columns {
+        let mut end = Vec::with_capacity(survivors.len() + queued.len());
+        let mut total = 0;
+        for &count in deferred
+            .iter()
+            .chain(queued.iter().map(|(.., count)| count))
+        {
+            end.push(total);
+            total += count;
+        }
+        let mut bits = vec![0u64; (total as usize).div_ceil(64)];
+        let last = |x: SuperId| self.marks[x as usize];
+        let merges = survivors.iter().map(|&(x, _)| last(x)).max().unwrap_or(0);
+        let mut column_of = vec![0u32; merges as usize + 1];
+        for (c, &(x, _)) in survivors.iter().enumerate() {
+            column_of[last(x) as usize] = c as u32;
+        }
+        let mut order: Vec<SuperId> = survivors.iter().map(|&(x, _)| x).collect();
+        order.sort_unstable();
+        for x in order {
+            for e in self.tables.table(x) {
+                let m = self.marks[e.key() as usize];
+                let c = match mark::queued(m) {
+                    Some(q) => survivors.len() + q,
+                    None if mark::is_survivor(m) && m < last(x) => column_of[m as usize] as usize,
+                    None => continue,
+                };
+                let k = end[c] as usize;
+                bits[k >> 6] |= u64::from(e.superedge()) << (k & 63);
+                end[c] += 1;
+            }
+        }
+        Columns { end, bits }
+    }
+
+    /// Pass 3 for one survivor `x`: sets the bits of the pairs it left
+    /// to a later side, in key order, from its column `bits`.
+    fn fill_later_bits(
+        &self,
+        x: SuperId,
+        table: &mut [Entry],
+        bits: Range<usize>,
+        columns: &Columns,
+    ) {
+        let last = self.marks[x as usize];
+        let mut k = bits.start;
+        for e in table.iter_mut() {
+            let m = self.marks[e.key() as usize];
+            if mark::is_survivor(m) && m > last {
+                e.set_superedge(columns.bit(k));
+                k += 1;
+            }
+        }
+        debug_assert_eq!(k, bits.end);
+    }
+
+    /// Pass 3 for one untouched table: each key naming a merged-away
+    /// supernode becomes its survivor, and the survivors' keys take the
+    /// bits of column `bits` in key order. A value moves unchanged — the
+    /// same edges in the same visit order make up its sum — unless two
+    /// keys collapse onto one survivor: then one entry stays and the
+    /// table goes stale. Returns the new length, or'd with [`STALE`] on a
+    /// collapse.
+    fn relabel_table(&self, table: &mut [Entry], bits: Range<usize>, columns: &Columns) -> u32 {
+        let mut relabeled = false;
+        for e in table.iter_mut() {
+            if self.marks[e.key() as usize] == mark::DEAD {
+                *e = Entry::new(self.node_super[e.key() as usize], false, e.val());
+                relabeled = true;
+            }
+        }
+        let mut len = table.len();
+        if relabeled {
+            if !table.is_sorted_by_key(|e| e.key()) {
+                table.sort_unstable_by_key(|e| e.key());
+            }
+            len = 1;
+            for i in 1..table.len() {
+                if table[len - 1].key() != table[i].key() {
+                    table[len] = table[i];
+                    len += 1;
+                }
+            }
+        }
+        let mut k = bits.start;
+        for e in &mut table[..len] {
+            if mark::is_survivor(self.marks[e.key() as usize]) {
+                e.set_superedge(columns.bit(k));
+                k += 1;
+            }
+        }
+        debug_assert_eq!(k, bits.end);
+        len as u32 | if len < table.len() { STALE } else { 0 }
     }
 
     /// Drops the superedge `{a, b}` if present (used by sparsification,
@@ -1906,8 +2370,8 @@ impl<'w, 'a> GroupView<'w, 'a> {
     /// sets keeping the larger side's id, selectively re-add
     /// cost-reducing superedges). Returns the surviving id.
     ///
-    /// Replaying the same `(a, b)` sequence through
-    /// [`WorkingSummary::merge`] performs the identical unions: the
+    /// Committing the same `(a, b)` log through
+    /// [`WorkingSummary::commit`] performs the identical unions: the
     /// keep/dead choice depends only on member counts, which evolve the
     /// same way in both (the overlay starts from the snapshot and other
     /// groups never touch this group's supernodes).
@@ -2080,8 +2544,8 @@ impl SummaryView for GroupView<'_, '_> {
 /// during the parallel evaluate phase.
 #[derive(Clone, Debug, Default)]
 pub struct GroupOutcome {
-    /// Accepted merges in simulation order; replay through
-    /// [`WorkingSummary::merge`] in this order to commit.
+    /// Accepted merges in simulation order, the log
+    /// [`WorkingSummary::commit`] applies.
     pub merges: Vec<(SuperId, SuperId)>,
     /// Best-of-attempt reductions that failed the threshold (the group's
     /// contribution to the list `L` of Sect. III-E).
@@ -2224,21 +2688,20 @@ pub fn evaluate_group_with(
 
 /// Evaluates one group and immediately commits its merge log — the
 /// serial convenience form of the evaluate/commit pair (one Alg.-2
-/// round), refreshing stale tables first. Returns the outcome so callers
-/// can inspect the rejection samples.
+/// round, the one-log case of [`WorkingSummary::commit`]), refreshing
+/// stale tables first. Returns the outcome so callers can inspect the
+/// rejection samples.
 pub fn merge_group(
     ws: &mut WorkingSummary<'_>,
     group: &[SuperId],
     theta: f64,
     seed: u64,
     use_absolute_cost: bool,
-    scratch: &mut Scratch,
 ) -> GroupOutcome {
-    ws.refresh_stale(&Exec::serial());
+    let serial = Exec::serial();
+    ws.refresh_stale(&serial);
     let outcome = evaluate_group(ws, group, theta, seed, use_absolute_cost);
-    for &(a, b) in &outcome.merges {
-        ws.merge(a, b, scratch);
-    }
+    ws.commit([outcome.merges.as_slice()], &serial, || {});
     outcome
 }
 
@@ -2307,7 +2770,7 @@ mod tests {
         let eval = ws.eval_merge(0, 1, &mut scratch);
         assert!(eval.delta > 0.0, "merging twins must reduce cost");
         assert!(eval.relative > 0.0 && eval.relative <= 1.0);
-        let c = ws.merge(0, 1, &mut scratch);
+        let c = ws.merge(0, 1);
         assert_eq!(ws.num_supernodes(), 3);
         assert!(ws.has_superedge(c, 2));
         assert!(ws.has_superedge(c, 3));
@@ -2323,8 +2786,7 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (0, 2), (1, 2)]);
         let (w, m) = uniform_ws(&g);
         let mut ws = WorkingSummary::new(&g, &w, m);
-        let mut scratch = Scratch::default();
-        let c = ws.merge(0, 1, &mut scratch);
+        let c = ws.merge(0, 1);
         assert!(
             ws.has_superedge(c, c),
             "intra edge should become a self-loop"
@@ -2337,9 +2799,8 @@ mod tests {
         let g = barabasi_albert(50, 2, 3);
         let (w, m) = uniform_ws(&g);
         let mut ws = WorkingSummary::new(&g, &w, m);
-        let mut scratch = Scratch::default();
-        let c1 = ws.merge(0, 1, &mut scratch);
-        let c2 = ws.merge(c1, 2, &mut scratch);
+        let c1 = ws.merge(0, 1);
+        let c2 = ws.merge(c1, 2);
         assert_eq!(ws.num_supernodes(), 48);
         let mut members = ws.members(c2).to_vec();
         members.sort_unstable();
@@ -2368,7 +2829,7 @@ mod tests {
         let mut scratch = Scratch::default();
         let before = brute_force_pair_costs(&ws);
         let eval = ws.eval_merge(0, 2, &mut scratch);
-        ws.merge(0, 2, &mut scratch);
+        ws.merge(0, 2);
         let after = brute_force_pair_costs(&ws);
         assert!(
             (eval.delta - (before - after)).abs() < 1e-9,
@@ -2401,8 +2862,8 @@ mod tests {
         let mut ws = WorkingSummary::new(&g, &w, m);
         let mut scratch = Scratch::default();
         // Multi-member supernodes make the spans non-trivial.
-        ws.merge(0, 1, &mut scratch);
-        ws.merge(2, 3, &mut scratch);
+        ws.merge(0, 1);
+        ws.merge(2, 3);
         ws.refresh_stale(&Exec::serial());
         let group: Vec<SuperId> = ws.live_ids().into_iter().take(20).collect();
         let mut view = GroupView::with_cache(&ws, &group);
@@ -2466,7 +2927,6 @@ mod tests {
         let g = barabasi_albert(60, 3, 9);
         let (w, m) = uniform_ws(&g);
         let mut ws = WorkingSummary::new(&g, &w, m);
-        let mut scratch = Scratch::default();
         let mut rng = StdRng::seed_from_u64(5);
         let mut live = ws.live_ids();
         for _ in 0..30 {
@@ -2476,7 +2936,7 @@ mod tests {
                 continue;
             }
             let (a, b) = (live[i], live[j]);
-            let kept = ws.merge(a, b, &mut scratch);
+            let kept = ws.merge(a, b);
             let dead = if kept == a { b } else { a };
             live.retain(|&s| s != dead);
             // Recount superedges from the neighbor tables.
@@ -2509,8 +2969,7 @@ mod tests {
         let g = graph_from_edges(4, &[(0, 2), (0, 3), (1, 2), (1, 3)]);
         let (w, m) = uniform_ws(&g);
         let mut ws = WorkingSummary::new(&g, &w, m);
-        let mut scratch = Scratch::default();
-        ws.merge(0, 1, &mut scratch);
+        ws.merge(0, 1);
         let merged_count = ws.num_superedges();
         let s = ws.into_summary();
         assert_eq!(s.num_supernodes(), 3);
@@ -2524,9 +2983,8 @@ mod tests {
         let g = barabasi_albert(80, 3, 4);
         let w = NodeWeights::uniform(g.num_nodes());
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
         let group: Vec<SuperId> = (0..40).collect();
-        let outcome = merge_group(&mut ws, &group, -f64::INFINITY, 0, false, &mut scratch);
+        let outcome = merge_group(&mut ws, &group, -f64::INFINITY, 0, false);
         // With threshold -inf every attempt merges: group collapses to one.
         assert_eq!(outcome.merges.len(), 39);
         assert_eq!(ws.num_supernodes(), 80 - 39);
@@ -2539,10 +2997,9 @@ mod tests {
         let g = barabasi_albert(80, 3, 4);
         let w = NodeWeights::uniform(g.num_nodes());
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
         let group: Vec<SuperId> = (0..40).collect();
         // Relative reduction can never reach 2.0.
-        let outcome = merge_group(&mut ws, &group, 2.0, 0, false, &mut scratch);
+        let outcome = merge_group(&mut ws, &group, 2.0, 0, false);
         assert_eq!(ws.num_supernodes(), 80, "nothing should merge");
         assert!(outcome.merges.is_empty());
         assert!(
@@ -2560,12 +3017,11 @@ mod tests {
         let g = barabasi_albert(120, 4, 8);
         let w = NodeWeights::uniform(g.num_nodes());
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
         let group: Vec<SuperId> = (10..60).collect();
         let outcome = evaluate_group(&ws, &group, 0.0, 7, false);
         assert!(!outcome.merges.is_empty(), "seed 7 should accept merges");
         for &(a, b) in &outcome.merges {
-            let kept = ws.merge(a, b, &mut scratch);
+            let kept = ws.merge(a, b);
             assert!(kept == a || kept == b);
         }
         assert_eq!(ws.num_supernodes(), 120 - outcome.merges.len());
@@ -2602,9 +3058,9 @@ mod tests {
         let (w, m) = uniform_ws(&g);
         let mut ws = WorkingSummary::new(&g, &w, m);
         let mut scratch = Scratch::default();
-        ws.merge(0, 1, &mut scratch);
-        ws.merge(2, 3, &mut scratch);
-        ws.merge(ws.supernode_of(0), 10, &mut scratch);
+        ws.merge(0, 1);
+        ws.merge(2, 3);
+        ws.merge(ws.supernode_of(0), 10);
 
         let live = ws.live_ids();
         let parts: Vec<(SuperId, f64, f64, Vec<NodeId>)> = live
@@ -2649,7 +3105,7 @@ mod tests {
 
     #[test]
     fn neighbor_tables_compact_within_their_allocation() {
-        // Survivor tables are appended into the reserved slack until it
+        // Survivor windows are appended into the reserved slack until it
         // runs out; the arena must then compact in place (never
         // reallocate) and every table must still match a fresh scan.
         let g = barabasi_albert(400, 3, 5);
@@ -2666,12 +3122,11 @@ mod tests {
             if a == b {
                 continue;
             }
-            let freed = ws.tables.slots[a as usize].len() + ws.tables.slots[b as usize].len();
             let before = ws.tables.entries.len();
-            ws.merge(a, b, &mut scratch);
-            // Only a compaction shrinks the arena by more than the two
-            // old slots it may give back from the tail.
-            compactions += usize::from(ws.tables.entries.len() + freed < before);
+            ws.merge(a, b);
+            // A commit appends the survivor's window; only a compaction
+            // shrinks the arena.
+            compactions += usize::from(ws.tables.entries.len() < before);
             assert_eq!(ws.tables.entries.capacity(), cap, "arena reallocated");
         }
         assert!(compactions > 0, "the slack never ran out");
@@ -2775,9 +3230,8 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
         let (w, m) = uniform_ws(&g);
         let mut ws = WorkingSummary::new(&g, &w, m);
-        let mut scratch = Scratch::default();
-        let kept = ws.merge(0, 1, &mut scratch);
+        let kept = ws.merge(0, 1);
         let dead = if kept == 0 { 1 } else { 0 };
-        let _ = ws.merge(dead, 2, &mut scratch);
+        let _ = ws.merge(dead, 2);
     }
 }

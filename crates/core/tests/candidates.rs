@@ -20,7 +20,7 @@ use pgs_core::exec::Exec;
 use pgs_core::shingle::attach_signatures;
 use pgs_core::ssumm::{ssumm_summarize, SsummConfig};
 use pgs_core::weights::NodeWeights;
-use pgs_core::working::{Scratch, WorkingSummary};
+use pgs_core::working::WorkingSummary;
 use pgs_core::{summarize, CheckpointSink, PegasusConfig, Summary};
 use pgs_graph::gen::{barabasi_albert, erdos_renyi, planted_partition};
 use pgs_graph::Graph;
@@ -60,7 +60,6 @@ proptest! {
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         let lanes = 8;
         attach_signatures(&mut ws, bank_seed, lanes, &Exec::serial());
-        let mut scratch = Scratch::default();
         for (ra, rb) in picks {
             if ws.num_supernodes() < 2 {
                 break;
@@ -69,7 +68,7 @@ proptest! {
             let a = live[ra as usize % live.len()];
             let b = live[rb as usize % live.len()];
             if a != b {
-                ws.merge(a, b, &mut scratch);
+                ws.merge(a, b);
             }
         }
         let maintained: Vec<(u32, Vec<u64>)> = ws

@@ -16,7 +16,7 @@ use pgs_core::checkpoint::{RunCheckpoint, ALGO_PEGASUS};
 use pgs_core::cost::CostModel;
 use pgs_core::pegasus::RunStats;
 use pgs_core::weights::NodeWeights;
-use pgs_core::working::{Scratch, WorkingSummary};
+use pgs_core::working::WorkingSummary;
 use std::sync::Arc;
 
 const NUM_NODES: usize = 40;
@@ -27,9 +27,8 @@ fn v3_blob() -> Vec<u8> {
     let g = pgs_graph::gen::barabasi_albert(NUM_NODES, 3, 7);
     let w = NodeWeights::uniform(g.num_nodes());
     let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-    let mut scratch = Scratch::default();
-    ws.merge(0, 1, &mut scratch);
-    ws.merge(4, 5, &mut scratch);
+    ws.merge(0, 1);
+    ws.merge(4, 5);
     let mut gains = vec![0.0; g.num_nodes()];
     gains[0] = 0.5;
     let ck = RunCheckpoint::capture(

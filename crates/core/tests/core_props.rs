@@ -12,6 +12,7 @@ use pgs_core::cost::{best_pair_cost, pair_cost, CostModel};
 use pgs_core::error::{personalized_error, reconstruction_error};
 use pgs_core::exec::Exec;
 use pgs_core::pegasus::RunStats;
+use pgs_core::shingle::attach_signatures;
 use pgs_core::sparsify::sparsify;
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
@@ -90,8 +91,187 @@ fn check_tables(
     Ok(())
 }
 
+/// Signature lanes the batched-commit test attaches.
+const LANES: usize = 3;
+
+/// `ws` after the same pre-merges the batched-commit test starts from,
+/// with a signature bank attached.
+fn premerged<'a>(
+    g: &'a Graph,
+    w: &'a NodeWeights,
+    pre: &[(SuperId, SuperId)],
+    mut model: Option<&mut BTreeSet<(SuperId, SuperId)>>,
+) -> Result<WorkingSummary<'a>, TestCaseError> {
+    let mut ws = WorkingSummary::new(g, w, CostModel::ErrorCorrection);
+    attach_signatures(&mut ws, 7, LANES, &Exec::serial());
+    for &(a, b) in pre {
+        let kept = ws.merge(a, b);
+        if let Some(model) = model.as_deref_mut() {
+            model_merge(&ws, model, kept, if kept == a { b } else { a });
+            check_tables(&ws, model)?;
+        }
+    }
+    Ok(ws)
+}
+
+/// Random disjoint groups over `ws`'s live supernodes, each with a
+/// random merge log whose keep/dead choices are simulated by member
+/// count. The first group (when it has four members) opens with a chain
+/// of three merges into its largest member, so one survivor absorbs
+/// several merges; groups are drawn from the whole id range, so their
+/// members neighbor other groups.
+fn draw_logs(ws: &WorkingSummary<'_>, rng: &mut impl rand::Rng) -> Vec<Vec<(SuperId, SuperId)>> {
+    use rand::seq::SliceRandom;
+    /// Logs `(a, b)` and returns its survivor, the larger side (`a` on a
+    /// tie), as the commit decides it.
+    fn merge(
+        a: SuperId,
+        b: SuperId,
+        size: &mut BTreeMap<SuperId, usize>,
+        alive: &mut Vec<SuperId>,
+        log: &mut Vec<(SuperId, SuperId)>,
+    ) -> SuperId {
+        let (keep, dead) = if size[&a] >= size[&b] { (a, b) } else { (b, a) };
+        let absorbed = size[&dead];
+        *size.entry(keep).or_default() += absorbed;
+        alive.retain(|&s| s != dead);
+        log.push((a, b));
+        keep
+    }
+    let mut ids = ws.live_ids();
+    ids.shuffle(rng);
+    let mut size: BTreeMap<SuperId, usize> =
+        ids.iter().map(|&s| (s, ws.members(s).len())).collect();
+    let mut logs = Vec::new();
+    let mut rest = ids.as_slice();
+    while rest.len() >= 2 && logs.len() < 8 {
+        let take = rng.random_range(2..=rest.len().min(16));
+        let (group, tail) = rest.split_at(take);
+        rest = tail;
+        if rng.random_range(0..4) == 0 {
+            logs.push(Vec::new()); // a group that merged nothing
+            continue;
+        }
+        let mut alive = group.to_vec();
+        let mut log = Vec::new();
+        if logs.is_empty() && alive.len() >= 4 {
+            let mut hub = *alive.iter().max_by_key(|&&s| (size[&s], s)).unwrap();
+            for _ in 0..3 {
+                let others: Vec<SuperId> = alive.iter().copied().filter(|&s| s != hub).collect();
+                let other = others[rng.random_range(0..others.len())];
+                hub = merge(hub, other, &mut size, &mut alive, &mut log);
+            }
+        }
+        for _ in 0..rng.random_range(0..alive.len()) {
+            let i = rng.random_range(0..alive.len());
+            let j = rng.random_range(0..alive.len());
+            if i != j {
+                merge(alive[i], alive[j], &mut size, &mut alive, &mut log);
+            }
+        }
+        logs.push(log);
+    }
+    logs
+}
+
+/// Everything a commit must agree on, bit for bit: per node its
+/// supernode; per live supernode its members in order, weight-sum bits,
+/// signature lanes and table keys and bits (and, once `values`, the
+/// table values); `|S|` and `|P|`.
+type Fingerprint = (
+    Vec<SuperId>,
+    Vec<(
+        SuperId,
+        Vec<u32>,
+        u64,
+        u64,
+        Vec<u64>,
+        Vec<(SuperId, bool, Option<u64>)>,
+    )>,
+    usize,
+    usize,
+);
+
+fn fingerprint(ws: &WorkingSummary<'_>, values: bool) -> Fingerprint {
+    let nodes = ws.graph().nodes().map(|u| ws.supernode_of(u)).collect();
+    let supers = ws
+        .live_iter()
+        .map(|s| {
+            (
+                s,
+                ws.members(s).to_vec(),
+                ws.wsum_raw(s).to_bits(),
+                ws.sqsum_raw(s).to_bits(),
+                (0..LANES).map(|k| ws.signature(s, k)).collect(),
+                ws.neighbor_table(s)
+                    .map(|(x, v, bit)| (x, bit, values.then(|| v.to_bits())))
+                    .collect(),
+            )
+        })
+        .collect();
+    (nodes, supers, ws.num_supernodes(), ws.num_superedges())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    /// A batch of merge logs committed at once, at 1, 2 and 8 threads,
+    /// leaves exactly the state of applying the same merges one at a
+    /// time in global order — which `check_tables` holds against the
+    /// independent superedge model after every single merge.
+    #[test]
+    fn batched_commit_equals_one_merge_at_a_time(
+        n in 16usize..80,
+        graph_seed in any::<u64>(),
+        seed in any::<u64>(),
+        pre in 0usize..6,
+    ) {
+        use rand::{Rng, SeedableRng};
+        let g = erdos_renyi(n, 3 * n, graph_seed);
+        let w = NodeWeights::personalized(&g, &[0], 1.5);
+        let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
+        // A few committed merges first: multi-member supernodes and
+        // stale tables going into the batch.
+        let mut pre_merges = Vec::new();
+        let mut live = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection).live_ids();
+        for _ in 0..pre {
+            let i = rng.random_range(0..live.len());
+            let j = rng.random_range(0..live.len());
+            if i != j {
+                pre_merges.push((live[i], live[j]));
+                live.remove(i.max(j));
+                live.remove(i.min(j));
+            }
+        }
+        let mut model: BTreeSet<(SuperId, SuperId)> = g.edges().collect();
+        let mut one_by_one = premerged(&g, &w, &pre_merges, Some(&mut model))?;
+        let logs = draw_logs(&one_by_one, &mut rng);
+        for &(a, b) in logs.iter().flatten() {
+            let kept = one_by_one.merge(a, b);
+            model_merge(&one_by_one, &mut model, kept, if kept == a { b } else { a });
+            check_tables(&one_by_one, &model)?;
+        }
+        let expect = fingerprint(&one_by_one, false);
+        one_by_one.refresh_stale(&Exec::serial());
+        let expect_values = fingerprint(&one_by_one, true);
+
+        for threads in [1usize, 2, 8] {
+            let mut batched = premerged(&g, &w, &pre_merges, None)?;
+            let beats = std::sync::atomic::AtomicUsize::new(0);
+            batched.commit(logs.iter().map(Vec::as_slice), &Exec::new(threads), || {
+                beats.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+            });
+            prop_assert!(beats.into_inner() >= logs.len(), "one beat per log");
+            check_tables(&batched, &model)?;
+            prop_assert!(fingerprint(&batched, false) == expect, "state at {} threads", threads);
+            batched.refresh_stale(&Exec::new(threads));
+            prop_assert!(
+                fingerprint(&batched, true) == expect_values,
+                "refreshed values at {} threads",
+                threads
+            );
+        }
+    }
 
     /// After any random merge sequence: membership maps stay mutually
     /// consistent, weight sums match recomputation, and the superedge
@@ -105,7 +285,6 @@ proptest! {
         use rand::{Rng, SeedableRng};
         let w = NodeWeights::personalized(&g, &[0], 1.5);
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
-        let mut scratch = Scratch::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut live = ws.live_ids();
         for _ in 0..merges.min(live.len() - 1) {
@@ -113,7 +292,7 @@ proptest! {
             let j = rng.random_range(0..live.len());
             if i == j { continue; }
             let (a, b) = (live[i], live[j]);
-            let kept = ws.merge(a, b, &mut scratch);
+            let kept = ws.merge(a, b);
             let dead = if kept == a { b } else { a };
             live.retain(|&s| s != dead);
         }
@@ -153,7 +332,6 @@ proptest! {
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         let mut model: BTreeSet<(SuperId, SuperId)> = g.edges().collect();
         check_tables(&ws, &model)?;
-        let mut scratch = Scratch::default();
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
         let mut live = ws.live_ids();
         for _ in 0..merges.min(live.len() - 1) {
@@ -161,7 +339,7 @@ proptest! {
             let j = rng.random_range(0..live.len());
             if i == j { continue; }
             let (a, b) = (live[i], live[j]);
-            let kept = ws.merge(a, b, &mut scratch);
+            let kept = ws.merge(a, b);
             let dead = if kept == a { b } else { a };
             live.retain(|&s| s != dead);
             model_merge(&ws, &mut model, kept, dead);
@@ -248,7 +426,7 @@ proptest! {
         // each. Exactly the incident-pair set, each once.
 
         let eval = ws.eval_merge(a, b, &mut scratch);
-        let kept = ws.merge(a, b, &mut scratch);
+        let kept = ws.merge(a, b);
 
         // "After": every pair {kept, x} for live x, counted once
         // (x == kept gives the self pair).

@@ -54,7 +54,6 @@ fn weights_for(g: &Graph, seed: u64) -> NodeWeights {
 fn commit_random_merges(ws: &mut WorkingSummary<'_>, seed: u64, merges: usize) {
     use rand::{Rng, SeedableRng};
     let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-    let mut scratch = Scratch::default();
     let mut live = ws.live_ids();
     for _ in 0..merges.min(live.len().saturating_sub(2)) {
         let i = rng.random_range(0..live.len());
@@ -63,7 +62,7 @@ fn commit_random_merges(ws: &mut WorkingSummary<'_>, seed: u64, merges: usize) {
             continue;
         }
         let (a, b) = (live[i], live[j]);
-        let kept = ws.merge(a, b, &mut scratch);
+        let kept = ws.merge(a, b);
         let dead = if kept == a { b } else { a };
         live.retain(|&s| s != dead);
     }

@@ -64,7 +64,7 @@
 //!   **quarantined** — rejected with [`PgsError::Quarantined`] until
 //!   [`SummaryService::release_quarantined`] clears it.
 //! * **Stall watchdog** — with [`ServiceConfig::stall_timeout`] set,
-//!   every run gets a heartbeat stamped at group-evaluate granularity
+//!   every run gets a heartbeat stamped at group granularity
 //!   and a [`Supervisor`](crate::supervise::Supervisor) thread cancels
 //!   runs whose heartbeat freezes past the timeout; the worker
 //!   publishes the partial result as [`StopReason::Stalled`] and moves

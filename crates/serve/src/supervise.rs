@@ -7,8 +7,9 @@
 //! [`FaultKind::StallForever`](pgs_core::fault::FaultKind::StallForever))
 //! holds its worker forever when no deadline is set, and a deadline
 //! cannot distinguish *slow* from *stuck*. The [`Supervisor`] can:
-//! engines stamp a shared heartbeat at group-evaluate granularity
-//! (through [`RunControl::beat`](pgs_core::api::RunControl::beat)), so a
+//! engines stamp a shared heartbeat at group granularity in evaluate
+//! and commit (through
+//! [`RunControl::beat`](pgs_core::api::RunControl::beat)), so a
 //! heartbeat whose *value* has not changed for longer than the stall
 //! timeout is evidence the run is wedged, however long its iterations
 //! are. The supervisor then escalates to the run's cancel flag and marks

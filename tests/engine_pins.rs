@@ -6,7 +6,7 @@
 //! change to the evaluate/commit path that is not bit-for-bit neutral,
 //! or that makes the output depend on the thread count, fails here.
 //! The same runs' final θ, `sparsified` flag and the checkpoint written
-//! after iteration 5 are pinned too (at 1 and 2 threads), so a change
+//! after iteration 5 are pinned too (at 1, 2 and 8 threads), so a change
 //! to the threshold rule or to what a checkpoint carries fails as well.
 
 use std::sync::{Arc, Mutex};
@@ -192,11 +192,11 @@ fn state_pin_of(out: &RunOutput, blob: &[u8]) -> StatePin {
 }
 
 #[test]
-fn pegasus_threshold_and_checkpoint_are_pinned_at_1_and_2_threads() {
+fn pegasus_threshold_and_checkpoint_are_pinned_at_1_2_and_8_threads() {
     let g = barabasi_albert(NODES, ATTACH, GRAPH_SEED);
     let t = targets();
     let req = SummarizeRequest::new(Budget::Ratio(RATIO)).targets(&t);
-    for threads in [1usize, 2] {
+    for threads in [1usize, 2, 8] {
         let algo = Pegasus(PegasusConfig {
             num_threads: threads,
             ..Default::default()
@@ -216,10 +216,10 @@ fn pegasus_threshold_and_checkpoint_are_pinned_at_1_and_2_threads() {
 }
 
 #[test]
-fn ssumm_threshold_and_checkpoint_are_pinned_at_1_and_2_threads() {
+fn ssumm_threshold_and_checkpoint_are_pinned_at_1_2_and_8_threads() {
     let g = barabasi_albert(NODES, ATTACH, GRAPH_SEED);
     let req = SummarizeRequest::new(Budget::Ratio(RATIO));
-    for threads in [1usize, 2] {
+    for threads in [1usize, 2, 8] {
         let algo = Ssumm(SsummConfig {
             num_threads: threads,
             ..Default::default()
