@@ -314,7 +314,7 @@ impl RunCheckpoint {
     /// unique `(min, max)` pairs between live supernodes, and there must
     /// be one finite gain EMA per supernode.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
-        let mut r = Reader { bytes, pos: 0 };
+        let mut r = Reader::new(bytes);
         let magic = r.take(4)?;
         if magic != MAGIC {
             return Err(CheckpointError::Corrupt("bad magic".into()));
@@ -466,10 +466,10 @@ impl RunCheckpoint {
         }
         stats.phases.commit = f64::from_bits(r.u64()?);
         stats.phases.sparsify = f64::from_bits(r.u64()?);
-        if r.pos != r.bytes.len() {
+        if r.remaining() != 0 {
             return Err(CheckpointError::Corrupt(format!(
                 "{} trailing bytes",
-                r.bytes.len() - r.pos
+                r.remaining()
             )));
         }
         Ok(RunCheckpoint {
@@ -486,35 +486,61 @@ impl RunCheckpoint {
     }
 }
 
-struct Reader<'b> {
+/// A bounds-checked little-endian cursor over a binary blob: the one
+/// decoder under checkpoint blobs and the serving layer's journal
+/// records. Every read past the end is [`CheckpointError::Corrupt`],
+/// never a panic, and no read allocates more than the blob holds.
+pub struct Reader<'b> {
     bytes: &'b [u8],
     pos: usize,
 }
 
-impl Reader<'_> {
-    fn take(&mut self, n: usize) -> Result<&[u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CheckpointError::Corrupt("truncated checkpoint".into()));
+impl<'b> Reader<'b> {
+    /// A cursor at the start of `bytes`.
+    pub fn new(bytes: &'b [u8]) -> Self {
+        Reader { bytes, pos: 0 }
+    }
+
+    /// The next `n` bytes.
+    pub fn take(&mut self, n: usize) -> Result<&'b [u8], CheckpointError> {
+        if n > self.remaining() {
+            return Err(CheckpointError::Corrupt("truncated".into()));
         }
         let s = &self.bytes[self.pos..self.pos + n];
         self.pos += n;
         Ok(s)
     }
 
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
+    /// Bytes not yet read.
+    pub fn remaining(&self) -> usize {
+        self.bytes.len() - self.pos
+    }
+
+    /// One byte.
+    pub fn u8(&mut self) -> Result<u8, CheckpointError> {
         Ok(self.take(1)?[0])
     }
 
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
+    /// A little-endian `u16`.
+    pub fn u16(&mut self) -> Result<u16, CheckpointError> {
         Ok(u16::from_le_bytes(Self::array(self.take(2)?)?))
     }
 
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
+    /// A little-endian `u32`.
+    pub fn u32(&mut self) -> Result<u32, CheckpointError> {
         Ok(u32::from_le_bytes(Self::array(self.take(4)?)?))
     }
 
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
+    /// A little-endian `u64`.
+    pub fn u64(&mut self) -> Result<u64, CheckpointError> {
         Ok(u64::from_le_bytes(Self::array(self.take(8)?)?))
+    }
+
+    /// A UTF-8 string behind a `u32` byte-length prefix.
+    pub fn string(&mut self) -> Result<String, CheckpointError> {
+        let len = self.u32()? as usize;
+        String::from_utf8(self.take(len)?.to_vec())
+            .map_err(|_| CheckpointError::Corrupt("non-UTF-8 string".into()))
     }
 
     /// `take(N)` always returns exactly `N` bytes, so the conversion

@@ -63,10 +63,12 @@ pub fn ckpt_filename(key: &str) -> String {
     key_filename(key, "ckpt")
 }
 
-/// Replaces `path` with `bytes` atomically: creates the parent
-/// directory, writes `<path>.tmp`, `sync_all`s it and renames it over
-/// `path`. On any failure the previous file at `path` is untouched.
-/// I/O errors map to [`CheckpointError::WriteFailed`].
+/// Replaces `path` with `bytes` atomically and durably: creates the
+/// parent directory, writes `<path>.tmp`, `sync_all`s it, renames it
+/// over `path`, and `sync_all`s the directory that holds the rename.
+/// A failure before the rename leaves the previous file untouched; a
+/// failed directory sync may leave the new one in place. I/O errors
+/// map to [`CheckpointError::WriteFailed`].
 pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointError> {
     let io = |e: std::io::Error| CheckpointError::WriteFailed(e.to_string());
     let dir = path
@@ -81,7 +83,8 @@ pub(crate) fn atomic_write(path: &Path, bytes: &[u8]) -> Result<(), CheckpointEr
         f.write_all(bytes).map_err(io)?;
         f.sync_all().map_err(io)?;
     }
-    fs::rename(&tmp, path).map_err(io)
+    fs::rename(&tmp, path).map_err(io)?;
+    fs::File::open(dir).and_then(|d| d.sync_all()).map_err(io)
 }
 
 /// Writes checkpoint blobs for one durable key atomically into a
@@ -123,44 +126,57 @@ impl FileCheckpointSink {
 }
 
 /// Scans `dir` once for `.ckpt` files and returns the decodable blobs
-/// keyed by file name. Files that fail [`RunCheckpoint::decode`]'s
-/// structural validation are deleted (a resumed service must not trip
-/// over the same corrupt file forever) and skipped — the affected run
-/// simply starts fresh. A missing or unreadable directory yields an
-/// empty map.
-///
-/// The scan is hardened against anything else living in the directory:
-/// subdirectories (even ones named `*.ckpt`), non-UTF-8 filenames, and
-/// files that cannot be *read* (permissions, dangling symlinks) are each
-/// skipped without aborting the scan — and without deleting anything,
-/// since a transient read error is not evidence of corruption.
+/// keyed by file name. Files [`RunCheckpoint::decode`] rejects are
+/// deleted, so a restart never trips over them again, and the affected
+/// runs start fresh. Subdirectories, non-UTF-8 names and unreadable
+/// files are skipped without being deleted, and a missing directory
+/// yields an empty map.
 pub fn recover_checkpoints(dir: &Path) -> BTreeMap<String, Arc<Vec<u8>>> {
-    let mut recovered = BTreeMap::new();
+    scan(dir, "ckpt", true, |bytes| {
+        RunCheckpoint::decode(&bytes)
+            .is_ok()
+            .then(|| Arc::new(bytes))
+    })
+}
+
+/// The startup scan of a durable store: what `decode` accepts of the
+/// `.{ext}` files directly under `dir`, keyed by file name. A file it
+/// rejects is deleted when `delete_corrupt` is set. Subdirectories,
+/// non-UTF-8 names and unreadable files (permissions, dangling
+/// symlinks) are skipped and never deleted: a read error is not
+/// evidence of corruption. A missing directory yields an empty map.
+pub(crate) fn scan<T>(
+    dir: &Path,
+    ext: &str,
+    delete_corrupt: bool,
+    decode: impl Fn(Vec<u8>) -> Option<T>,
+) -> BTreeMap<String, T> {
+    let mut found = BTreeMap::new();
     let Ok(entries) = fs::read_dir(dir) else {
-        return recovered;
+        return found;
     };
     for entry in entries.flatten() {
         let path = entry.path();
-        if path.extension().and_then(|e| e.to_str()) != Some("ckpt") {
-            continue;
-        }
-        if path.is_dir() {
+        if path.extension().and_then(|e| e.to_str()) != Some(ext) || path.is_dir() {
             continue;
         }
         let Some(name) = path.file_name().and_then(|n| n.to_str()).map(String::from) else {
             continue;
         };
-        if let Ok(bytes) = fs::read(&path) {
-            if RunCheckpoint::decode(&bytes).is_ok() {
-                recovered.insert(name, Arc::new(bytes));
-            } else {
-                // Structurally corrupt: delete so a restart loop does
-                // not trip over the same file forever.
+        let Ok(bytes) = fs::read(&path) else {
+            continue;
+        };
+        match decode(bytes) {
+            Some(value) => {
+                found.insert(name, value);
+            }
+            None if delete_corrupt => {
                 let _ = fs::remove_file(&path);
             }
+            None => {}
         }
     }
-    recovered
+    found
 }
 
 #[cfg(test)]

@@ -30,11 +30,11 @@ use std::path::{Path, PathBuf};
 use std::time::Duration;
 
 use pgs_core::api::{Budget, Personalization};
-use pgs_core::checkpoint::CheckpointError;
+use pgs_core::checkpoint::{CheckpointError, Reader};
 use pgs_core::weights::NodeWeights;
 use pgs_graph::NodeId;
 
-use crate::durable::{atomic_write, fnv1a, key_filename};
+use crate::durable::{atomic_write, fnv1a, key_filename, scan};
 
 const MAGIC: &[u8; 4] = b"PGSJ";
 const VERSION: u16 = 1;
@@ -144,29 +144,20 @@ impl JobRecord {
     /// panics and never allocates more than the input's length.
     pub fn decode(bytes: &[u8]) -> Result<Self, CheckpointError> {
         let corrupt = |m: &str| CheckpointError::Corrupt(m.into());
-        if bytes.len() < 8 {
+        let Some(body_len) = bytes.len().checked_sub(8) else {
             return Err(corrupt("record shorter than its checksum"));
-        }
-        let (body, tail) = bytes.split_at(bytes.len() - 8);
-        let tail: [u8; 8] = tail
-            .try_into()
-            .map_err(|_| corrupt("record shorter than its checksum"))?;
-        let stored = u64::from_le_bytes(tail);
-        if fnv1a(body) != stored {
+        };
+        let (body, tail) = bytes.split_at(body_len);
+        if fnv1a(body) != Reader::new(tail).u64()? {
             return Err(corrupt("checksum mismatch"));
         }
-        let mut r = Reader {
-            bytes: body,
-            pos: 0,
-        };
+        let mut r = Reader::new(body);
         if r.take(4)? != MAGIC {
             return Err(corrupt("bad magic"));
         }
         let version = r.u16()?;
         if version == 0 || version > VERSION {
-            return Err(CheckpointError::Corrupt(format!(
-                "unsupported journal version {version}"
-            )));
+            return Err(corrupt(&format!("unsupported journal version {version}")));
         }
         let priority = r.u8()?;
         let _reserved = r.u8()?;
@@ -181,11 +172,7 @@ impl JobRecord {
             0 => Budget::Bits(f64::from_bits(r.u64()?)),
             1 => Budget::Ratio(f64::from_bits(r.u64()?)),
             2 => Budget::Supernodes(r.u64()? as usize),
-            tag => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown budget tag {tag}"
-                )))
-            }
+            tag => return Err(corrupt(&format!("unknown budget tag {tag}"))),
         };
         let personalization = match r.u8()? {
             0 => Personalization::Uniform,
@@ -213,26 +200,15 @@ impl JobRecord {
                 let z = f64::from_bits(r.u64()?);
                 Personalization::Weights(NodeWeights::from_parts(w, alpha, z))
             }
-            tag => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown personalization tag {tag}"
-                )))
-            }
+            tag => return Err(corrupt(&format!("unknown personalization tag {tag}"))),
         };
         let deadline = match r.u8()? {
             0 => None,
             1 => Some(Duration::from_nanos(r.u64()?)),
-            tag => {
-                return Err(CheckpointError::Corrupt(format!(
-                    "unknown deadline tag {tag}"
-                )))
-            }
+            tag => return Err(corrupt(&format!("unknown deadline tag {tag}"))),
         };
         if r.remaining() != 0 {
-            return Err(CheckpointError::Corrupt(format!(
-                "{} trailing bytes",
-                r.remaining()
-            )));
+            return Err(corrupt(&format!("{} trailing bytes", r.remaining())));
         }
         Ok(JobRecord {
             tenant,
@@ -244,60 +220,6 @@ impl JobRecord {
             personalization,
             deadline,
         })
-    }
-}
-
-struct Reader<'a> {
-    bytes: &'a [u8],
-    pos: usize,
-}
-
-impl<'a> Reader<'a> {
-    fn take(&mut self, n: usize) -> Result<&'a [u8], CheckpointError> {
-        if self.pos + n > self.bytes.len() {
-            return Err(CheckpointError::Corrupt("record truncated".into()));
-        }
-        let out = &self.bytes[self.pos..self.pos + n];
-        self.pos += n;
-        Ok(out)
-    }
-
-    fn remaining(&self) -> usize {
-        self.bytes.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Result<u8, CheckpointError> {
-        Ok(self.take(1)?[0])
-    }
-
-    fn u16(&mut self) -> Result<u16, CheckpointError> {
-        Ok(u16::from_le_bytes(Self::array(self.take(2)?)?))
-    }
-
-    fn u32(&mut self) -> Result<u32, CheckpointError> {
-        Ok(u32::from_le_bytes(Self::array(self.take(4)?)?))
-    }
-
-    fn u64(&mut self) -> Result<u64, CheckpointError> {
-        Ok(u64::from_le_bytes(Self::array(self.take(8)?)?))
-    }
-
-    /// `take(N)` always returns exactly `N` bytes, so the conversion
-    /// cannot fail — but a typed error beats a panic if that invariant
-    /// ever breaks.
-    fn array<const N: usize>(bytes: &[u8]) -> Result<[u8; N], CheckpointError> {
-        bytes
-            .try_into()
-            .map_err(|_| CheckpointError::Corrupt("truncated integer field".into()))
-    }
-
-    fn string(&mut self) -> Result<String, CheckpointError> {
-        let len = self.u32()? as usize;
-        if len > self.remaining() {
-            return Err(CheckpointError::Corrupt("implausible string length".into()));
-        }
-        String::from_utf8(self.take(len)?.to_vec())
-            .map_err(|_| CheckpointError::Corrupt("non-UTF-8 string".into()))
     }
 }
 
@@ -378,45 +300,29 @@ impl Journal {
     /// Scans the live journal and returns every decodable record,
     /// sorted by admission sequence (replay order). Corrupt or torn
     /// records are deleted — a record damaged on disk cannot be
-    /// replayed and must not wedge every future restart — and the scan
-    /// is hardened like [`crate::durable::recover_checkpoints`]:
-    /// subdirectories, non-UTF-8 names, and unreadable files are
-    /// skipped.
+    /// replayed and must not wedge every future restart. The scan is
+    /// the one checkpoints use (`durable::scan`): subdirectories,
+    /// non-UTF-8 names, and unreadable files are skipped.
     pub fn replay(&self) -> Vec<JobRecord> {
-        self.scan(&self.dir, true)
+        records(&self.dir, true)
     }
 
-    /// Every record currently quarantined (sorted by sequence).
+    /// Every record currently quarantined (sorted by sequence). This
+    /// scan never deletes: a quarantine record is kept for forensics.
     pub fn quarantined(&self) -> Vec<JobRecord> {
-        self.scan(&self.quarantine_dir, false)
+        records(&self.quarantine_dir, false)
     }
+}
 
-    fn scan(&self, dir: &Path, delete_corrupt: bool) -> Vec<JobRecord> {
-        let mut records = Vec::new();
-        let Ok(entries) = fs::read_dir(dir) else {
-            return records;
-        };
-        for entry in entries.flatten() {
-            let path = entry.path();
-            if path.extension().and_then(|e| e.to_str()) != Some("job") {
-                continue;
-            }
-            if path.is_dir() {
-                continue;
-            }
-            if let Ok(bytes) = fs::read(&path) {
-                match JobRecord::decode(&bytes) {
-                    Ok(rec) => records.push(rec),
-                    Err(_) if delete_corrupt => {
-                        let _ = fs::remove_file(&path);
-                    }
-                    Err(_) => {}
-                }
-            }
-        }
-        records.sort_by_key(|r| r.seq);
-        records
-    }
+/// The decodable records under `dir`, sorted by admission sequence.
+fn records(dir: &Path, delete_corrupt: bool) -> Vec<JobRecord> {
+    let mut records: Vec<JobRecord> = scan(dir, "job", delete_corrupt, |bytes| {
+        JobRecord::decode(&bytes).ok()
+    })
+    .into_values()
+    .collect();
+    records.sort_by_key(|r| r.seq);
+    records
 }
 
 #[cfg(test)]

@@ -75,6 +75,11 @@
 //!   fast-rejected at submit ([`PgsError::Overloaded`] carrying the
 //!   remaining cooldown) until a half-open probe succeeds.
 //!
+//! Every lifecycle step of a job is accounted by one function,
+//! `Ledger::transition`, the only code that records an event, bumps a
+//! `serve.jobs.*` or `serve.cache.*` counter or updates [`TenantStats`]:
+//! the three cannot disagree (DESIGN.md §14).
+//!
 //! Because every summarizer in the workspace is deterministic and
 //! thread-count independent, a request's result is byte-identical to
 //! running the same `SummarizeRequest` directly through the same
@@ -412,9 +417,9 @@ struct Job {
     /// How many times this job has died to a worker panic.
     attempts: AtomicU32,
     /// Worker pickups — a superset of deaths: the final, surviving
-    /// attempt counts too. A separate `Arc` so the checkpoint sink and
-    /// the stall hook can read the live attempt index without holding
-    /// the job (which would be a reference cycle through the request).
+    /// attempt counts too. A separate `Arc` so the checkpoint sink can
+    /// read the live attempt index without holding the job (which
+    /// would be a reference cycle through the request).
     runs: Arc<AtomicU32>,
     /// Per-attempt wall-clock bookkeeping (see [`AttemptClock`]).
     clock: Mutex<AttemptClock>,
@@ -437,6 +442,28 @@ struct Job {
     done_cv: Condvar,
 }
 
+impl Job {
+    /// This attempt's timings on top of the job's earlier attempts.
+    fn timings(&self, wait_secs: f64, run_secs: f64, completed_seq: u64) -> JobTimings {
+        let clock = self.clock.lock().unwrap();
+        JobTimings {
+            wait_secs,
+            run_secs,
+            total_wait_secs: clock.prior_wait_secs + wait_secs,
+            total_run_secs: clock.prior_run_secs + run_secs,
+            backoff_secs: clock.backoff_secs,
+            attempts: self.runs.load(Ordering::Relaxed),
+            completed_seq,
+        }
+    }
+
+    /// Turns the handle `Done` and wakes its waiters.
+    fn publish(&self, result: Result<RunOutput, PgsError>, timings: JobTimings) {
+        *self.state.lock().unwrap() = JobState::Done(Box::new(Finished { result, timings }));
+        self.done_cv.notify_all();
+    }
+}
+
 /// A queue slot: the job plus an optional earliest-start instant
 /// (retry backoff). A head entry whose `not_before` is in the future
 /// blocks its tenant's queue — FIFO is preserved even across retries.
@@ -449,7 +476,6 @@ struct QueuedEntry {
 struct TenantSched {
     queue: VecDeque<QueuedEntry>,
     inflight: usize,
-    stats: TenantStats,
     /// Circuit breaker, created lazily when
     /// [`ServiceConfig::breaker_window`] > 0.
     breaker: Option<Breaker>,
@@ -491,11 +517,53 @@ impl GraphTable {
     }
 }
 
-/// Pre-bound handles over the service's metrics [`Registry`]: the hot
-/// paths touch only relaxed atomics — the registry mutex is paid once,
-/// here, at construction. Counter names are part of the public metric
-/// surface (the CI smoke step fails on unknown or renamed keys).
-struct Metrics {
+/// The job id a transition carries when no job exists: a submission
+/// refused before it got one, or a record quarantined at startup.
+const NO_JOB: u64 = u64::MAX;
+
+/// Why admission refused a submission.
+#[derive(Clone, Copy, PartialEq, Eq)]
+enum Rejection {
+    /// The durable key is quarantined ([`PgsError::Quarantined`]).
+    Quarantined,
+    /// A queue bound said no ([`PgsError::Overloaded`]).
+    Overloaded,
+    /// The tenant's circuit breaker is open ([`PgsError::Overloaded`]).
+    Breaker,
+}
+
+/// One step of a job's lifecycle, as [`Ledger::transition`] accounts
+/// it. An `Option<bool>` is the submission's weight-cache lookup: hit,
+/// miss, or `None` when the cache was not consulted.
+enum Transition<'a> {
+    /// Refused at the door, after any cache lookup.
+    Rejected(Rejection, Option<bool>),
+    /// Entered its tenant queue as a fresh submission ...
+    Admitted(Option<bool>),
+    /// ... or as a journal record replayed at startup.
+    Replayed(Option<bool>),
+    /// Removed from its queue to admit a higher-priority submission.
+    Shed,
+    /// Picked up by a worker (once per attempt).
+    Running,
+    /// The run wrote a checkpoint.
+    Checkpointed,
+    /// The attempt died to a worker panic; the job re-queues.
+    Retried,
+    /// The watchdog flagged the running attempt.
+    Stalled,
+    /// The durable key was quarantined.
+    Quarantined,
+    /// The job's result and timings are about to publish.
+    Completed(&'a Result<RunOutput, PgsError>, &'a JobTimings),
+}
+
+/// The one account of job lifecycles: pre-bound handles over the
+/// metrics [`Registry`], the [`EventJournal`] and the per-tenant
+/// [`TenantStats`], written only by [`Ledger::transition`] so the three
+/// cannot disagree (DESIGN.md §14). Counter names are part of the
+/// public metric surface.
+struct Ledger {
     registry: Registry,
     jobs_submitted: Arc<Counter>,
     jobs_completed: Arc<Counter>,
@@ -513,6 +581,10 @@ struct Metrics {
     wait_us: Arc<Histogram>,
     run_us: Arc<Histogram>,
     engine: EngineMetrics,
+    events: EventJournal,
+    /// A leaf lock: nothing else is taken while it is held.
+    /// `breaker_trips` is read from the breakers instead.
+    stats: Mutex<BTreeMap<String, TenantStats>>,
 }
 
 /// The engine-side counters the per-iteration observer publishes into
@@ -528,10 +600,10 @@ struct EngineMetrics {
     sparsify_us: Arc<Counter>,
 }
 
-impl Metrics {
-    fn new() -> Self {
+impl Ledger {
+    fn new(events: EventJournal) -> Self {
         let registry = Registry::new();
-        Metrics {
+        Ledger {
             jobs_submitted: registry.counter("serve.jobs.submitted"),
             jobs_completed: registry.counter("serve.jobs.completed"),
             jobs_errors: registry.counter("serve.jobs.errors"),
@@ -557,6 +629,126 @@ impl Metrics {
                 sparsify_us: registry.counter("engine.phase.sparsify_us"),
             },
             registry,
+            events,
+            stats: Mutex::new(BTreeMap::new()),
+        }
+    }
+
+    /// Accounts one lifecycle step of `job` (or [`NO_JOB`]): stats and
+    /// counters under the `stats` lock, then the event(s) after it.
+    /// Callers hold no scheduler, cache or job-state lock, and account
+    /// a job before its handle turns `Done`.
+    fn transition(&self, job: u64, tenant: &str, attempt: u32, step: Transition<'_>) {
+        let (kind, stop) = {
+            let mut stats = self.stats.lock().unwrap();
+            let s = stats
+                .entry(tenant.to_string())
+                .or_insert_with(|| TenantStats {
+                    tenant: tenant.to_string(),
+                    ..TenantStats::default()
+                });
+            // Every lookup is counted, whatever admission then decides,
+            // so these agree with the cache's own counters.
+            let count_lookup = |s: &mut TenantStats, cache_hit: Option<bool>| match cache_hit {
+                Some(true) => {
+                    s.cache_hits += 1;
+                    self.cache_hits.inc();
+                }
+                Some(false) => {
+                    s.cache_misses += 1;
+                    self.cache_misses.inc();
+                }
+                None => {}
+            };
+            match step {
+                Transition::Rejected(reason, cache_hit) => {
+                    count_lookup(s, cache_hit);
+                    s.rejected += 1;
+                    if reason == Rejection::Breaker {
+                        s.breaker_rejected += 1;
+                    }
+                    self.jobs_rejected.inc();
+                    let token = match reason {
+                        Rejection::Quarantined => "quarantined",
+                        Rejection::Overloaded | Rejection::Breaker => "overloaded",
+                    };
+                    (EventKind::Rejected, Some(token))
+                }
+                Transition::Admitted(cache_hit) | Transition::Replayed(cache_hit) => {
+                    count_lookup(s, cache_hit);
+                    s.submitted += 1;
+                    self.jobs_submitted.inc();
+                    if let Transition::Replayed(_) = step {
+                        self.jobs_replayed.inc();
+                        (EventKind::Replayed, None)
+                    } else {
+                        (EventKind::Admitted, None)
+                    }
+                }
+                Transition::Shed => {
+                    s.shed += 1;
+                    self.jobs_shed.inc();
+                    (EventKind::Shed, None)
+                }
+                Transition::Running => {
+                    self.running_jobs.add(1);
+                    (EventKind::Running, None)
+                }
+                Transition::Checkpointed => (EventKind::Checkpointed, None),
+                Transition::Retried => {
+                    s.retries += 1;
+                    self.jobs_retried.inc();
+                    self.running_jobs.add(-1);
+                    (EventKind::Retried, Some("panic"))
+                }
+                Transition::Stalled => (EventKind::Stalled, None),
+                Transition::Quarantined => {
+                    s.quarantined += 1;
+                    self.jobs_quarantined.inc();
+                    (EventKind::Quarantined, None)
+                }
+                Transition::Completed(result, timings) => {
+                    self.running_jobs.add(-1);
+                    self.wait_us.record((timings.wait_secs * 1e6) as u64);
+                    self.run_us.record((timings.run_secs * 1e6) as u64);
+                    s.wait_secs += timings.total_wait_secs;
+                    s.run_secs += timings.total_run_secs;
+                    s.backoff_secs += timings.backoff_secs;
+                    match result {
+                        Ok(out) => {
+                            // A resumed retry carries its earlier
+                            // attempts' stats, so these span the job.
+                            s.phases += out.stats.phases;
+                            s.evals += out.stats.evals;
+                            s.merges += out.stats.merges as u64;
+                            s.completed += 1;
+                            self.jobs_completed.inc();
+                            match out.stop {
+                                StopReason::BudgetMet => s.budget_met += 1,
+                                StopReason::MaxIters => s.max_iters += 1,
+                                StopReason::Cancelled => s.cancelled += 1,
+                                StopReason::DeadlineExceeded => s.deadline_exceeded += 1,
+                                StopReason::RetriesExhausted => s.retries_exhausted += 1,
+                                StopReason::Stalled => {
+                                    s.stalled += 1;
+                                    self.jobs_stalled.inc();
+                                }
+                            }
+                            (EventKind::Completed, Some(out.stop.as_str()))
+                        }
+                        Err(_) => {
+                            s.errors += 1;
+                            self.jobs_errors.inc();
+                            (EventKind::Completed, Some("error"))
+                        }
+                    }
+                }
+            }
+        };
+        self.events.record(job, tenant, attempt, kind, stop);
+        if matches!(kind, EventKind::Admitted | EventKind::Replayed) {
+            self.events
+                .record(job, tenant, attempt, EventKind::Queued, None);
         }
     }
 }
@@ -716,12 +908,8 @@ struct Inner {
     running: Mutex<BTreeMap<u64, Arc<Job>>>,
     /// Handles of jobs replayed from the journal at startup.
     replayed: Mutex<Vec<SummaryHandle>>,
-    /// Pre-bound metric handles (see [`Metrics`]).
-    metrics: Metrics,
-    /// Structured lifecycle-event journal: bounded ring plus optional
-    /// NDJSON sink. Never recorded into while a scheduler or cache
-    /// lock is held.
-    events: Arc<EventJournal>,
+    /// Counters, lifecycle events and per-tenant stats (see [`Ledger`]).
+    ledger: Arc<Ledger>,
     /// Stall-forensics captures appended by the watchdog's on-stall
     /// hook (see [`StallReport`]).
     stall_reports: Mutex<Vec<StallReport>>,
@@ -823,26 +1011,7 @@ impl SummaryService {
         };
         let journal = cfg.checkpoint_dir.as_deref().map(Journal::new);
         let supervisor = cfg.stall_timeout.map(Supervisor::new);
-        // Journal replay (see `crate::journal`): records of jobs that
-        // were admitted but never finished. Ones whose persisted attempt
-        // count already exhausts the retry allowance are poisoned — a
-        // deterministically-crashing job must not re-burn its full
-        // budget on every restart; the rest are resubmitted below, in
-        // original admission order.
-        let quarantine_after = u64::from(cfg.retry_budget).saturating_add(1).max(2) as u32;
-        let (poisoned, live): (Vec<JobRecord>, Vec<JobRecord>) = match &journal {
-            Some(j) => j
-                .replay()
-                .into_iter()
-                .partition(|r| r.attempts >= quarantine_after),
-            None => (Vec::new(), Vec::new()),
-        };
-        let quarantined: BTreeSet<String> = journal
-            .iter()
-            .flat_map(|j| j.quarantined())
-            .map(|r| r.key)
-            .collect();
-        let events = Arc::new(match &cfg.events_path {
+        let events = match &cfg.events_path {
             Some(path) => EventJournal::with_sink(cfg.event_capacity, path).unwrap_or_else(|e| {
                 // Degrade, don't die: a broken sink path must not take
                 // the serving layer down with it.
@@ -853,7 +1022,41 @@ impl SummaryService {
                 EventJournal::new(cfg.event_capacity)
             }),
             None => EventJournal::new(cfg.event_capacity),
-        });
+        };
+        let ledger = Arc::new(Ledger::new(events));
+        // Journal replay (see `crate::journal`): records of jobs that
+        // were admitted but never finished. A record whose key is
+        // already quarantined is what a crash between quarantine's
+        // write and its retire leaves behind: it is retired, never
+        // replayed (the quarantine copy stays for forensics). Ones
+        // whose persisted attempt count already exhausts the retry
+        // allowance are poisoned — a deterministically-crashing job
+        // must not re-burn its full budget on every restart — and are
+        // quarantined here; the rest are resubmitted below, in original
+        // admission order.
+        let quarantine_after = u64::from(cfg.retry_budget).saturating_add(1).max(2) as u32;
+        let mut quarantined: BTreeSet<String> = journal
+            .iter()
+            .flat_map(|j| j.quarantined())
+            .map(|r| r.key)
+            .collect();
+        let mut live = Vec::new();
+        if let Some(j) = &journal {
+            for rec in j.replay() {
+                if quarantined.contains(&rec.key) {
+                    j.retire(&rec.key);
+                } else if rec.attempts >= quarantine_after {
+                    // A failed write keeps the live record, which the
+                    // next start finds poisoned again; this process
+                    // refuses the key either way.
+                    let _ = j.quarantine(&rec);
+                    ledger.transition(NO_JOB, &rec.tenant, rec.attempts, Transition::Quarantined);
+                    quarantined.insert(rec.key);
+                } else {
+                    live.push(rec);
+                }
+            }
+        }
         let inner = Arc::new(Inner {
             algorithm,
             cache: Mutex::new(WeightCache::new(cfg.cache_capacity)),
@@ -882,8 +1085,7 @@ impl SummaryService {
             abandon: AtomicBool::new(false),
             running: Mutex::new(BTreeMap::new()),
             replayed: Mutex::new(Vec::new()),
-            metrics: Metrics::new(),
-            events,
+            ledger,
             stall_reports: Mutex::new(Vec::new()),
         });
         // Stall forensics: when the watchdog flags a job, snapshot the
@@ -895,40 +1097,22 @@ impl SummaryService {
             let weak = Arc::downgrade(&inner);
             sup.set_on_stall(Arc::new(move |job_id| {
                 let Some(inner) = weak.upgrade() else { return };
-                let (tenant, attempt) = {
-                    let running = inner.running.lock().unwrap();
-                    match running.get(&job_id) {
-                        Some(j) => (
-                            j.tenant.clone(),
-                            j.runs.load(Ordering::Relaxed).saturating_sub(1),
-                        ),
-                        // Finished inside the race window: the publish
-                        // path already told the full story.
-                        None => return,
-                    }
+                // Finished inside the race window: the publish path
+                // already told the full story.
+                let Some(job) = inner.running.lock().unwrap().get(&job_id).cloned() else {
+                    return;
                 };
-                inner
-                    .events
-                    .record(job_id, &tenant, attempt, EventKind::Stalled, None);
-                let tail = inner.events.tail();
-                inner.stall_reports.lock().unwrap().push(StallReport {
+                let attempt = job.runs.load(Ordering::Relaxed).saturating_sub(1);
+                let (ledger, tenant) = (&inner.ledger, job.tenant.clone());
+                ledger.transition(job_id, &tenant, attempt, Transition::Stalled);
+                let events = ledger.events.tail();
+                let report = StallReport {
                     job_id,
                     tenant,
-                    events: tail,
-                });
+                    events,
+                };
+                inner.stall_reports.lock().unwrap().push(report);
             }));
-        }
-        for rec in &poisoned {
-            if let Some(j) = &inner.journal {
-                // A failed write keeps the live record, which the next
-                // start finds poisoned again; this process refuses the
-                // key either way.
-                let _ = j.quarantine(rec);
-            }
-            inner.quarantined.lock().unwrap().insert(rec.key.clone());
-            let mut sched = inner.sched.lock().unwrap();
-            let t = sched.tenants.entry(rec.tenant.clone()).or_default();
-            t.stats.quarantined += 1;
         }
         // Re-admit the survivors before the pool spawns: they only
         // queue here, and bypass admission bounds — the journal record
@@ -939,15 +1123,15 @@ impl SummaryService {
         let mut handles = Vec::with_capacity(live.len());
         for rec in live {
             let mut request =
-                SummarizeRequest::new(rec.budget).personalization(rec.personalization.clone());
+                SummarizeRequest::new(rec.budget).personalization(rec.personalization);
             if let Some(d) = rec.deadline {
                 request = request.deadline(d);
             }
             let sub = SubmitRequest {
-                tenant: rec.tenant.clone(),
+                tenant: rec.tenant,
                 request,
                 priority: rec.priority,
-                durable_key: Some(rec.key.clone()),
+                durable_key: Some(rec.key),
             };
             if let Ok(h) = do_submit(&inner, sub, Some(rec.attempts)) {
                 handles.push(h);
@@ -1132,16 +1316,24 @@ impl SummaryService {
 
     /// Per-tenant counters, in tenant order.
     pub fn tenant_stats(&self) -> Vec<TenantStats> {
+        let mut stats: Vec<TenantStats> = self
+            .inner
+            .ledger
+            .stats
+            .lock()
+            .unwrap()
+            .values()
+            .cloned()
+            .collect();
         let sched = self.inner.sched.lock().unwrap();
-        sched
-            .tenants
-            .iter()
-            .map(|(name, t)| {
-                let mut stats = t.stats.clone();
-                stats.tenant = name.clone();
-                stats
-            })
-            .collect()
+        for s in &mut stats {
+            s.breaker_trips = sched
+                .tenants
+                .get(&s.tenant)
+                .and_then(|t| t.breaker.as_ref())
+                .map_or(0, |b| b.trips);
+        }
+        stats
     }
 
     /// Requests queued but not yet picked up.
@@ -1149,40 +1341,31 @@ impl SummaryService {
         self.inner.sched.lock().unwrap().queued
     }
 
-    /// One coherent observability snapshot: scheduler state, registry
-    /// values, cache/journal counters, and per-tenant stats. Safe to
-    /// call from any thread at any rate — it takes each lock briefly
-    /// and never blocks the hot submit/run paths on anything slow.
+    /// One observability snapshot: scheduler state, registry values,
+    /// cache/journal counters, and per-tenant stats. Safe to call from
+    /// any thread at any rate — it takes each lock briefly, one at a
+    /// time, and never blocks the hot submit/run paths on anything
+    /// slow.
     pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        let (queued, tenants) = {
-            let sched = self.inner.sched.lock().unwrap();
-            let tenants = sched
-                .tenants
-                .iter()
-                .map(|(name, t)| {
-                    let mut stats = t.stats.clone();
-                    stats.tenant = name.clone();
-                    stats
-                })
-                .collect();
-            (sched.queued, tenants)
-        };
+        let tenants = self.tenant_stats();
         // One lock per statement: each guard is a statement temporary
         // that dies at its `;`, so no two of these are ever held at
         // once (a struct-literal's temporaries would live to the end
         // of the whole expression — and violate the lock order).
+        let queued = self.pending();
         let cache = self.inner.cache.lock().unwrap().stats();
         let journal_replayed = self.inner.replayed.lock().unwrap().len() as u64;
         let journal_quarantined = self.inner.quarantined.lock().unwrap().len() as u64;
+        let ledger = &self.inner.ledger;
         MetricsSnapshot {
             queued,
-            running: self.inner.metrics.running_jobs.get(),
+            running: ledger.running_jobs.get(),
             workers: self.inner.workers,
             cache,
             journal_replayed,
             journal_quarantined,
-            event_seq: self.inner.events.seq(),
-            values: self.inner.metrics.registry.snapshot(),
+            event_seq: ledger.events.seq(),
+            values: ledger.registry.snapshot(),
             tenants,
         }
     }
@@ -1190,7 +1373,7 @@ impl SummaryService {
     /// The retained lifecycle-event tail (oldest first). Empty when
     /// [`ServiceConfig::event_capacity`] is 0.
     pub fn events_tail(&self) -> Vec<Event> {
-        self.inner.events.tail()
+        self.inner.ledger.events.tail()
     }
 
     /// Stall-forensics captures recorded so far (see [`StallReport`]),
@@ -1218,9 +1401,9 @@ impl Drop for SummaryService {
 /// The submission path shared by [`SummaryService::submit`] and the
 /// startup journal replay. `replayed_attempts` is `Some` for a replay:
 /// the job's attempt counters are seeded from the persisted record and
-/// admission bounds (queue depths, breaker) are bypassed — the journal
-/// record *is* the job's admission; re-judging it could silently drop
-/// a job the service already accepted.
+/// admission bounds (quarantine, queue depths, breaker) are bypassed —
+/// the journal record *is* the job's admission; re-judging it could
+/// silently drop a job the service already accepted.
 fn do_submit(
     inner: &Arc<Inner>,
     sub: SubmitRequest,
@@ -1232,40 +1415,63 @@ fn do_submit(
         priority,
         durable_key,
     } = sub;
-    let bypass_admission = replayed_attempts.is_some();
+    let replayed = replayed_attempts.is_some();
+    let first_attempt = replayed_attempts.unwrap_or(0);
     let (graph, epoch) = inner.graphs.lock().unwrap().effective(&tenant);
+    let journal_key = match (&inner.journal, &durable_key) {
+        (Some(journal), Some(key)) => Some((journal, key)),
+        _ => None,
+    };
 
     // Quarantine gate first: a poisoned durable key is rejected before
     // any other work (or side effect) happens on its behalf.
-    if !bypass_admission {
-        if let Some(key) = &durable_key {
-            if inner.journal.is_some() && inner.quarantined.lock().unwrap().contains(key) {
-                inner.metrics.jobs_rejected.inc();
-                // No job id exists yet — the sentinel marks a
-                // rejected-at-the-door submission.
-                inner.events.record(
-                    u64::MAX,
-                    &tenant,
-                    0,
-                    EventKind::Rejected,
-                    Some("quarantined"),
-                );
-                let mut sched = inner.sched.lock().unwrap();
-                let t = sched.tenants.entry(tenant).or_default();
-                t.stats.rejected += 1;
-                return Err(PgsError::Quarantined { key: key.clone() });
-            }
+    if let (Some((_, key)), false) = (journal_key, replayed) {
+        if inner.quarantined.lock().unwrap().contains(key) {
+            let step = Transition::Rejected(Rejection::Quarantined, None);
+            inner.ledger.transition(NO_JOB, &tenant, 0, step);
+            return Err(PgsError::Quarantined { key: key.clone() });
         }
     }
 
-    // Snapshot the wire form for the admission journal *before* the
-    // weight cache rewrites the personalization: the journal stores
-    // what the caller asked for (|T| target ids, not |V| floats), and
-    // replaying it through this same path re-resolves identically.
-    let wire_budget = request.budget();
-    let wire_personalization = request.personalization_ref().clone();
-    let wire_deadline = request.control_ref().deadline;
-    let fault_plan = request.control_ref().fault_plan.clone();
+    // Write-ahead journal: persist the admission before the job can be
+    // observed by a worker, so a crash after this point replays it, and
+    // before the weight cache rewrites the personalization: the journal
+    // stores what the caller asked for (|T| target ids, not |V|
+    // floats), and replaying it through this same path re-resolves
+    // identically. A replay skips the write — its record is already on
+    // disk (attempt bumps at pickup refresh it). A torn write (injected
+    // fault) leaves a half-record that replay discards: the crash-window
+    // contract is "journaled fully or not admitted", and the caller
+    // still holds the submit error/handle to know which.
+    let seq = inner.next_seq.fetch_add(1, Ordering::Relaxed);
+    let journal_rec = journal_key.map(|(_, key)| JobRecord {
+        tenant: tenant.clone(),
+        key: key.clone(),
+        priority,
+        seq,
+        attempts: first_attempt,
+        budget: request.budget(),
+        personalization: request.personalization_ref().clone(),
+        deadline: request.control_ref().deadline,
+    });
+    if let (Some((journal, key)), Some(rec), false) = (journal_key, &journal_rec, replayed) {
+        let torn = request
+            .control_ref()
+            .fault_plan
+            .as_ref()
+            .is_some_and(|plan| plan.journal_write_torn(seq));
+        if let Err(e) = journal.append(rec, torn) {
+            // A journal that cannot be written voids the durability
+            // contract — reject rather than silently degrade. The
+            // record may already sit at its final path (the directory
+            // sync failed after the rename): retire it, or a restart
+            // would run a job whose submission the caller saw fail.
+            journal.retire(key);
+            return Err(PgsError::CheckpointInvalid {
+                reason: format!("admission journal write failed: {e}"),
+            });
+        }
+    }
 
     // Durable checkpoints: bind the sink for this key, and seed the
     // request with a blob recovered at startup (first submission for
@@ -1296,7 +1502,7 @@ fn do_submit(
     // price is that two *concurrent* submissions of the same key
     // may both resolve (last insert wins — identical bits either
     // way). Sequential submitters, the sweep case, always hit.
-    let mut cache_outcome: Option<bool> = None;
+    let mut cache_hit: Option<bool> = None;
     if inner.cfg.cache_capacity > 0 {
         if let Some(alpha) = inner.algorithm.personalization_alpha() {
             if let Some(key) = WeightKey::new(&tenant, request.personalization_ref(), alpha) {
@@ -1315,11 +1521,11 @@ fn do_submit(
                     let hit = inner.cache.lock().unwrap().lookup(&key, epoch);
                     if let Some(w) = hit {
                         request = request.weights(w);
-                        cache_outcome = Some(true);
+                        cache_hit = Some(true);
                     } else if let Ok(w) = request.resolve_weights(&graph, alpha) {
                         inner.cache.lock().unwrap().insert(key, w.clone(), epoch);
                         request = request.weights(w);
-                        cache_outcome = Some(false);
+                        cache_hit = Some(false);
                     }
                 }
             }
@@ -1337,14 +1543,14 @@ fn do_submit(
     let submitted_at = Instant::now();
     let job = Arc::new(Job {
         id: inner.next_id.fetch_add(1, Ordering::Relaxed),
-        tenant: tenant.clone(),
+        tenant,
         priority,
-        seq: inner.next_seq.fetch_add(1, Ordering::Relaxed),
+        seq,
         submitted: submitted_at,
         graph,
         cancel,
         stalled: Arc::new(AtomicBool::new(false)),
-        attempts: AtomicU32::new(replayed_attempts.unwrap_or(0)),
+        attempts: AtomicU32::new(first_attempt),
         runs: Arc::new(AtomicU32::new(0)),
         clock: Mutex::new(AttemptClock {
             ready_at: submitted_at,
@@ -1352,174 +1558,95 @@ fn do_submit(
             prior_run_secs: 0.0,
             backoff_secs: 0.0,
         }),
-        journal_rec: Mutex::new(None),
+        journal_rec: Mutex::new(journal_rec),
         last_checkpoint: Arc::new(Mutex::new(None)),
         durable,
         state: Mutex::new(JobState::Queued(Box::new(request))),
         done_cv: Condvar::new(),
     });
 
-    // Write-ahead journal: persist the admission *before* the job can
-    // be observed by a worker, so a crash after this point replays it.
-    // A replay skips the write — its record is already on disk (with
-    // the original seq; attempt bumps at pickup refresh it). A torn
-    // write (injected fault) leaves a half-record that replay discards:
-    // the crash-window contract is "journaled fully or not admitted",
-    // and the caller still holds the submit error/handle to know which.
-    let journaled = if let (Some(journal), Some(key)) = (&inner.journal, &durable_key) {
-        let rec = JobRecord {
-            tenant: tenant.clone(),
-            key: key.clone(),
-            priority,
-            seq: job.seq,
-            attempts: replayed_attempts.unwrap_or(0),
-            budget: wire_budget,
-            personalization: wire_personalization,
-            deadline: wire_deadline,
-        };
-        if !bypass_admission {
-            let torn = fault_plan
-                .as_ref()
-                .is_some_and(|plan| plan.journal_write_torn(job.seq));
-            if let Err(e) = journal.append(&rec, torn) {
-                // A journal that cannot be written voids the durability
-                // contract — reject rather than silently degrade.
-                return Err(PgsError::CheckpointInvalid {
-                    reason: format!("admission journal write failed: {e}"),
-                });
-            }
-        }
-        *job.journal_rec.lock().unwrap() = Some(rec);
-        true
-    } else {
-        false
-    };
-
-    // Admission, bookkeeping, and enqueue are one critical section:
-    // the bounds checked are exactly the queues the job lands in.
-    // Shed victims are collected under the lock but resolved (state
-    // flip + wakeup) after it, keeping lock order job-free. A labeled
-    // break carries rejections out so the journal record written above
-    // can be retired after the lock is released.
-    let admitted: Result<Option<(Arc<Job>, Duration)>, PgsError> = 'adm: {
+    // Admission and enqueue are one critical section: the bounds
+    // checked are exactly the queues the job lands in. A shed victim
+    // is collected under the lock but accounted and resolved (state
+    // flip + wakeup) after it, keeping lock order job-free, as is a
+    // rejection, whose journal record written above must be retired.
+    // `hint` is the retry hint either carries: the breaker's remaining
+    // cooldown, or the load-derived overload hint.
+    let hint;
+    let admitted: Result<Option<Arc<Job>>, Rejection> = 'adm: {
         let mut sched = inner.sched.lock().unwrap();
         let now = Instant::now();
-        let hint = overload_hint(&sched, inner.workers);
         // Circuit breaker, phase 1 (pure): a tripped tenant is
         // fast-rejected before queue bounds are even consulted.
-        if !bypass_admission && inner.cfg.breaker_window > 0 {
-            if let Some(t) = sched.tenants.get_mut(&tenant) {
-                if let Some(b) = &t.breaker {
-                    if let Err(wait) = b.check(now, inner.cfg.breaker_cooldown) {
-                        t.stats.rejected += 1;
-                        t.stats.breaker_rejected += 1;
-                        break 'adm Err(PgsError::Overloaded {
-                            retry_after_hint: wait.max(Duration::from_millis(1)),
-                        });
-                    }
-                }
+        if !replayed && inner.cfg.breaker_window > 0 {
+            let breaker = sched
+                .tenants
+                .get(&job.tenant)
+                .and_then(|t| t.breaker.as_ref());
+            if let Some(Err(wait)) = breaker.map(|b| b.check(now, inner.cfg.breaker_cooldown)) {
+                hint = wait.max(Duration::from_millis(1));
+                break 'adm Err(Rejection::Breaker);
             }
         }
+        hint = overload_hint(&sched, inner.workers);
         let mut shed_victim = None;
-        if !bypass_admission {
+        if !replayed {
             let tenant_depth = inner.cfg.tenant_queue_depth;
-            let queue_len = sched.tenants.get(&tenant).map_or(0, |t| t.queue.len());
+            let queue_len = sched.tenants.get(&job.tenant).map_or(0, |t| t.queue.len());
             if tenant_depth > 0 && queue_len >= tenant_depth {
-                let t = sched.tenants.entry(tenant.clone()).or_default();
-                t.stats.rejected += 1;
-                break 'adm Err(PgsError::Overloaded {
-                    retry_after_hint: hint,
-                });
+                break 'adm Err(Rejection::Overloaded);
             }
             if inner.cfg.global_queue_depth > 0 && sched.queued >= inner.cfg.global_queue_depth {
                 // Over the global bound: shed the lowest-priority queued
                 // job if the newcomer strictly outranks it; otherwise
                 // the newcomer is the lowest and is itself rejected.
                 match shed_lowest_queued(&mut sched, priority) {
-                    Some(victim) => shed_victim = Some((victim, hint)),
-                    None => {
-                        let t = sched.tenants.entry(tenant.clone()).or_default();
-                        t.stats.rejected += 1;
-                        break 'adm Err(PgsError::Overloaded {
-                            retry_after_hint: hint,
-                        });
-                    }
+                    Some(victim) => shed_victim = Some(victim),
+                    None => break 'adm Err(Rejection::Overloaded),
                 }
             }
         }
-        let t = sched.tenants.entry(tenant).or_default();
+        let t = sched.tenants.entry(job.tenant.clone()).or_default();
         // Circuit breaker, phase 2 (mutating): only a submission that
         // actually enqueues may claim the half-open probe slot.
-        if !bypass_admission && inner.cfg.breaker_window > 0 {
+        if !replayed && inner.cfg.breaker_window > 0 {
             t.breaker
                 .get_or_insert_with(|| Breaker::new(inner.cfg.breaker_window))
                 .note_admitted(now, inner.cfg.breaker_cooldown);
-        }
-        t.stats.submitted += 1;
-        match cache_outcome {
-            Some(true) => t.stats.cache_hits += 1,
-            Some(false) => t.stats.cache_misses += 1,
-            None => {}
         }
         t.queue.push_back(QueuedEntry {
             job: Arc::clone(&job),
             not_before: None,
         });
         sched.queued += 1;
-        inner.metrics.queue_depth.set(sched.queued as i64);
+        inner.ledger.queue_depth.set(sched.queued as i64);
         Ok(shed_victim)
     };
     let shed_victim = match admitted {
-        Ok(v) => v,
-        Err(e) => {
+        Ok(victim) => victim,
+        Err(reason) => {
             // The job never entered a queue: its write-ahead record is
             // an orphan — retire it or replay would resurrect a job the
             // service rejected.
-            if journaled && !bypass_admission {
-                if let (Some(journal), Some(key)) = (&inner.journal, &durable_key) {
-                    journal.retire(key);
-                }
+            if let Some((journal, key)) = journal_key {
+                journal.retire(key);
             }
-            inner.metrics.jobs_rejected.inc();
-            inner.events.record(
-                job.id,
-                &job.tenant,
-                0,
-                EventKind::Rejected,
-                Some("overloaded"),
-            );
-            return Err(e);
+            let step = Transition::Rejected(reason, cache_hit);
+            inner.ledger.transition(job.id, &job.tenant, 0, step);
+            return Err(PgsError::Overloaded {
+                retry_after_hint: hint,
+            });
         }
     };
-    inner.metrics.jobs_submitted.inc();
-    let first_attempt = replayed_attempts.unwrap_or(0);
-    if bypass_admission {
-        inner.metrics.jobs_replayed.inc();
-        inner.events.record(
-            job.id,
-            &job.tenant,
-            first_attempt,
-            EventKind::Replayed,
-            None,
-        );
+    let step = if replayed {
+        Transition::Replayed(cache_hit)
     } else {
-        inner.events.record(
-            job.id,
-            &job.tenant,
-            first_attempt,
-            EventKind::Admitted,
-            None,
-        );
-    }
-    match cache_outcome {
-        Some(true) => inner.metrics.cache_hits.inc(),
-        Some(false) => inner.metrics.cache_misses.inc(),
-        None => {}
-    }
+        Transition::Admitted(cache_hit)
+    };
     inner
-        .events
-        .record(job.id, &job.tenant, first_attempt, EventKind::Queued, None);
-    if let Some((victim, hint)) = shed_victim {
+        .ledger
+        .transition(job.id, &job.tenant, first_attempt, step);
+    if let Some(victim) = shed_victim {
         // A shed durable job resolves Overloaded — it is finished as
         // far as its handle is concerned, so its admission record must
         // not resurrect it at the next restart.
@@ -1528,14 +1655,10 @@ fn do_submit(
                 journal.retire(&rec.key);
             }
         }
-        inner.metrics.jobs_shed.inc();
-        inner.events.record(
-            victim.id,
-            &victim.tenant,
-            victim.runs.load(Ordering::Relaxed),
-            EventKind::Shed,
-            None,
-        );
+        let attempt = victim.runs.load(Ordering::Relaxed);
+        inner
+            .ledger
+            .transition(victim.id, &victim.tenant, attempt, Transition::Shed);
         resolve_shed(&victim, hint);
     }
     inner.work_cv.notify_one();
@@ -1562,8 +1685,8 @@ fn overload_hint(sched: &Sched, workers: usize) -> Duration {
 /// Removes the globally lowest-priority *queued* job strictly below
 /// `incoming_priority` (youngest submission among equals — the least
 /// sunk wait time). Running jobs are never candidates. Adjusts queue
-/// counters and the victim tenant's `shed` stat; the caller resolves
-/// the victim's handle outside the sched lock.
+/// counters; the caller accounts the shed and resolves the victim's
+/// handle outside the sched lock.
 fn shed_lowest_queued(sched: &mut Sched, incoming_priority: u8) -> Option<Arc<Job>> {
     let mut victim: Option<(u8, u64, String, usize)> = None;
     for (name, t) in &sched.tenants {
@@ -1589,7 +1712,6 @@ fn shed_lowest_queued(sched: &mut Sched, incoming_priority: u8) -> Option<Arc<Jo
         .expect("victim tenant exists");
     // pgs-allow: PGS004 idx came from this queue under this same lock
     let entry = t.queue.remove(idx).expect("victim still queued");
-    t.stats.shed += 1;
     sched.queued -= 1;
     Some(entry.job)
 }
@@ -1598,29 +1720,30 @@ fn shed_lowest_queued(sched: &mut Sched, incoming_priority: u8) -> Option<Arc<Jo
 /// already removed from its queue; its timing row records queue wait
 /// only (measured from the current attempt's ready instant — a job
 /// shed while parked in backoff charges nothing to queue wait).
-fn resolve_shed(job: &Arc<Job>, hint: Duration) {
-    let clock = job.clock.lock().unwrap();
-    let wait = Instant::now()
-        .saturating_duration_since(clock.ready_at)
-        .as_secs_f64();
-    let timings = JobTimings {
-        wait_secs: wait,
-        run_secs: 0.0,
-        total_wait_secs: clock.prior_wait_secs + wait,
-        total_run_secs: clock.prior_run_secs,
-        backoff_secs: clock.backoff_secs,
-        attempts: job.runs.load(Ordering::Relaxed),
-        completed_seq: u64::MAX, // never ran; out of completion order
-    };
-    drop(clock);
-    let mut state = job.state.lock().unwrap();
-    *state = JobState::Done(Box::new(Finished {
-        result: Err(PgsError::Overloaded {
-            retry_after_hint: hint,
-        }),
-        timings,
-    }));
-    job.done_cv.notify_all();
+fn resolve_shed(job: &Job, hint: Duration) {
+    let ready_at = job.clock.lock().unwrap().ready_at;
+    let wait = Instant::now().saturating_duration_since(ready_at);
+    // Never ran: out of completion order.
+    let timings = job.timings(wait.as_secs_f64(), 0.0, u64::MAX);
+    let result = Err(PgsError::Overloaded {
+        retry_after_hint: hint,
+    });
+    job.publish(result, timings);
+}
+
+/// Frees `tenant`'s in-flight slot after an attempt that held a worker
+/// for `secs`, and feeds those seconds to the overload hint (a failed
+/// attempt held its worker just like a completed one).
+fn end_attempt<'s>(sched: &'s mut Sched, tenant: &str, secs: f64) -> &'s mut TenantSched {
+    sched.total_attempt_secs += secs;
+    sched.total_attempts += 1;
+    let t = sched
+        .tenants
+        .get_mut(tenant)
+        // pgs-allow: PGS004 tenant entries are created at submit and never removed
+        .expect("tenant registered at submit");
+    t.inflight -= 1;
+    t
 }
 
 /// Backoff before retry attempt `attempt` (1-based): exponential in
@@ -1695,7 +1818,7 @@ fn worker_loop(inner: &Inner) {
                 }
                 let now = Instant::now();
                 if let Some(job) = pop_next(&mut sched, inner.cfg.per_tenant_inflight, now) {
-                    inner.metrics.queue_depth.set(sched.queued as i64);
+                    inner.ledger.queue_depth.set(sched.queued as i64);
                     break Some(job);
                 }
                 if sched.shutdown && sched.queued == 0 {
@@ -1791,20 +1914,20 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
         }
     }
     let attempt = job.runs.fetch_add(1, Ordering::Relaxed);
-    inner.metrics.running_jobs.add(1);
     inner
-        .events
-        .record(job.id, &job.tenant, attempt, EventKind::Running, None);
+        .ledger
+        .transition(job.id, &job.tenant, attempt, Transition::Running);
 
+    // The valid "no work done" result every engine returns when
+    // interrupted before its first commit.
+    let identity = |stop| RunOutput {
+        summary: Summary::identity(&job.graph),
+        stats: RunStats::default(),
+        stop,
+    };
     let outcome = if job.cancel.load(Ordering::Relaxed) {
-        // Cancelled while queued: never start the engine. The identity
-        // summary is the valid "no work done" result every engine
-        // returns when interrupted before its first commit.
-        Outcome::Publish(Box::new(Ok(RunOutput {
-            summary: Summary::identity(&job.graph),
-            stats: RunStats::default(),
-            stop: StopReason::Cancelled,
-        })))
+        // Cancelled while queued: never start the engine.
+        Outcome::Publish(Box::new(Ok(identity(StopReason::Cancelled))))
     } else {
         let mut request = *request;
         let mut expired_in_queue = false;
@@ -1831,11 +1954,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             request = request.deadline(effective);
         }
         if expired_in_queue {
-            Outcome::Publish(Box::new(Ok(RunOutput {
-                summary: Summary::identity(&job.graph),
-                stats: RunStats::default(),
-                stop: StopReason::DeadlineExceeded,
-            })))
+            Outcome::Publish(Box::new(Ok(identity(StopReason::DeadlineExceeded))))
         } else {
             // Retryable and durable runs checkpoint into the job's slot
             // (unless the caller attached their own sink — theirs wins,
@@ -1849,7 +1968,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                 && request.control_ref().checkpoint.is_none()
             {
                 let slot = Arc::clone(&job.last_checkpoint);
-                let events = Arc::clone(&inner.events);
+                let ledger = Arc::clone(&inner.ledger);
                 let (ev_id, ev_tenant, ev_runs) =
                     (job.id, job.tenant.clone(), Arc::clone(&job.runs));
                 let sink: CheckpointSink = Arc::new(move |_t, blob| {
@@ -1861,7 +1980,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                     };
                     if result.is_ok() {
                         let attempt = ev_runs.load(Ordering::Relaxed).saturating_sub(1);
-                        events.record(ev_id, &ev_tenant, attempt, EventKind::Checkpointed, None);
+                        ledger.transition(ev_id, &ev_tenant, attempt, Transition::Checkpointed);
                     }
                     result
                 });
@@ -1875,7 +1994,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             // write-only from the engine's perspective — the
             // determinism boundary of DESIGN.md §14.
             {
-                let eng = inner.metrics.engine.clone();
+                let eng = inner.ledger.engine.clone();
                 let caller_obs = request.control_ref().observer.clone();
                 let seeded = request
                     .control_ref()
@@ -1975,11 +2094,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                                 stats: ck.stats,
                                 stop: StopReason::RetriesExhausted,
                             },
-                            _ => RunOutput {
-                                summary: Summary::identity(&job.graph),
-                                stats: RunStats::default(),
-                                stop: StopReason::RetriesExhausted,
-                            },
+                            _ => identity(StopReason::RetriesExhausted),
                         };
                         Outcome::Publish(Box::new(Ok(out)))
                     } else {
@@ -1991,7 +2106,6 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
     };
 
     inner.running.lock().unwrap().remove(&job.id);
-    inner.metrics.running_jobs.add(-1);
     let result = match outcome {
         Outcome::Retry(retry) => {
             let failed_attempt = job.attempts.load(Ordering::Relaxed);
@@ -2008,125 +2122,63 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                 clock.ready_at = picked + delay;
             }
             // State back to Queued *before* the queue push: once the
-            // entry is visible a worker may pop it immediately.
-            {
-                let mut state = job.state.lock().unwrap();
-                *state = JobState::Queued(retry);
-            }
+            // entry is visible a worker may pop it immediately — which
+            // is also why the retry is accounted first.
+            *job.state.lock().unwrap() = JobState::Queued(retry);
+            inner
+                .ledger
+                .transition(job.id, &job.tenant, attempt, Transition::Retried);
             {
                 let mut sched = inner.sched.lock().unwrap();
-                let t = sched
-                    .tenants
-                    .get_mut(&job.tenant)
-                    // pgs-allow: PGS004 tenant entries are created at submit and never removed
-                    .expect("tenant registered at submit");
-                t.inflight -= 1;
-                t.stats.retries += 1;
                 // Front of the tenant queue: a retry must not let the
                 // tenant's younger submissions overtake it (FIFO), and
                 // `not_before` keeps the backoff honest.
-                t.queue.push_front(QueuedEntry {
-                    job: Arc::clone(job),
-                    not_before: Some(picked + delay),
-                });
+                end_attempt(&mut sched, &job.tenant, attempt_run_secs)
+                    .queue
+                    .push_front(QueuedEntry {
+                        job: Arc::clone(job),
+                        not_before: Some(picked + delay),
+                    });
                 sched.queued += 1;
-                inner.metrics.queue_depth.set(sched.queued as i64);
-                // Failed attempts feed the overload hint too — they
-                // held a worker just like a completed one.
-                sched.total_attempt_secs += attempt_run_secs;
-                sched.total_attempts += 1;
+                inner.ledger.queue_depth.set(sched.queued as i64);
             }
-            inner.metrics.jobs_retried.inc();
-            inner.events.record(
-                job.id,
-                &job.tenant,
-                attempt,
-                EventKind::Retried,
-                Some("panic"),
-            );
             inner.work_cv.notify_all();
             return;
         }
         Outcome::Publish(result) => *result,
     };
 
-    let run_secs = picked.elapsed().as_secs_f64();
-    let timings = {
-        let clock = job.clock.lock().unwrap();
-        JobTimings {
-            wait_secs: wait.as_secs_f64(),
-            run_secs,
-            total_wait_secs: clock.prior_wait_secs + wait.as_secs_f64(),
-            total_run_secs: clock.prior_run_secs + run_secs,
-            backoff_secs: clock.backoff_secs,
-            attempts: job.runs.load(Ordering::Relaxed),
-            completed_seq: inner.completed_seq.fetch_add(1, Ordering::Relaxed),
-        }
-    };
+    let timings = job.timings(
+        wait.as_secs_f64(),
+        picked.elapsed().as_secs_f64(),
+        inner.completed_seq.fetch_add(1, Ordering::Relaxed),
+    );
     let outcome = result.as_ref().map(|out| out.stop).map_err(|_| ());
     let abandoned = inner.abandon.load(Ordering::Relaxed);
-    // Journal bookkeeping before the stats/publish sections: a finished
-    // job's admission record retires (any outcome — even a typed error
-    // must not replay forever); the one exception is a durable job that
-    // exhausted its retries, which is *quarantined* instead — moved
-    // aside, surfaced in stats, never re-admitted until released. Under
-    // a simulated crash nothing on disk moves.
-    let mut quarantined_now = false;
-    if !abandoned {
-        if let Some(journal) = &inner.journal {
-            let rec = job.journal_rec.lock().unwrap();
-            if let Some(rec) = rec.as_ref() {
-                if matches!(outcome, Ok(StopReason::RetriesExhausted)) {
-                    // On a failed write the live record stays, and its
-                    // persisted attempt count quarantines it at the
-                    // next start.
-                    let _ = journal.quarantine(rec);
-                    inner.quarantined.lock().unwrap().insert(rec.key.clone());
-                    quarantined_now = true;
-                } else {
-                    journal.retire(&rec.key);
-                }
+    // Journal bookkeeping before the accounting and publish sections: a
+    // finished job's admission record retires (any outcome — even a
+    // typed error must not replay forever); the one exception is a
+    // durable job that exhausted its retries, which is *quarantined*
+    // instead — moved aside, surfaced in stats, never re-admitted until
+    // released. Under a simulated crash nothing on disk moves.
+    let mut quarantined = false;
+    if let (false, Some(journal)) = (abandoned, &inner.journal) {
+        if let Some(rec) = job.journal_rec.lock().unwrap().as_ref() {
+            if outcome == Ok(StopReason::RetriesExhausted) {
+                // On a failed write the live record stays, and its
+                // persisted attempt count quarantines it at the next
+                // start.
+                let _ = journal.quarantine(rec);
+                inner.quarantined.lock().unwrap().insert(rec.key.clone());
+                quarantined = true;
+            } else {
+                journal.retire(&rec.key);
             }
         }
     }
-    // Counters first, completion second: anyone woken by the handle's
-    // condvar must already see this job in the tenant's stats.
     {
         let mut sched = inner.sched.lock().unwrap();
-        let t = sched
-            .tenants
-            .get_mut(&job.tenant)
-            // pgs-allow: PGS004 tenant entries are created at submit and never removed
-            .expect("tenant registered at submit");
-        t.inflight -= 1;
-        t.stats.wait_secs += timings.total_wait_secs;
-        t.stats.run_secs += timings.total_run_secs;
-        t.stats.backoff_secs += timings.backoff_secs;
-        if let Ok(out) = &result {
-            // Engine totals, once per finished job. Checkpoint-resumed
-            // retries carry their prior incarnation's stats forward, so
-            // the final output's totals already span the whole job.
-            t.stats.phases += out.stats.phases;
-            t.stats.evals += out.stats.evals;
-            t.stats.merges += out.stats.merges as u64;
-        }
-        match outcome {
-            Ok(stop) => {
-                t.stats.completed += 1;
-                match stop {
-                    StopReason::BudgetMet => t.stats.budget_met += 1,
-                    StopReason::MaxIters => t.stats.max_iters += 1,
-                    StopReason::Cancelled => t.stats.cancelled += 1,
-                    StopReason::DeadlineExceeded => t.stats.deadline_exceeded += 1,
-                    StopReason::RetriesExhausted => t.stats.retries_exhausted += 1,
-                    StopReason::Stalled => t.stats.stalled += 1,
-                }
-            }
-            Err(()) => t.stats.errors += 1,
-        }
-        if quarantined_now {
-            t.stats.quarantined += 1;
-        }
+        let t = end_attempt(&mut sched, &job.tenant, timings.run_secs);
         // The breaker judges every completion: hard failures are typed
         // errors, watchdog stalls, and exhausted retries. Cancellation
         // and deadline expiry are *caller* verdicts, not tenant health.
@@ -2135,50 +2187,25 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                 outcome,
                 Err(()) | Ok(StopReason::Stalled | StopReason::RetriesExhausted)
             );
-            let b = t
-                .breaker
-                .get_or_insert_with(|| Breaker::new(inner.cfg.breaker_window));
-            b.record(
-                failure,
-                Instant::now(),
-                inner.cfg.breaker_threshold,
-                inner.cfg.breaker_cooldown,
-            );
-            t.stats.breaker_trips = b.trips;
+            t.breaker
+                .get_or_insert_with(|| Breaker::new(inner.cfg.breaker_window))
+                .record(
+                    failure,
+                    Instant::now(),
+                    inner.cfg.breaker_threshold,
+                    inner.cfg.breaker_cooldown,
+                );
         }
-        sched.total_attempt_secs += timings.run_secs;
-        sched.total_attempts += 1;
     }
-    inner
-        .metrics
-        .wait_us
-        .record((timings.wait_secs * 1e6) as u64);
-    inner.metrics.run_us.record((timings.run_secs * 1e6) as u64);
-    match outcome {
-        Ok(stop) => {
-            inner.metrics.jobs_completed.inc();
-            if stop == StopReason::Stalled {
-                inner.metrics.jobs_stalled.inc();
-            }
-        }
-        Err(()) => inner.metrics.jobs_errors.inc(),
-    }
-    if quarantined_now {
-        inner.metrics.jobs_quarantined.inc();
+    // Accounting first, completion second: anyone woken by the handle's
+    // condvar must already see this job in the counters and stats.
+    if quarantined {
         inner
-            .events
-            .record(job.id, &job.tenant, attempt, EventKind::Quarantined, None);
+            .ledger
+            .transition(job.id, &job.tenant, attempt, Transition::Quarantined);
     }
-    inner.events.record(
-        job.id,
-        &job.tenant,
-        attempt,
-        EventKind::Completed,
-        Some(match outcome {
-            Ok(stop) => stop.as_str(),
-            Err(()) => "error",
-        }),
-    );
+    let step = Transition::Completed(&result, &timings);
+    inner.ledger.transition(job.id, &job.tenant, attempt, step);
     // A run that truly finished has nothing left to resume: retire its
     // durable checkpoint file before the result becomes visible (a
     // crash between remove and publish merely replays the finished run
@@ -2191,11 +2218,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             file.remove();
         }
     }
-    {
-        let mut state = job.state.lock().unwrap();
-        *state = JobState::Done(Box::new(Finished { result, timings }));
-        job.done_cv.notify_all();
-    }
+    job.publish(result, timings);
     // The blob only ever fed panic-retry, which is over; a held handle
     // would otherwise pin it for its whole lifetime. Freed after the
     // result is visible, so the waiter never pays for the drop.

@@ -16,6 +16,7 @@ use pgs_core::pegasus::PegasusConfig;
 use pgs_core::FaultPlan;
 use pgs_graph::gen::planted_partition;
 use pgs_graph::Graph;
+use pgs_observe::EventKind;
 use pgs_serve::{
     JobRecord, JobStatus, Journal, ServiceConfig, SubmitRequest, SummaryHandle, SummaryService,
 };
@@ -112,6 +113,18 @@ fn high_attempt_record_is_quarantined_at_startup_until_released() {
     let t = stats.iter().find(|s| s.tenant == "t").expect("tenant seen");
     assert_eq!(t.quarantined, 1);
     assert_eq!(job_files(&dir), 0, "record moved out of the live journal");
+    // The counter and the event stream tell the same story as the
+    // tenant's stats.
+    let snap = svc.metrics_snapshot();
+    assert_eq!(snap.values.counters.get("serve.jobs.quarantined"), Some(&1));
+    let events: Vec<_> = svc
+        .events_tail()
+        .into_iter()
+        .filter(|e| e.kind == EventKind::Quarantined)
+        .collect();
+    assert_eq!(events.len(), 1, "one quarantined event");
+    assert_eq!(events[0].tenant, "t");
+    assert_eq!(events[0].job_id, u64::MAX, "no job exists for the record");
 
     // Re-admission under the same durable key is refused outright.
     let req = SummarizeRequest::new(Budget::Ratio(0.4)).targets(&[0]);
@@ -184,6 +197,42 @@ fn failed_quarantine_write_keeps_the_live_record() {
     assert_eq!(svc2.quarantined_keys(), vec!["poison".to_string()]);
     assert_eq!(job_files(&dir), 0, "record moved out of the live journal");
     assert_eq!(journal.quarantined().len(), 1);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// A crash between quarantine's write and its retire leaves the record
+/// in both places. Replay skips the live copy of a quarantined key and
+/// retires it, keeping the quarantine copy for forensics: the job is
+/// never re-admitted.
+#[test]
+fn live_record_of_a_quarantined_key_is_retired_not_replayed() {
+    let g = graph();
+    let dir = temp_dir("quarantined-live");
+    let journal = Journal::new(&dir);
+    let rec = JobRecord {
+        tenant: "d".into(),
+        key: "cursed".into(),
+        priority: 0,
+        seq: 0,
+        attempts: 1,
+        budget: Budget::Ratio(0.4),
+        personalization: Personalization::Targets(vec![3]),
+        deadline: None,
+    };
+    journal.append(&rec, false).expect("fabricated record");
+    journal.quarantine(&rec).expect("quarantine copy");
+    journal.append(&rec, false).expect("live copy again");
+    assert_eq!(job_files(&dir), 1);
+
+    let svc = SummaryService::new(Arc::clone(&g), algorithm(1), config(&dir));
+    assert!(
+        svc.recovered_handles().is_empty(),
+        "a quarantined key must not replay"
+    );
+    assert_eq!(svc.quarantined_keys(), vec!["cursed".to_string()]);
+    assert_eq!(job_files(&dir), 0, "the live copy is retired");
+    assert_eq!(journal.quarantined().len(), 1, "the quarantine copy stays");
+    drop(svc);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -4,20 +4,23 @@
 //! round-trip through the bundled JSON parser with exactly the
 //! documented keys, stall forensics capture the event tail at
 //! escalation, retried jobs report honest per-attempt timings (the
-//! conflated-wait bugfix), and instrumentation never perturbs
-//! byte-identity.
+//! conflated-wait bugfix), the event stream folds to the counters and
+//! per-tenant stats, and instrumentation never perturbs byte-identity.
 
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use pgs_core::api::{Budget, Pegasus, StopReason, SummarizeRequest, Summarizer};
+use pgs_core::api::{
+    Budget, Pegasus, Personalization, PgsError, StopReason, SummarizeRequest, Summarizer,
+};
 use pgs_core::pegasus::PegasusConfig;
 use pgs_core::{FaultPlan, Summary};
 use pgs_graph::gen::planted_partition;
 use pgs_graph::Graph;
 use pgs_observe::{EventKind, Json};
-use pgs_serve::{ServiceConfig, SubmitRequest, SummaryService};
+use pgs_serve::{JobRecord, JobStatus, Journal, ServiceConfig, SubmitRequest, SummaryService};
 
 /// The stable metric key sets of DESIGN.md §14. Renaming or adding a
 /// key without updating these lists (and the docs) fails this suite.
@@ -469,5 +472,226 @@ fn instrumentation_never_perturbs_byte_identity() {
             "caller observer still fires behind the metrics wrapper"
         );
     }
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// Counters, per-tenant stats and events come from the same
+/// transitions, so folding the NDJSON sink by (tenant, kind, stop)
+/// reproduces every `serve.jobs.*` counter and each tenant's lifecycle
+/// counts, and the cache, the registry and the tenants agree on hits
+/// and misses. The run covers a quarantine at startup, a rejection
+/// after a cache hit, a shed, a retry, a watchdog stall, a typed error,
+/// a cancellation and a fault-seeded burst on 8 workers. The order of
+/// one job's events is not asserted: a worker may pop a job before its
+/// `queued` event is recorded.
+#[test]
+fn event_stream_folds_to_the_metrics_snapshot() {
+    let g = graph();
+    let dir = std::env::temp_dir().join(format!("pgs-observe-fold-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let ckpt = dir.join("ckpt");
+    // The aftermath of a job that took the process down seven times.
+    let poisoned = JobRecord {
+        tenant: "poisoned".into(),
+        key: "poison".into(),
+        priority: 0,
+        seq: 0,
+        attempts: 7,
+        budget: Budget::Ratio(0.4),
+        personalization: Personalization::Targets(vec![0]),
+        deadline: None,
+    };
+    Journal::new(&ckpt)
+        .append(&poisoned, false)
+        .expect("fabricated record");
+    let sink = dir.join("events.ndjson");
+    let svc = SummaryService::new(
+        Arc::clone(&g),
+        algorithm(5),
+        ServiceConfig {
+            workers: 8,
+            tenant_queue_depth: 1,
+            global_queue_depth: 1,
+            retry_budget: 1,
+            retry_backoff: Duration::from_millis(1),
+            checkpoint_every: 1,
+            checkpoint_dir: Some(ckpt),
+            stall_timeout: Some(Duration::from_secs(1)),
+            events_path: Some(sink.clone()),
+            ..Default::default()
+        },
+    );
+    assert_eq!(svc.quarantined_keys(), vec!["poison".to_string()]);
+    let req = |t: u32| SummarizeRequest::new(Budget::Ratio(0.4)).targets(&[t]);
+
+    // A run the watchdog will flag holds tenant "a"'s one in-flight
+    // slot for the stall timeout. The next submission on its target
+    // hits the cache and queues; the one after hits and finds the
+    // tenant queue full.
+    let stall = Arc::new(FaultPlan::new().stall_forever_at(2));
+    let stalled = svc
+        .submit(SubmitRequest::new("a", req(0).fault_plan(stall)))
+        .expect("admitted");
+    while stalled.poll() != JobStatus::Running {
+        std::thread::sleep(Duration::from_millis(1));
+    }
+    let shed = svc
+        .submit(SubmitRequest::new("a", req(0)))
+        .expect("queued behind the stalled run");
+    assert!(matches!(
+        svc.submit(SubmitRequest::new("a", req(0))),
+        Err(PgsError::Overloaded { .. })
+    ));
+    // The global bound is full: a higher priority sheds the queued job.
+    let vip = svc
+        .submit(SubmitRequest::new("vip", req(1)).priority(9))
+        .expect("admitted by shedding");
+    assert!(matches!(shed.wait(), Err(PgsError::Overloaded { .. })));
+    let out = stalled.wait().expect("a stalled run publishes");
+    assert_eq!(out.stop, StopReason::Stalled);
+    vip.wait().expect("vip completes");
+
+    // One at a time, so admission sees empty queues: a panic retried
+    // from its checkpoint, a typed error, and a cancellation raised
+    // before pickup.
+    let plan = Arc::new(FaultPlan::seeded_panic(3, 1));
+    let retried = svc
+        .submit(SubmitRequest::new(
+            "r",
+            req(2).fault_plan(Arc::clone(&plan)),
+        ))
+        .expect("admitted");
+    retried.wait().expect("retried to completion");
+    assert_eq!(plan.armed(), 0, "the fault fired");
+    let bad = SummarizeRequest::new(Budget::Ratio(0.4)).targets(&[100_000]);
+    let bad = svc.submit(SubmitRequest::new("e", bad)).expect("admitted");
+    assert!(matches!(bad.wait(), Err(PgsError::TargetOutOfRange { .. })));
+    let flag = Arc::new(AtomicBool::new(true));
+    let cancelled = svc
+        .submit(SubmitRequest::new("c", req(3).cancel_flag(flag)))
+        .expect("admitted");
+    assert_eq!(
+        cancelled.wait().expect("cancelled").stop,
+        StopReason::Cancelled
+    );
+
+    // A burst on all 8 workers: with both queue bounds at 1, admission
+    // sheds and rejects after cache hits and misses alike, and seeded
+    // panics retry.
+    let burst: Vec<_> = (0..32u32)
+        .map(|i| {
+            let mut r = req(i % 5);
+            if i % 8 == 3 {
+                r = r.fault_plan(Arc::new(FaultPlan::seeded_panic(u64::from(i), 1)));
+            }
+            let sub = SubmitRequest::new(format!("t{}", i % 4), r).priority((i % 3) as u8);
+            svc.submit(sub)
+        })
+        .collect();
+    for h in burst.iter().flatten() {
+        match h.wait() {
+            Ok(_) | Err(PgsError::Overloaded { .. }) => {}
+            Err(other) => panic!("burst job failed: {other:?}"),
+        }
+    }
+    let snap = svc.metrics_snapshot();
+    drop(svc);
+
+    let mut fold: BTreeMap<(String, String, Option<String>), u64> = BTreeMap::new();
+    let text = std::fs::read_to_string(&sink).expect("sink written");
+    for line in text.lines() {
+        let ev = Json::parse(line).expect("event line parses");
+        let field = |k: &str| ev.get(k).and_then(Json::as_str).map(String::from);
+        let key = (
+            field("tenant").expect("tenant"),
+            field("kind").expect("kind"),
+            field("stop"),
+        );
+        *fold.entry(key).or_default() += 1;
+    }
+    // Events of `kind` (with stop `stop`, when given) for `tenant`, or
+    // for every tenant.
+    let n = |tenant: Option<&str>, kind: &str, stop: Option<&str>| -> u64 {
+        fold.iter()
+            .filter(|((t, k, s), _)| {
+                tenant.is_none_or(|x| x == t)
+                    && k == kind
+                    && (stop.is_none() || stop == s.as_deref())
+            })
+            .map(|(_, count)| count)
+            .sum()
+    };
+    // What a counter or a tenant stat folds to. `stalled` counts
+    // completions that stopped stalled, not the watchdog's events.
+    let folded = |tenant: Option<&str>, stat: &str| -> u64 {
+        let errors = n(tenant, "completed", Some("error"));
+        match stat {
+            "submitted" => n(tenant, "admitted", None) + n(tenant, "replayed", None),
+            "replayed" => n(tenant, "replayed", None),
+            "completed" => n(tenant, "completed", None) - errors,
+            "errors" => errors,
+            "rejected" | "shed" | "quarantined" => n(tenant, stat, None),
+            "retried" | "retries" => n(tenant, "retried", None),
+            "budget-met" | "max-iters" | "cancelled" | "deadline-exceeded"
+            | "retries-exhausted" | "stalled" => n(tenant, "completed", Some(stat)),
+            other => panic!("no fold for {other:?}"),
+        }
+    };
+
+    let mut jobs_counters = 0;
+    for (key, &value) in &snap.values.counters {
+        if let Some(stat) = key.strip_prefix("serve.jobs.") {
+            assert_eq!(value, folded(None, stat), "{key} against the events");
+            jobs_counters += 1;
+        }
+    }
+    assert_eq!(jobs_counters, 9, "every serve.jobs.* counter is folded");
+    for t in &snap.tenants {
+        for (stat, value) in [
+            ("submitted", t.submitted),
+            ("completed", t.completed),
+            ("budget-met", t.budget_met),
+            ("max-iters", t.max_iters),
+            ("cancelled", t.cancelled),
+            ("deadline-exceeded", t.deadline_exceeded),
+            ("retries-exhausted", t.retries_exhausted),
+            ("stalled", t.stalled),
+            ("errors", t.errors),
+            ("shed", t.shed),
+            ("rejected", t.rejected),
+            ("quarantined", t.quarantined),
+            ("retries", t.retries),
+        ] {
+            let tenant = Some(t.tenant.as_str());
+            assert_eq!(value, folded(tenant, stat), "tenant {}: {stat}", t.tenant);
+        }
+    }
+    for (tenant, _, _) in fold.keys() {
+        assert!(
+            snap.tenants.iter().any(|t| &t.tenant == tenant),
+            "events of {tenant:?} but no stats"
+        );
+    }
+    // Everything the run set out to cover happened.
+    for stat in [
+        "quarantined",
+        "rejected",
+        "shed",
+        "retries",
+        "stalled",
+        "errors",
+        "cancelled",
+    ] {
+        assert!(folded(None, stat) > 0, "the run covers {stat}");
+    }
+
+    let counter = |k: &str| *snap.values.counters.get(k).unwrap_or(&0);
+    let hits: u64 = snap.tenants.iter().map(|t| t.cache_hits).sum();
+    let misses: u64 = snap.tenants.iter().map(|t| t.cache_misses).sum();
+    assert_eq!((snap.cache.hits, counter("serve.cache.hits")), (hits, hits));
+    assert_eq!(
+        (snap.cache.misses, counter("serve.cache.misses")),
+        (misses, misses)
+    );
     let _ = std::fs::remove_dir_all(&dir);
 }

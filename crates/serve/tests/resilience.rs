@@ -220,6 +220,11 @@ fn tenant_queue_depth_rejects_at_the_door() {
         svc.submit(SubmitRequest::new("a", mk(2))),
         Err(PgsError::Overloaded { .. })
     ));
+    // A cache hit (the blocker resolved target 0) rejected just the same.
+    assert!(matches!(
+        svc.submit(SubmitRequest::new("a", mk(0))),
+        Err(PgsError::Overloaded { .. })
+    ));
     // The bound is per-tenant: another tenant is unaffected.
     let other = svc
         .submit(SubmitRequest::new("b", mk(3)))
@@ -230,8 +235,19 @@ fn tenant_queue_depth_rejects_at_the_door() {
         h.wait().expect("admitted work completes");
     }
     let stats = svc.tenant_stats();
-    assert_eq!(stats[0].rejected, 1, "tenant a");
+    assert_eq!(stats[0].rejected, 2, "tenant a");
     assert_eq!(stats[1].rejected, 0, "tenant b");
+    // A rejected submission's lookup counts like any other: the cache,
+    // the registry and the tenants agree on hits and on misses.
+    let cache = svc.cache_stats();
+    let snap = svc.metrics_snapshot();
+    let counter = |k: &str| *snap.values.counters.get(k).unwrap_or(&0);
+    let tenant_hits: u64 = stats.iter().map(|s| s.cache_hits).sum();
+    let tenant_misses: u64 = stats.iter().map(|s| s.cache_misses).sum();
+    assert_eq!(cache.hits, 1);
+    assert_eq!((counter("serve.cache.hits"), tenant_hits), (1, 1));
+    assert_eq!(cache.misses, 4);
+    assert_eq!((counter("serve.cache.misses"), tenant_misses), (4, 4));
 }
 
 /// A summarizer that panics unconditionally: every attempt dies, so
