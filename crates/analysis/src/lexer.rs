@@ -1,11 +1,12 @@
 //! A comment- and string-aware Rust tokenizer.
 //!
-//! The analyzer never needs a full parse: every rule (PGS001-PGS005)
-//! works from an identifier/punctuation stream plus brace structure.
-//! What it *cannot* tolerate is a `.unwrap()` inside a string literal
-//! or a doc comment being reported as a panic site, so the lexer's one
-//! job is to classify those regions correctly — and to never panic,
-//! whatever bytes it is fed (pinned by a proptest).
+//! The analyzer never needs a full parse: every rule (PGS001, PGS002,
+//! PGS003, PGS005) works from an identifier/punctuation stream plus
+//! brace structure. What it *cannot* tolerate is a `.iter()` inside a
+//! string literal or a `.lock()` in a doc comment being reported as a
+//! hash-order or lock-order site, so the lexer's one job is to classify
+//! those regions correctly — and to never panic, whatever bytes it is
+//! fed (pinned by a proptest).
 //!
 //! Comments are not discarded silently: `// pgs-allow: <CODE> <reason>`
 //! suppression pragmas and `// pgs-lock-order: a -> b -> c` manifest
@@ -50,7 +51,7 @@ pub struct Token {
 pub struct Pragma {
     /// 1-based line the pragma comment sits on.
     pub line: u32,
-    /// Rule codes it suppresses (e.g. `"PGS004"`).
+    /// Rule codes it suppresses (e.g. `"PGS001"`).
     pub codes: Vec<String>,
     /// The mandatory human reason. Empty = malformed pragma (reported
     /// by the driver as an undocumented violation of the rule itself).

@@ -13,8 +13,6 @@
 //!   (replayability).
 //! * **PGS003** — lock acquisition order in `crates/serve` against the
 //!   declared `// pgs-lock-order:` manifest (deadlock freedom).
-//! * **PGS004** — `unwrap`/`expect`/`panic!` in library code, with
-//!   lock-poisoning propagation policy-exempt (panic freedom).
 //! * **PGS005** — `PgsError` variants that are never constructed or
 //!   never rendered by `Display` (error-surface completeness).
 //!
@@ -27,7 +25,9 @@
 //! comments, raw strings, lifetimes vs. char literals) and tracks
 //! brace structure, but does not resolve types or names. Known
 //! approximations are listed in each rule's module docs and in
-//! DESIGN.md §13.
+//! DESIGN.md §13. Panic freedom needs types (a `LockResult` unwrap is
+//! policy, an `Option` unwrap is not), so clippy checks it instead:
+//! see the crate roots of `core`, `serve` and `cli` and `clippy.toml`.
 
 #![forbid(unsafe_code)]
 

@@ -1,23 +1,22 @@
 //! Findings and the two output formats (human text, `--format json`).
 
-/// One rule finding. `allowed` carries the pragma reason (or the
-/// policy name for policy-exempt categories); `None` means the
-/// violation is undocumented and fails the check.
+/// One rule finding. `allowed` carries the pragma reason; `None`
+/// means the violation is undocumented and fails the check.
 #[derive(Clone, Debug, PartialEq, Eq)]
 pub struct Finding {
-    /// Stable rule code (`PGS001`..`PGS005`).
+    /// Stable rule code (`PGS001`, `PGS002`, `PGS003` or `PGS005`).
     pub code: &'static str,
     /// Workspace-relative path.
     pub file: String,
     /// 1-based line.
     pub line: u32,
     /// Short machine-friendly category within the rule
-    /// (e.g. `hash-iteration`, `poisoning`, `lock-order`).
+    /// (e.g. `hash-iteration`, `never-rendered`, `lock-order`).
     pub category: &'static str,
     /// Human explanation of this specific site.
     pub message: String,
-    /// `Some(reason)` when documented by a pragma or exempted by
-    /// policy; `None` = undocumented violation.
+    /// `Some(reason)` when documented by a pragma; `None` =
+    /// undocumented violation.
     pub allowed: Option<String>,
 }
 

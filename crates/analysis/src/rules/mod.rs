@@ -1,4 +1,4 @@
-//! The rule set: PGS001-PGS005.
+//! The rule set: PGS001, PGS002, PGS003 and PGS005.
 //!
 //! Each rule is a pure function over [`FileCtx`] slices — no
 //! filesystem access, so the self-tests drive them straight from
@@ -9,7 +9,6 @@
 pub mod pgs001;
 pub mod pgs002;
 pub mod pgs003;
-pub mod pgs004;
 pub mod pgs005;
 
 use crate::lexer::{self, Lexed, Tok, Token};
@@ -25,8 +24,6 @@ pub struct RuleSet {
     pub rng_discipline: bool,
     /// PGS003 — lock ordering (`crates/serve`).
     pub lock_discipline: bool,
-    /// PGS004 — panic freedom (`core`, `serve`, `cli`).
-    pub panic_freedom: bool,
 }
 
 impl RuleSet {
@@ -36,7 +33,6 @@ impl RuleSet {
             hash_iteration: true,
             rng_discipline: true,
             lock_discipline: true,
-            panic_freedom: true,
         }
     }
 }
@@ -105,9 +101,6 @@ pub fn check_all(files: &[FileCtx]) -> Vec<Finding> {
         }
         if f.rules.rng_discipline {
             findings.extend(pgs002::check(f));
-        }
-        if f.rules.panic_freedom {
-            findings.extend(pgs004::check(f));
         }
     }
     findings.extend(pgs003::check(files));

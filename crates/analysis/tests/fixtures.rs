@@ -46,11 +46,6 @@ fn pgs003_lock_discipline() {
 }
 
 #[test]
-fn pgs004_panic_freedom() {
-    assert_rule("PGS004", "pgs004_pos.rs", "pgs004_neg.rs");
-}
-
-#[test]
 fn pgs005_error_surface() {
     assert_rule("PGS005", "pgs005_pos.rs", "pgs005_neg.rs");
 }
@@ -86,9 +81,9 @@ fn pragma_without_reason_does_not_suppress() {
 
 #[test]
 fn json_report_is_well_formed_enough_for_ci() {
-    let report = check_files(&[fixture("pgs004_pos.rs")]);
+    let report = check_files(&[fixture("pgs001_pos.rs")]);
     let json = report.render_json();
     assert!(json.contains("\"version\": 1"), "{json}");
-    assert!(json.contains("\"code\": \"PGS004\""), "{json}");
+    assert!(json.contains("\"code\": \"PGS001\""), "{json}");
     assert!(json.contains("\"violations\""), "{json}");
 }

@@ -686,7 +686,10 @@ pub fn serve(raw: &[String]) -> Result<(), String> {
         };
         match h.wait() {
             Ok(out) => {
-                // pgs-allow: PGS004 wait() returned Ok, so the service recorded timings
+                #[expect(
+                    clippy::expect_used,
+                    reason = "wait() returned Ok, so the service recorded timings"
+                )]
                 let t = h.timings().expect("finished");
                 println!(
                     "{}\t{}\t{}\t{}\t{:.4}\t{:.2}\t{:.2}",

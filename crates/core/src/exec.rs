@@ -48,6 +48,10 @@ impl Exec {
     /// in item order. Items are assigned round-robin to workers; with one
     /// worker (or one item) everything runs inline on the caller's
     /// thread.
+    #[expect(
+        clippy::expect_used,
+        reason = "structural invariant: worker w produced exactly its round-robin share"
+    )]
     pub fn map_indexed<I, O, F>(&self, items: &[I], f: F) -> Vec<O>
     where
         I: Sync,
@@ -75,7 +79,6 @@ impl Exec {
         // Worker w's k-th output is item w + k·t; drain in global order.
         let mut iters: Vec<std::vec::IntoIter<O>> = parts.into_iter().map(Vec::into_iter).collect();
         (0..n)
-            // pgs-allow: PGS004 structural invariant: worker w produced exactly its round-robin share
             .map(|i| iters[i % t].next().expect("round-robin reassembly"))
             .collect()
     }

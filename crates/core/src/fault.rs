@@ -165,9 +165,12 @@ impl FaultPlan {
                 continue;
             }
             match f.kind {
+                #[expect(
+                    clippy::panic,
+                    reason = "deliberate injected panic — the fault being simulated"
+                )]
                 FaultKind::Panic => {
                     if f.armed.swap(false, Ordering::SeqCst) {
-                        // pgs-allow: PGS004 deliberate injected panic — the fault being simulated
                         panic!("injected fault: evaluator panic at iteration {t}");
                     }
                 }

@@ -52,6 +52,23 @@
 //! bitwise-equal to the request path.
 
 #![forbid(unsafe_code)]
+// Panic policy (DESIGN.md §13): `clippy.toml` exempts lock-poisoning
+// unwraps; every other site carries an `#[expect(..., reason = ...)]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 pub mod api;
 pub mod checkpoint;

@@ -258,7 +258,10 @@ pub(crate) fn run_fresh(
 ) -> (Summary, RunStats) {
     match run_loop(g, weights, budget_bits, spec, &RunControl::default(), None) {
         Ok((summary, stats, _)) => (summary, stats),
-        // pgs-allow: PGS004 the loop fails only on a resume checkpoint, and none is passed
+        #[expect(
+            clippy::unreachable,
+            reason = "the loop fails only on a resume checkpoint, and none is passed"
+        )]
         Err(e) => unreachable!("fresh run: {e}"),
     }
 }

@@ -59,9 +59,12 @@ pub fn sparsify(ws: &mut WorkingSummary<'_>, budget_bits: f64, exec: &Exec) {
         priced
     });
     let mut priced: Vec<(f64, SuperId, SuperId)> = priced_parts.into_iter().flatten().collect();
+    #[expect(
+        clippy::expect_used,
+        reason = "merge costs are finite sums of finite terms; NaN cannot reach the sort"
+    )]
     priced.sort_unstable_by(|x, y| {
         x.0.partial_cmp(&y.0)
-            // pgs-allow: PGS004 merge costs are finite sums of finite terms; NaN cannot reach the sort
             .expect("finite costs")
             .then(x.1.cmp(&y.1))
             .then(x.2.cmp(&y.2))

@@ -100,8 +100,11 @@ impl AdaptiveThreshold {
         let kth = ((self.beta * len as f64).floor() as usize).clamp(1, len);
         // k-th largest = element at index (k-1) under descending order.
         let idx = kth - 1;
+        #[expect(
+            clippy::expect_used,
+            reason = "rejected reductions are finite by construction; NaN cannot reach the select"
+        )]
         self.rejected
-            // pgs-allow: PGS004 rejected reductions are finite by construction; NaN cannot reach the select
             .select_nth_unstable_by(idx, |a, b| b.partial_cmp(a).expect("finite reductions"));
         self.theta = self.rejected[idx];
         self.rejected.clear();

@@ -1199,8 +1199,11 @@ impl<'a> WorkingSummary<'a> {
     ///
     /// # Panics
     /// Panics if `s` is dead.
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract: callers pass live supernodes"
+    )]
     pub fn members(&self, s: SuperId) -> &[NodeId] {
-        // pgs-allow: PGS004 documented `# Panics` contract: callers pass live supernodes
         self.members[s as usize].as_ref().expect("dead supernode")
     }
 
@@ -1226,7 +1229,10 @@ impl<'a> WorkingSummary<'a> {
     /// Panics if no bank is attached or `lane` is out of range.
     #[inline]
     pub fn signature(&self, s: SuperId, lane: usize) -> u64 {
-        // pgs-allow: PGS004 documented `# Panics` contract: a bank must be attached first
+        #[expect(
+            clippy::expect_used,
+            reason = "documented `# Panics` contract: a bank must be attached first"
+        )]
         let bank = self.sigs.as_ref().expect("no signature bank attached");
         assert!(lane < bank.lanes, "lane {lane} out of range");
         debug_assert!(self.is_live(s), "dead supernode");
@@ -2130,12 +2136,15 @@ impl GroupCache {
         for (start, owner) in order {
             let len = self.spans[&owner].len as usize;
             let start = start as usize;
+            #[expect(
+                clippy::expect_used,
+                reason = "owner came from iterating these same spans"
+            )]
             if start != write {
                 self.keys.copy_within(start..start + len, write);
                 self.vals.copy_within(start..start + len, write);
                 self.pres.copy_within(start..start + len, write);
                 self.wx.copy_within(start..start + len, write);
-                // pgs-allow: PGS004 owner came from iterating these same spans
                 self.spans.get_mut(&owner).expect("live span").start = write as u32;
             }
             write += len;
@@ -2253,8 +2262,11 @@ impl<'w, 'a> GroupView<'w, 'a> {
     }
 
     /// The span cache of a view built by [`GroupView::with_cache`].
+    #[expect(
+        clippy::expect_used,
+        reason = "documented `# Panics` contract of every cached entry point"
+    )]
     fn cache(&self) -> &GroupCache {
-        // pgs-allow: PGS004 documented `# Panics` contract of every cached entry point
         self.cache.as_ref().expect("GroupView built without cache")
     }
 
@@ -2353,7 +2365,7 @@ impl<'w, 'a> GroupView<'w, 'a> {
         scratch.begin(self.ws.g.num_nodes());
         cache.load(s, &mut scratch.a, scratch.epoch);
         scratch.a.sort_touched();
-        // pgs-allow: PGS004 same Option read just above
+        #[expect(clippy::expect_used, reason = "same Option read just above")]
         let mut cache = self.cache.take().expect("checked above");
         let span = cache.store_from_lane(
             s,
@@ -2661,7 +2673,10 @@ pub fn evaluate_group_with(
                 fails += 1;
                 continue;
             };
-            // pgs-allow: PGS004 best and best_key are always set together
+            #[expect(
+                clippy::expect_used,
+                reason = "best and best_key are always set together"
+            )]
             let score = best_key.expect("best implies a key");
             if score >= theta {
                 let (a, b) = (group[i], group[j]);

@@ -84,6 +84,23 @@
 //! [`Summarizer`]: pgs_core::api::Summarizer
 
 #![forbid(unsafe_code)]
+// Panic policy (DESIGN.md §13): `clippy.toml` exempts lock-poisoning
+// unwraps; every other site carries an `#[expect(..., reason = ...)]`.
+#![deny(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable
+)]
+#![cfg_attr(
+    test,
+    allow(
+        clippy::unwrap_used,
+        clippy::expect_used,
+        clippy::panic,
+        clippy::unreachable
+    )
+)]
 
 // Lock-order manifest (checked by `pgs-analysis`, rule PGS003): when
 // two of these locks are held at once, the left one must be taken

@@ -98,7 +98,7 @@ use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use pgs_core::api::{
-    CheckpointSink, PgsError, RunOutput, StopReason, SummarizeRequest, Summarizer,
+    CheckpointSink, PgsError, RunControl, RunOutput, StopReason, SummarizeRequest, Summarizer,
 };
 use pgs_core::checkpoint::iteration_seed;
 use pgs_core::exec::Exec;
@@ -598,6 +598,28 @@ struct EngineMetrics {
     evaluate_us: Arc<Counter>,
     commit_us: Arc<Counter>,
     sparsify_us: Arc<Counter>,
+}
+
+impl EngineMetrics {
+    /// Adds the work done between `prev` and `now` (saturating, so a
+    /// stale `prev` never subtracts) and advances `prev` to `now`.
+    fn publish(&self, prev: &mut RunStats, now: &RunStats) {
+        let us = |now: f64, before: f64| ((now - before).max(0.0) * 1e6) as u64;
+        self.iterations
+            .add(now.iterations.saturating_sub(prev.iterations) as u64);
+        self.merges
+            .add(now.merges.saturating_sub(prev.merges) as u64);
+        self.evals.add(now.evals.saturating_sub(prev.evals));
+        self.candidates_us
+            .add(us(now.phases.candidates, prev.phases.candidates));
+        self.evaluate_us
+            .add(us(now.phases.evaluate, prev.phases.evaluate));
+        self.commit_us
+            .add(us(now.phases.commit, prev.phases.commit));
+        self.sparsify_us
+            .add(us(now.phases.sparsify, prev.phases.sparsify));
+        *prev = *now;
+    }
 }
 
 impl Ledger {
@@ -1138,13 +1160,16 @@ impl SummaryService {
             }
         }
         *inner.replayed.lock().unwrap() = handles;
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread exhaustion at construction is unrecoverable"
+        )]
         let pool = (0..workers)
             .map(|w| {
                 let inner = Arc::clone(&inner);
                 std::thread::Builder::new()
                     .name(format!("pgs-serve-{w}"))
                     .spawn(move || worker_loop(&inner))
-                    // pgs-allow: PGS004 OS thread exhaustion at construction is unrecoverable
                     .expect("spawning service worker")
             })
             .collect();
@@ -1705,12 +1730,18 @@ fn shed_lowest_queued(sched: &mut Sched, incoming_priority: u8) -> Option<Arc<Jo
         }
     }
     let (_, _, tenant, idx) = victim?;
+    #[expect(
+        clippy::expect_used,
+        reason = "victim was found in this map under this same lock"
+    )]
     let t = sched
         .tenants
         .get_mut(&tenant)
-        // pgs-allow: PGS004 victim was found in this map under this same lock
         .expect("victim tenant exists");
-    // pgs-allow: PGS004 idx came from this queue under this same lock
+    #[expect(
+        clippy::expect_used,
+        reason = "idx came from this queue under this same lock"
+    )]
     let entry = t.queue.remove(idx).expect("victim still queued");
     sched.queued -= 1;
     Some(entry.job)
@@ -1737,10 +1768,13 @@ fn resolve_shed(job: &Job, hint: Duration) {
 fn end_attempt<'s>(sched: &'s mut Sched, tenant: &str, secs: f64) -> &'s mut TenantSched {
     sched.total_attempt_secs += secs;
     sched.total_attempts += 1;
+    #[expect(
+        clippy::expect_used,
+        reason = "tenant entries are created at submit and never removed"
+    )]
     let t = sched
         .tenants
         .get_mut(tenant)
-        // pgs-allow: PGS004 tenant entries are created at submit and never removed
         .expect("tenant registered at submit");
     t.inflight -= 1;
     t
@@ -1785,9 +1819,15 @@ fn pop_next(sched: &mut Sched, per_tenant_inflight: usize, now: Instant) -> Opti
         })
         .max_by(|a, b| a.1.cmp(&b.1).then(b.2.cmp(&a.2)))
         .map(|(name, _, _)| name.clone())?;
-    // pgs-allow: PGS004 best_tenant was selected from this map under this same lock
+    #[expect(
+        clippy::expect_used,
+        reason = "best_tenant was selected from this map under this same lock"
+    )]
     let t = sched.tenants.get_mut(&best_tenant).expect("tenant exists");
-    // pgs-allow: PGS004 selection required a non-empty queue under this same lock
+    #[expect(
+        clippy::expect_used,
+        reason = "selection required a non-empty queue under this same lock"
+    )]
     let entry = t.queue.pop_front().expect("non-empty queue");
     t.inflight += 1;
     sched.queued -= 1;
@@ -1986,41 +2026,27 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                 });
                 request = request.checkpoint(inner.cfg.checkpoint_every.max(1), sink);
             }
-            // Engine telemetry: wrap any caller observer with a delta
-            // publisher into the engine counters. Deltas are taken
-            // against the previous notification, seeded from the resume
-            // checkpoint's stats so a retried run never re-publishes
-            // work its prior incarnation already counted. Strictly
-            // write-only from the engine's perspective — the
+            // Engine telemetry: wrap the caller's observer (if any)
+            // with a delta publisher into the engine counters. Deltas
+            // are taken against the previous notification, seeded from
+            // the resume checkpoint's stats so a retried run never
+            // re-publishes work its prior incarnation already counted.
+            // Strictly write-only from the engine's perspective — the
             // determinism boundary of DESIGN.md §14.
+            let caller_obs = request.control_ref().observer.clone();
+            let seeded = request
+                .control_ref()
+                .resume
+                .as_deref()
+                .and_then(|b| RunCheckpoint::decode(b).ok())
+                .map(|ck| ck.stats)
+                .unwrap_or_default();
+            let prev = Arc::new(Mutex::new(seeded));
             {
-                let eng = inner.ledger.engine.clone();
-                let caller_obs = request.control_ref().observer.clone();
-                let seeded = request
-                    .control_ref()
-                    .resume
-                    .as_deref()
-                    .and_then(|b| RunCheckpoint::decode(b).ok())
-                    .map(|ck| ck.stats)
-                    .unwrap_or_default();
-                let prev = Mutex::new(seeded);
+                let engine = inner.ledger.engine.clone();
+                let (prev, caller_obs) = (Arc::clone(&prev), caller_obs.clone());
                 request = request.observer(move |stats: &RunStats| {
-                    let mut prev = prev.lock().unwrap();
-                    let us = |now: f64, before: f64| ((now - before).max(0.0) * 1e6) as u64;
-                    eng.iterations
-                        .add(stats.iterations.saturating_sub(prev.iterations) as u64);
-                    eng.merges
-                        .add(stats.merges.saturating_sub(prev.merges) as u64);
-                    eng.evals.add(stats.evals.saturating_sub(prev.evals));
-                    eng.candidates_us
-                        .add(us(stats.phases.candidates, prev.phases.candidates));
-                    eng.evaluate_us
-                        .add(us(stats.phases.evaluate, prev.phases.evaluate));
-                    eng.commit_us
-                        .add(us(stats.phases.commit, prev.phases.commit));
-                    eng.sparsify_us
-                        .add(us(stats.phases.sparsify, prev.phases.sparsify));
-                    *prev = *stats;
+                    engine.publish(&mut prev.lock().unwrap(), stats);
                     if let Some(obs) = &caller_obs {
                         obs(stats);
                     }
@@ -2053,6 +2079,15 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             if let Some(sup) = &inner.supervisor {
                 sup.unwatch(job.id);
             }
+            // The engine notifies only inside its loop, so work after
+            // the last iteration (sparsification) reaches the counters
+            // here, once, without another call to the caller's observer.
+            if let Ok(Ok(out)) = &run {
+                inner
+                    .ledger
+                    .engine
+                    .publish(&mut prev.lock().unwrap(), &out.stats);
+            }
             match run {
                 Ok(result) => {
                     // A cancellation the *watchdog* initiated is not the
@@ -2076,7 +2111,14 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                 Err(_) => {
                     let deaths = job.attempts.fetch_add(1, Ordering::Relaxed) + 1;
                     if deaths <= inner.cfg.retry_budget {
-                        let mut retry = request;
+                        // Re-queue with the caller's own observer: the
+                        // next pickup wraps it afresh, so no layer of
+                        // publishers stacks up across attempts.
+                        let control = RunControl {
+                            observer: caller_obs,
+                            ..request.control_ref().clone()
+                        };
+                        let mut retry = request.control(control);
                         let last = job.last_checkpoint.lock().unwrap().clone();
                         if let Some(blob) = last {
                             retry = retry.resume_from(blob);

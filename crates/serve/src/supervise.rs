@@ -79,10 +79,13 @@ impl Supervisor {
         });
         let tick = (stall_timeout / 4).max(Duration::from_millis(1));
         let thread_shared = Arc::clone(&shared);
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread exhaustion at construction is unrecoverable"
+        )]
         let handle = std::thread::Builder::new()
             .name("pgs-watchdog".into())
             .spawn(move || watchdog_loop(&thread_shared, stall_timeout, tick))
-            // pgs-allow: PGS004 OS thread exhaustion at construction is unrecoverable
             .expect("spawning watchdog");
         Supervisor {
             shared,

@@ -5,7 +5,9 @@
 //! documented keys, stall forensics capture the event tail at
 //! escalation, retried jobs report honest per-attempt timings (the
 //! conflated-wait bugfix), the event stream folds to the counters and
-//! per-tenant stats, and instrumentation never perturbs byte-identity.
+//! per-tenant stats, the engine counters equal the runs' own totals
+//! (across a retry, and including sparsification), and instrumentation
+//! never perturbs byte-identity.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -17,7 +19,7 @@ use pgs_core::api::{
 };
 use pgs_core::pegasus::PegasusConfig;
 use pgs_core::{FaultPlan, Summary};
-use pgs_graph::gen::planted_partition;
+use pgs_graph::gen::{barabasi_albert, planted_partition};
 use pgs_graph::Graph;
 use pgs_observe::{EventKind, Json};
 use pgs_serve::{JobRecord, JobStatus, Journal, ServiceConfig, SubmitRequest, SummaryService};
@@ -694,4 +696,81 @@ fn event_stream_folds_to_the_metrics_snapshot() {
         (misses, misses)
     );
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A panic at the top of iteration 3 with a checkpoint after every
+/// iteration loses no work, so the resumed attempt must leave the
+/// engine counters exactly at the run's own totals. Each attempt must
+/// wrap the caller's observer once: a pickup that wrapped an already
+/// wrapped request would publish every resumed iteration twice.
+#[test]
+fn retried_job_counts_its_engine_work_once() {
+    let svc = SummaryService::new(
+        graph(),
+        algorithm(11),
+        ServiceConfig {
+            workers: 1,
+            retry_budget: 1,
+            checkpoint_every: 1,
+            ..Default::default()
+        },
+    );
+    let plan = Arc::new(FaultPlan::new().panic_at(3));
+    let seen = Arc::new(std::sync::Mutex::new(Vec::new()));
+    let seen_by_observer = Arc::clone(&seen);
+    let req = SummarizeRequest::new(Budget::Ratio(0.4))
+        .targets(&[0])
+        .fault_plan(Arc::clone(&plan))
+        .observer(move |stats| seen_by_observer.lock().unwrap().push(stats.iterations));
+    let h = svc
+        .submit(SubmitRequest::new("alice", req))
+        .expect("admitted");
+    let out = h.wait().expect("retried to completion");
+    assert_eq!(plan.armed(), 0, "the fault fired");
+    assert_eq!(h.timings().expect("done").attempts, 2);
+
+    let snap = svc.metrics_snapshot();
+    let counter = |k: &str| *snap.values.counters.get(k).unwrap_or(&0);
+    assert_eq!(counter("engine.evals"), out.stats.evals);
+    assert_eq!(counter("engine.iterations"), out.stats.iterations as u64);
+    assert_eq!(counter("engine.merges"), out.stats.merges as u64);
+    let tenant = &snap.tenants[0];
+    assert_eq!(counter("engine.evals"), tenant.evals);
+    assert_eq!(counter("engine.merges"), tenant.merges);
+    // The caller's observer still sees each committed iteration once.
+    let expected: Vec<usize> = (1..=out.stats.iterations).collect();
+    assert_eq!(*seen.lock().unwrap(), expected);
+}
+
+/// Sparsification runs after the engine's last per-iteration
+/// notification, so only the service's final flush can publish it.
+#[test]
+fn sparsification_time_reaches_the_engine_counter() {
+    let svc = SummaryService::new(
+        Arc::new(barabasi_albert(2_000, 5, 1)),
+        Arc::new(Pegasus(PegasusConfig {
+            t_max: 1,
+            num_threads: 1,
+            ..Default::default()
+        })),
+        ServiceConfig {
+            workers: 1,
+            ..Default::default()
+        },
+    );
+    let req = SummarizeRequest::new(Budget::Ratio(0.3)).targets(&[0]);
+    let h = svc
+        .submit(SubmitRequest::new("alice", req))
+        .expect("admitted");
+    let stats = h.wait().expect("run").stats;
+    assert!(stats.sparsified, "one iteration cannot meet a 0.3 budget");
+    let snap = svc.metrics_snapshot();
+    let sparsify_us = *snap
+        .values
+        .counters
+        .get("engine.phase.sparsify_us")
+        .expect("registered");
+    // Whole microseconds, truncated as the publisher converts.
+    assert_eq!(sparsify_us, (stats.phases.sparsify * 1e6) as u64);
+    assert!(sparsify_us > 0);
 }
