@@ -1,16 +1,14 @@
 //! A comment- and string-aware Rust tokenizer.
 //!
-//! The analyzer never needs a full parse: every rule (PGS001, PGS002,
-//! PGS003, PGS005) works from an identifier/punctuation stream plus
-//! brace structure. What it *cannot* tolerate is a `.iter()` inside a
-//! string literal or a `.lock()` in a doc comment being reported as a
-//! hash-order or lock-order site, so the lexer's one job is to classify
+//! The lock-order check never needs a full parse: it works from an
+//! identifier/punctuation stream plus brace structure. What it *cannot*
+//! tolerate is a `.lock()` inside a string literal or a doc comment
+//! being read as an acquisition, so the lexer's one job is to classify
 //! those regions correctly — and to never panic, whatever bytes it is
 //! fed (pinned by a proptest).
 //!
-//! Comments are not discarded silently: `// pgs-allow: <CODE> <reason>`
-//! suppression pragmas and `// pgs-lock-order: a -> b -> c` manifest
-//! declarations are collected during the scan (see [`Pragma`] and
+//! Comments are not discarded silently: `// pgs-lock-order: a -> b -> c`
+//! manifest declarations are collected during the scan (see
 //! [`LockOrderDecl`]).
 
 /// One lexical token kind. Literal payloads are dropped — no rule
@@ -40,24 +38,6 @@ pub struct Token {
     pub line: u32,
 }
 
-/// A `// pgs-allow: PGS00X[,PGS00Y] <reason>` suppression pragma.
-///
-/// A pragma documents a *reviewed* violation: the reason is mandatory
-/// (an empty reason leaves the violation undocumented) and the pragma
-/// covers findings of the listed codes on its own line and on the line
-/// directly below it (so it can ride at end-of-line or stand above the
-/// statement).
-#[derive(Clone, Debug, PartialEq, Eq)]
-pub struct Pragma {
-    /// 1-based line the pragma comment sits on.
-    pub line: u32,
-    /// Rule codes it suppresses (e.g. `"PGS001"`).
-    pub codes: Vec<String>,
-    /// The mandatory human reason. Empty = malformed pragma (reported
-    /// by the driver as an undocumented violation of the rule itself).
-    pub reason: String,
-}
-
 /// A `// pgs-lock-order: a -> b -> c` manifest declaration: while
 /// holding lock `a` it is legal to acquire `b`, and while holding `b`,
 /// `c` (edges are chained pairwise; the full order is the transitive
@@ -75,23 +55,8 @@ pub struct LockOrderDecl {
 pub struct Lexed {
     /// The token stream, comments and whitespace stripped.
     pub tokens: Vec<Token>,
-    /// Every suppression pragma found in comments.
-    pub pragmas: Vec<Pragma>,
     /// Every lock-order manifest declaration found in comments.
     pub lock_orders: Vec<LockOrderDecl>,
-}
-
-impl Lexed {
-    /// Whether a finding of `code` on `line` is covered by a pragma
-    /// (same line or the line directly above) with a non-empty reason.
-    /// Returns the reason when covered.
-    pub fn allowance(&self, code: &str, line: u32) -> Option<&str> {
-        self.pragmas.iter().find_map(|p| {
-            let in_range = p.line == line || p.line + 1 == line;
-            let named = p.codes.iter().any(|c| c == code);
-            (in_range && named && !p.reason.is_empty()).then_some(p.reason.as_str())
-        })
-    }
 }
 
 /// Lexes `src`. Total: every byte sequence yields a token stream; bytes
@@ -120,7 +85,7 @@ pub fn lex(src: &str) -> Lexed {
             }
             c if c.is_whitespace() => i += 1,
             '/' if i + 1 < n && chars[i + 1] == '/' => {
-                // Line comment: scan to EOL, mine it for pragmas.
+                // Line comment: scan to EOL, mine it for the manifest.
                 let start = i + 2;
                 let mut j = start;
                 while j < n && chars[j] != '\n' {
@@ -323,28 +288,10 @@ fn scan_raw_string(chars: &[char], start: usize) -> usize {
     n
 }
 
-/// Mines one line comment for `pgs-allow:` / `pgs-lock-order:` markers.
+/// Mines one line comment for a `pgs-lock-order:` declaration.
 fn scan_comment(text: &str, line: u32, out: &mut Lexed) {
     let trimmed = text.trim_start_matches(['/', '!']).trim();
-    if let Some(rest) = trimmed.strip_prefix("pgs-allow:") {
-        let rest = rest.trim();
-        let (codes_part, reason) = match rest.split_once(char::is_whitespace) {
-            Some((c, r)) => (c, r.trim()),
-            None => (rest, ""),
-        };
-        let codes: Vec<String> = codes_part
-            .split(',')
-            .map(|c| c.trim().to_string())
-            .filter(|c| !c.is_empty())
-            .collect();
-        if !codes.is_empty() {
-            out.pragmas.push(Pragma {
-                line,
-                codes,
-                reason: reason.to_string(),
-            });
-        }
-    } else if let Some(rest) = trimmed.strip_prefix("pgs-lock-order:") {
+    if let Some(rest) = trimmed.strip_prefix("pgs-lock-order:") {
         let chain: Vec<String> = rest
             .split("->")
             .map(|s| s.trim().to_string())
@@ -412,25 +359,6 @@ mod tests {
             .find(|t| t.tok == Tok::Ident("unwrap".into()))
             .map(|t| t.line);
         assert_eq!(unwrap_line, Some(3));
-    }
-
-    #[test]
-    fn pragmas_parse_codes_and_reason() {
-        let src = "// pgs-allow: PGS001,PGS004 hash order feeds a sort\nx.iter();";
-        let lexed = lex(src);
-        assert_eq!(lexed.pragmas.len(), 1);
-        assert_eq!(lexed.pragmas[0].codes, vec!["PGS001", "PGS004"]);
-        assert_eq!(lexed.pragmas[0].reason, "hash order feeds a sort");
-        assert!(lexed.allowance("PGS001", 2).is_some());
-        assert!(lexed.allowance("PGS003", 2).is_none());
-        assert!(lexed.allowance("PGS001", 3).is_none(), "only one line down");
-    }
-
-    #[test]
-    fn reasonless_pragma_grants_nothing() {
-        let lexed = lex("// pgs-allow: PGS004\nx.unwrap();");
-        assert_eq!(lexed.pragmas.len(), 1, "parsed but toothless");
-        assert!(lexed.allowance("PGS004", 2).is_none());
     }
 
     #[test]

@@ -1,66 +1,65 @@
-//! `pgs-analysis` — invariant-checking static analysis for the
-//! PeGaSus workspace.
+//! `pgs-analysis` — the lock-order check for the serving layer.
 //!
-//! The engine's headline guarantees — byte-identical summaries at any
-//! thread count, deterministic replay from a seed, a serving layer
-//! that degrades instead of dying — are invariants the compiler cannot
-//! see. This crate checks them lexically, with zero dependencies
-//! beyond `std`, so the gate runs anywhere the toolchain does:
+//! `crates/serve` holds several mutexes, and one out-of-order nesting
+//! is a latent deadlock that no example-based test reliably
+//! reproduces. No compiler check sees lock order, so this crate reads
+//! it lexically, with zero dependencies beyond `std`:
 //!
-//! * **PGS001** — unordered `HashMap`/`HashSet` iteration in engine
-//!   crates (determinism).
-//! * **PGS002** — entropy-seeded RNG construction in engine crates
-//!   (replayability).
-//! * **PGS003** — lock acquisition order in `crates/serve` against the
-//!   declared `// pgs-lock-order:` manifest (deadlock freedom).
-//! * **PGS005** — `PgsError` variants that are never constructed or
-//!   never rendered by `Display` (error-surface completeness).
+//! * **PGS003** — every lock nesting in `crates/serve/src` is legal
+//!   under the declared `// pgs-lock-order:` manifest (see
+//!   [`rules::pgs003`]).
 //!
-//! Sites that are intentional carry an inline
-//! `// pgs-allow: PGS00X <reason>` pragma on the same or preceding
-//! line; the reason is mandatory and is echoed in reports. The binary
-//! exits non-zero only on *undocumented* violations.
+//! `tests/serve_lock_order.rs` runs the check over the serve sources in
+//! tier-1. The other invariants the engine relies on are compiler
+//! checks (DESIGN.md §13): clippy's `iter_over_hash_type` for
+//! hash-order iteration, the vendored `rand`'s missing entropy
+//! constructors for RNG seeding, an exhaustive `match` plus
+//! `tests/error_surface.rs` for the `PgsError` surface, and the
+//! crate-root clippy lints for panic freedom.
 //!
 //! The pass is lexical, not semantic: it lexes real Rust (nested
 //! comments, raw strings, lifetimes vs. char literals) and tracks
 //! brace structure, but does not resolve types or names. Known
-//! approximations are listed in each rule's module docs and in
-//! DESIGN.md §13. Panic freedom needs types (a `LockResult` unwrap is
-//! policy, an `Option` unwrap is not), so clippy checks it instead:
-//! see the crate roots of `core`, `serve` and `cli` and `clippy.toml`.
-
-#![forbid(unsafe_code)]
+//! approximations are listed in [`rules::pgs003`] and DESIGN.md §13.
 
 pub mod lexer;
-pub mod report;
 pub mod rules;
 pub mod scope;
-pub mod workspace;
 
-use report::{Finding, Report};
-use rules::{FileCtx, RuleSet};
-use std::path::Path;
+use rules::FileCtx;
+use std::fs;
+use std::io;
+use std::path::{Path, PathBuf};
 
-/// Checks the whole workspace rooted at `root`.
-pub fn check_workspace(root: &Path) -> std::io::Result<Report> {
-    let files = workspace::load(root)?;
-    Ok(Report::new(rules::check_all(&files)))
-}
-
-/// Checks a set of standalone files with every rule enabled — the
-/// fixture / ad-hoc mode (`--file`).
-pub fn check_files(named: &[(String, String)]) -> Report {
-    let files: Vec<FileCtx> = named
+/// Lexes and scopes every `.rs` file under `dir`, in path order. Paths
+/// in the returned contexts are relative to `dir`, with `/` separators.
+pub fn load_dir(dir: &Path) -> io::Result<Vec<FileCtx>> {
+    let mut paths = Vec::new();
+    collect_rs(dir, &mut paths)?;
+    paths.sort();
+    paths
         .iter()
-        .map(|(rel, text)| FileCtx::new(rel, text, RuleSet::all()))
-        .collect();
-    Report::new(rules::check_all(&files))
+        .map(|path| {
+            let text = fs::read_to_string(path)?;
+            let rel = path
+                .strip_prefix(dir)
+                .unwrap_or(path)
+                .to_string_lossy()
+                .replace('\\', "/");
+            Ok(FileCtx::new(&rel, &text))
+        })
+        .collect()
 }
 
-/// Convenience for tests: all findings (documented and not) for one
-/// source string under every rule.
-pub fn check_source(rel: &str, text: &str) -> Vec<Finding> {
-    check_files(&[(rel.to_string(), text.to_string())])
-        .findings
-        .clone()
+/// Recursively collects `.rs` files under `dir`.
+fn collect_rs(dir: &Path, out: &mut Vec<PathBuf>) -> io::Result<()> {
+    for entry in fs::read_dir(dir)? {
+        let path = entry?.path();
+        if path.is_dir() {
+            collect_rs(&path, out)?;
+        } else if path.extension().is_some_and(|e| e == "rs") {
+            out.push(path);
+        }
+    }
+    Ok(())
 }

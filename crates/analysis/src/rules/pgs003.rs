@@ -19,13 +19,13 @@
 //! (edition 2021 semantics). Lock sites are named by the field the
 //! guard came from (`inner.sched.lock()` → `sched`), which
 //! deliberately merges same-named mutexes — a conservative
-//! over-approximation.
+//! over-approximation. Nesting is read per function body: a guard held
+//! across a call into another function that locks is not seen.
 
 use std::collections::{BTreeMap, BTreeSet};
 
-use super::{ident, is_punct, FileCtx};
+use super::{ident, is_punct, FileCtx, Finding};
 use crate::lexer::Tok;
-use crate::report::Finding;
 use crate::scope::FnSpan;
 
 /// One observed nesting: `inner` acquired while `outer` was held.
@@ -43,17 +43,13 @@ pub struct NestEdge {
     pub function: String,
 }
 
-/// Runs PGS003 across all serve-flagged files.
+/// Runs PGS003 across `files`, which together hold one crate's locks
+/// and its manifest.
 pub fn check(files: &[FileCtx]) -> Vec<Finding> {
-    let serve: Vec<&FileCtx> = files.iter().filter(|f| f.rules.lock_discipline).collect();
-    if serve.is_empty() {
-        return Vec::new();
-    }
-
     // Declared manifest: chains decompose into pairwise edges.
     let mut declared: BTreeSet<(String, String)> = BTreeSet::new();
     let mut decl_sites: Vec<(&FileCtx, u32)> = Vec::new();
-    for f in &serve {
+    for f in files {
         for decl in &f.lexed.lock_orders {
             decl_sites.push((f, decl.line));
             for pair in decl.chain.windows(2) {
@@ -68,7 +64,6 @@ pub fn check(files: &[FileCtx]) -> Vec<Finding> {
     if let Some(cycle) = find_cycle(&declared) {
         let (f, line) = decl_sites[0];
         findings.push(f.finding(
-            "PGS003",
             line,
             "lock-cycle",
             format!(
@@ -79,12 +74,11 @@ pub fn check(files: &[FileCtx]) -> Vec<Finding> {
     }
 
     let legal = transitive_closure(&declared);
-    for f in &serve {
+    for f in files {
         for span in &f.scopes.functions {
             for edge in nesting_edges(f, span) {
                 if edge.outer == edge.inner {
                     findings.push(f.finding(
-                        "PGS003",
                         edge.line,
                         "lock-self",
                         format!(
@@ -95,7 +89,6 @@ pub fn check(files: &[FileCtx]) -> Vec<Finding> {
                     ));
                 } else if !legal.contains(&(edge.outer.clone(), edge.inner.clone())) {
                     findings.push(f.finding(
-                        "PGS003",
                         edge.line,
                         "lock-order",
                         format!(
@@ -341,10 +334,9 @@ fn find_cycle(edges: &BTreeSet<(String, String)>) -> Option<String> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rules::RuleSet;
 
     fn ctx(src: &str) -> FileCtx {
-        FileCtx::new("serve.rs", src, RuleSet::all())
+        FileCtx::new("serve.rs", src)
     }
 
     fn edges(src: &str) -> Vec<(String, String)> {
@@ -442,7 +434,6 @@ mod tests {
         let findings = check(&[ctx(src)]);
         assert_eq!(findings.len(), 1);
         assert_eq!(findings[0].category, "lock-order");
-        assert!(findings[0].allowed.is_none());
     }
 
     #[test]

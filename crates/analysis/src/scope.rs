@@ -1,10 +1,10 @@
 //! Brace-scope structure over the token stream: test-code exclusion
 //! and function-body extraction.
 //!
-//! The rules only fire on *shipping* code. Anything under a
+//! The lock-order check only reads *shipping* code. Anything under a
 //! `#[cfg(test)]` / `#[test]` / `#[bench]` attribute or inside a
-//! `mod tests { ... }` block is marked excluded here, once, so every
-//! rule shares the same notion of "library code".
+//! `mod tests { ... }` block is marked excluded here, and its functions
+//! are never checked.
 
 use crate::lexer::{Lexed, Tok, Token};
 

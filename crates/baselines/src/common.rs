@@ -139,22 +139,23 @@ pub fn partition_to_summary(g: &Graph, node_group: &[u32], weighting: BlockWeigh
     for &gid in node_group {
         size[gid as usize] += 1;
     }
-    // pgs-allow: PGS001 Summary::new sorts superedges canonically
-    let superedges: Vec<(u32, u32, f32)> = counts
-        .into_iter()
-        .map(|((a, b), e)| {
-            let tot = if a == b {
-                size[a as usize] * (size[a as usize] - 1) / 2
-            } else {
-                size[a as usize] * size[b as usize]
-            };
-            let w = match weighting {
-                BlockWeight::Density => (e as f64 / tot.max(1) as f64) as f32,
-                BlockWeight::Count => e as f32,
-            };
-            (a, b, w.max(f32::MIN_POSITIVE))
-        })
-        .collect();
+    let mut superedges: Vec<(u32, u32, f32)> = Vec::with_capacity(counts.len());
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "Summary::new sorts superedges canonically"
+    )]
+    for ((a, b), e) in counts {
+        let tot = if a == b {
+            size[a as usize] * (size[a as usize] - 1) / 2
+        } else {
+            size[a as usize] * size[b as usize]
+        };
+        let w = match weighting {
+            BlockWeight::Density => (e as f64 / tot.max(1) as f64) as f32,
+            BlockWeight::Count => e as f32,
+        };
+        superedges.push((a, b, w.max(f32::MIN_POSITIVE)));
+    }
     Summary::new(g.num_nodes(), node_group.to_vec(), &superedges)
 }
 

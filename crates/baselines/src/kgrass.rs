@@ -53,7 +53,10 @@ fn merge_error_increase(
 
     // Error of the blocks incident to a or b, before the merge.
     let mut before = 0.0;
-    // pgs-allow: PGS001 FxHashMap order is insertion-deterministic; sequential accumulation replays identically
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "FxHashMap order is insertion-deterministic; sequential accumulation replays identically"
+    )]
     for (&x, &e) in map_a.iter() {
         if x == a {
             before += block_l1_error(e / 2.0, tot_self(sa));
@@ -61,7 +64,10 @@ fn merge_error_increase(
             before += block_l1_error(e, tot(sa, size(x)));
         }
     }
-    // pgs-allow: PGS001 FxHashMap order is insertion-deterministic; sequential accumulation replays identically
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "FxHashMap order is insertion-deterministic; sequential accumulation replays identically"
+    )]
     for (&x, &e) in map_b.iter() {
         if x == b {
             before += block_l1_error(e / 2.0, tot_self(sb));
@@ -78,7 +84,10 @@ fn merge_error_increase(
         + map_b.get(&b).copied().unwrap_or(0.0) / 2.0
         + e_ab;
     let mut after = block_l1_error(e_cc, tot_self(sc));
-    // pgs-allow: PGS001 FxHashMap order is insertion-deterministic; sequential accumulation replays identically
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "FxHashMap order is insertion-deterministic; sequential accumulation replays identically"
+    )]
     for (&x, &e) in map_a.iter() {
         if x == a || x == b {
             continue;
@@ -86,7 +95,10 @@ fn merge_error_increase(
         let e_total = e + map_b.get(&x).copied().unwrap_or(0.0);
         after += block_l1_error(e_total, tot(sc, size(x)));
     }
-    // pgs-allow: PGS001 FxHashMap order is insertion-deterministic; sequential accumulation replays identically
+    #[expect(
+        clippy::iter_over_hash_type,
+        reason = "FxHashMap order is insertion-deterministic; sequential accumulation replays identically"
+    )]
     for (&x, &e) in map_b.iter() {
         if x == a || x == b || map_a.contains_key(&x) {
             continue;

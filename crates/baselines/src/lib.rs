@@ -27,8 +27,6 @@
 //! [`pgs_core::Summarizer`], with supernode-count budget normalization
 //! and typed [`pgs_core::PgsError`] validation.
 
-#![forbid(unsafe_code)]
-
 pub mod api;
 pub mod common;
 pub mod kgrass;

@@ -146,7 +146,6 @@ pub(crate) fn s2l_loop(
                 *sums[a].entry(v).or_insert(0.0) += 1.0;
             }
         }
-        // pgs-allow: PGS001 sums is Vec<FxHashMap>; the outer iteration is Vec order
         for (ci, sum) in sums.into_iter().enumerate() {
             if counts[ci] == 0 {
                 // Empty cluster: reseed from a random row.
@@ -157,8 +156,15 @@ pub(crate) fn s2l_loop(
             let inv = 1.0 / counts[ci] as f64;
             let coords: FxHashMap<NodeId, f64> =
                 sum.into_iter().map(|(v, s)| (v, s * inv)).collect();
-            // pgs-allow: PGS001 FxHashMap order is insertion-deterministic; sum replays identically
-            let mass = coords.values().sum();
+            // `Iterator::sum` over f64 starts from -0.0; so does this loop.
+            let mut mass = -0.0;
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "FxHashMap order is insertion-deterministic; sum replays identically"
+            )]
+            for &c in coords.values() {
+                mass += c;
+            }
             centers[ci] = Center { coords, mass };
         }
         stats.iterations += 1;

@@ -24,8 +24,6 @@
 //! * `PGS_SCALE` — multiplies dataset sizes (default 1.0; >1 approaches
 //!   the paper's scale at a proportional runtime cost).
 
-#![forbid(unsafe_code)]
-
 use std::time::Instant;
 
 use pgs_graph::traverse::largest_component;

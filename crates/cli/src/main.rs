@@ -32,7 +32,6 @@
 //! the SNAP/KONECT convention; summaries use the `pgs-summary v1` format
 //! of `pgs_core::summary_io`.
 
-#![forbid(unsafe_code)]
 // Panic policy (DESIGN.md §13): `clippy.toml` exempts lock-poisoning
 // unwraps; every other site carries an `#[expect(..., reason = ...)]`.
 #![deny(

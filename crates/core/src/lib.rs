@@ -51,7 +51,6 @@
 //! [`ssumm::ssumm_summarize`]) remain as thin wrappers pinned
 //! bitwise-equal to the request path.
 
-#![forbid(unsafe_code)]
 // Panic policy (DESIGN.md §13): `clippy.toml` exempts lock-poisoning
 // unwraps; every other site carries an `#[expect(..., reason = ...)]`.
 #![deny(

@@ -2026,7 +2026,10 @@ impl GroupCache {
     /// two binary searches.
     fn mark_dirty_referencing(&mut self, keep: SuperId, dead: SuperId) {
         let keys = &self.keys;
-        // pgs-allow: PGS001 order-insensitive: only sets dirty bits, no output depends on visit order
+        #[expect(
+            clippy::iter_over_hash_type,
+            reason = "order-insensitive: only sets dirty bits, no output depends on visit order"
+        )]
         for span in self.spans.values_mut() {
             if span.dirty {
                 continue;

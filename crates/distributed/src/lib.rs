@@ -17,8 +17,6 @@
 //! A query on node `q` is routed to the machine `i` with `q ∈ V_i` and
 //! answered there with zero inter-machine communication.
 
-#![forbid(unsafe_code)]
-
 pub mod cluster;
 pub mod subgraph;
 

@@ -24,8 +24,6 @@
 //! hot structures compact per the Rust Performance Book guidance on
 //! smaller integers.
 
-#![forbid(unsafe_code)]
-
 pub mod builder;
 pub mod gen;
 pub mod graph;

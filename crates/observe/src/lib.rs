@@ -24,8 +24,6 @@
 //! path, and every timing they carry lives outside the byte-identity
 //! contract (DESIGN.md §14).
 
-#![forbid(unsafe_code)]
-
 pub mod events;
 pub mod json;
 pub mod metrics;

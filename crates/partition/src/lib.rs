@@ -20,8 +20,6 @@
 //! every part is non-empty (required by Alg. 3, which personalizes one
 //! summary per part).
 
-#![forbid(unsafe_code)]
-
 pub mod blp;
 pub mod louvain;
 pub mod shp;

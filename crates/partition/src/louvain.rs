@@ -51,6 +51,10 @@ pub fn louvain(g: &Graph, seed: u64) -> Vec<u32> {
                 let cu = community[u];
                 // Weights from u to each adjacent community.
                 let mut to_comm: FxHashMap<u32, f64> = FxHashMap::default();
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "FxHashMap order is insertion-deterministic; sequential pass sums f64 weights in adj[u] insertion order identically every run"
+                )]
                 for (&v, &w) in &adj[u] {
                     *to_comm.entry(community[v as usize]).or_insert(0.0) += w;
                 }
@@ -59,7 +63,10 @@ pub fn louvain(g: &Graph, seed: u64) -> Vec<u32> {
                 let base = to_comm.get(&cu).copied().unwrap_or(0.0)
                     - comm_degree[cu as usize] * k_u / two_m;
                 let mut best = (cu, base);
-                // pgs-allow: PGS001 FxHashMap order is insertion-deterministic; sequential pass breaks ties identically every run
+                #[expect(
+                    clippy::iter_over_hash_type,
+                    reason = "FxHashMap order is insertion-deterministic; sequential pass breaks ties identically every run"
+                )]
                 for (&c, &w_uc) in &to_comm {
                     if c == cu {
                         continue;
@@ -106,6 +113,10 @@ pub fn louvain(g: &Graph, seed: u64) -> Vec<u32> {
         for u in 0..cn {
             let cu = remap[&community[u]];
             new_self[cu as usize] += self_loops[u];
+            #[expect(
+                clippy::iter_over_hash_type,
+                reason = "FxHashMap order is insertion-deterministic; sequential pass sums f64 weights and fills new_adj in adj[u] insertion order identically every run"
+            )]
             for (&v, &w) in &adj[u] {
                 let cv = remap[&community[v as usize]];
                 if cu == cv {

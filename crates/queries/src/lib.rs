@@ -31,8 +31,6 @@
 //! implementations live on as the test suite's oracle
 //! (`tests/support/reference.rs`).
 
-#![forbid(unsafe_code)]
-
 pub mod approx;
 pub mod engine;
 pub mod exact;

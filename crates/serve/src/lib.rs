@@ -83,7 +83,6 @@
 //!
 //! [`Summarizer`]: pgs_core::api::Summarizer
 
-#![forbid(unsafe_code)]
 // Panic policy (DESIGN.md §13): `clippy.toml` exempts lock-poisoning
 // unwraps; every other site carries an `#[expect(..., reason = ...)]`.
 #![deny(
@@ -102,13 +101,14 @@
     )
 )]
 
-// Lock-order manifest (checked by `pgs-analysis`, rule PGS003): when
-// two of these locks are held at once, the left one must be taken
-// first. Today's only multi-lock path is `run_job`'s quarantine
-// bookkeeping — it holds the job's `journal_rec` while inserting into
-// the service-wide `quarantined` set; the rest of the chain documents
-// the intended hierarchy (admission state before scheduler state
-// before caches) so new nestings land in a consistent direction.
+// Lock-order manifest (rule PGS003, checked in tier-1 by
+// `crates/analysis/tests/serve_lock_order.rs`): when two of these locks
+// are held at once, the left one must be taken first. Today's only
+// multi-lock path is `run_job`'s quarantine bookkeeping — it holds the
+// job's `journal_rec` while inserting into the service-wide
+// `quarantined` set; the rest of the chain documents the intended
+// hierarchy (admission state before scheduler state before caches) so
+// new nestings land in a consistent direction.
 // pgs-lock-order: graphs -> journal_rec -> quarantined -> sched -> cache
 
 pub mod cache;

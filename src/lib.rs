@@ -57,8 +57,6 @@
 //! [`RunOutput`]: prelude::RunOutput
 //! [`PgsError`]: prelude::PgsError
 
-#![forbid(unsafe_code)]
-
 pub use pgs_baselines as baselines;
 pub use pgs_core as core;
 pub use pgs_distributed as distributed;

@@ -8,6 +8,9 @@
 //! The same runs' final θ, `sparsified` flag and the checkpoint written
 //! after iteration 5 are pinned too (at 1, 2 and 8 threads), so a change
 //! to the threshold rule or to what a checkpoint carries fails as well.
+//! S2L's output is pinned on a 600-node graph of the same family: its
+//! centers' L1 masses are sums over hash maps in insertion order, and
+//! the pin fails if that order or the sum's rounding changes.
 
 use std::sync::{Arc, Mutex};
 
@@ -94,6 +97,21 @@ fn ssumm_output_is_pinned_at_1_2_and_8_threads() {
         assert!(out.summary.size_bits() <= RATIO * g.size_bits() + 1e-9);
         assert_eq!(pin_of(&out), SSUMM_PIN, "ssumm at {threads} threads");
     }
+}
+
+/// S2L's Lloyd loop costs Θ(k·|E|) per iteration, so its pin runs on a
+/// smaller graph of the same family.
+const S2L_NODES: usize = 600;
+const S2L_SUPERNODES: usize = 150;
+const S2L_PIN: Pin = (450_000, 456, 5, 0, 17_079_265_871_366_026_206);
+
+#[test]
+fn s2l_output_is_pinned() {
+    let g = barabasi_albert(S2L_NODES, ATTACH, GRAPH_SEED);
+    let req = SummarizeRequest::new(Budget::Supernodes(S2L_SUPERNODES));
+    let out = S2l::default().run(&g, &req).unwrap();
+    assert!(out.summary.num_supernodes() <= S2L_SUPERNODES);
+    assert_eq!(pin_of(&out), S2L_PIN);
 }
 
 /// The checkpoint written after this iteration is pinned; both runs go
