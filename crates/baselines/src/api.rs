@@ -1,11 +1,13 @@
 //! The baselines behind the unified [`Summarizer`] interface
 //! (DESIGN.md §8).
 //!
-//! All three are supernode-count budgeted: [`Budget::Supernodes`]
-//! clamps to at most `|V|`; ratios and bit budgets normalize via
-//! [`Budget::to_supernodes`]. None of them optimizes a personalized
-//! objective, so any non-uniform [`pgs_core::Personalization`] is a
-//! typed [`PgsError::Unsupported`] — never silently ignored.
+//! All three are supernode-count budgeted:
+//! [`Budget::Supernodes`](pgs_core::Budget::Supernodes) clamps to at
+//! most `|V|`; ratios and bit budgets normalize via
+//! [`Budget::to_supernodes`](pgs_core::Budget::to_supernodes). None of
+//! them optimizes a personalized objective, so any non-uniform
+//! [`pgs_core::Personalization`] is a typed [`PgsError::Unsupported`] —
+//! never silently ignored.
 //!
 //! ```
 //! use pgs_baselines::KGrass;

@@ -108,17 +108,6 @@ fn merge_error_increase(
     after - before
 }
 
-/// Summarizes `g` into at most `k_supernodes` supernodes with GraSS
-/// `SamplePairs`. Thin wrapper over [`kgrass_loop`], pinned bitwise
-/// equal to it under default run control.
-///
-/// # Panics
-/// Panics if `k_supernodes == 0`.
-pub fn kgrass_summarize(g: &Graph, k_supernodes: usize, cfg: &KGrassConfig) -> Summary {
-    assert!(k_supernodes >= 1, "need at least one supernode");
-    kgrass_loop(g, k_supernodes, cfg, &RunControl::default()).0
-}
-
 /// The GraSS merge loop with run control threaded in: cancel/deadline
 /// checks at the top of each merge step (a commit boundary — the
 /// partition is always a valid summary state), stats counting every
@@ -173,13 +162,18 @@ pub(crate) fn kgrass_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::KGrass;
+    use pgs_core::api::{Budget, SummarizeRequest, Summarizer};
     use pgs_graph::builder::graph_from_edges;
     use pgs_graph::gen::{barabasi_albert, planted_partition};
 
     #[test]
     fn reaches_requested_supernode_count() {
         let g = barabasi_albert(100, 3, 1);
-        let s = kgrass_summarize(&g, 20, &KGrassConfig::default());
+        let s = KGrass(KGrassConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(20)))
+            .unwrap()
+            .summary;
         assert_eq!(s.num_supernodes(), 20);
         assert_eq!(s.num_nodes(), 100);
     }
@@ -187,7 +181,10 @@ mod tests {
     #[test]
     fn k_equals_n_is_identity_partition() {
         let g = barabasi_albert(50, 2, 2);
-        let s = kgrass_summarize(&g, 50, &KGrassConfig::default());
+        let s = KGrass(KGrassConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(50)))
+            .unwrap()
+            .summary;
         assert_eq!(s.num_supernodes(), 50);
         assert_eq!(s.num_superedges(), g.num_edges());
     }
@@ -198,7 +195,10 @@ mod tests {
         // L1 error by exactly 0; any cross merge increases it. GraSS must
         // pick one of the two zero-cost twin merges.
         let g = graph_from_edges(4, &[(0, 2), (0, 3), (1, 2), (1, 3)]);
-        let s = kgrass_summarize(&g, 3, &KGrassConfig { c: 5.0, seed: 1 });
+        let s = KGrass(KGrassConfig { c: 5.0, seed: 1 })
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(3)))
+            .unwrap()
+            .summary;
         let merged_01 = s.supernode_of(0) == s.supernode_of(1);
         let merged_23 = s.supernode_of(2) == s.supernode_of(3);
         assert!(merged_01 || merged_23, "a twin pair should merge first");
@@ -207,7 +207,10 @@ mod tests {
     #[test]
     fn produces_dense_weighted_superedges() {
         let g = planted_partition(120, 4, 500, 60, 3);
-        let s = kgrass_summarize(&g, 12, &KGrassConfig::default());
+        let s = KGrass(KGrassConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(12)))
+            .unwrap()
+            .summary;
         // Every edge's block is covered.
         for (u, v) in g.edges() {
             let (a, b) = (s.supernode_of(u), s.supernode_of(v));
@@ -222,8 +225,14 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = barabasi_albert(80, 2, 9);
-        let s1 = kgrass_summarize(&g, 10, &KGrassConfig::default());
-        let s2 = kgrass_summarize(&g, 10, &KGrassConfig::default());
+        let s1 = KGrass(KGrassConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(10)))
+            .unwrap()
+            .summary;
+        let s2 = KGrass(KGrassConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(10)))
+            .unwrap()
+            .summary;
         for u in g.nodes() {
             assert_eq!(s1.supernode_of(u), s2.supernode_of(u));
         }

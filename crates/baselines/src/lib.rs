@@ -20,12 +20,11 @@
 //! weighted by density or count) — the behavior Fig. 8 attributes to
 //! them ("add superedges without selection"), which is what makes query
 //! answering on their outputs slow relative to PeGaSus/SSumM.
-
 //!
-//! All three are also served through the unified request API
-//! ([`api`]): [`KGrass`], [`S2l`], and [`Saags`] implement
-//! [`pgs_core::Summarizer`], with supernode-count budget normalization
-//! and typed [`pgs_core::PgsError`] validation.
+//! Each runs only through the unified request API ([`api`]): [`KGrass`],
+//! [`S2l`], and [`Saags`] implement [`pgs_core::Summarizer`], with
+//! supernode-count budget normalization and typed
+//! [`pgs_core::PgsError`] validation.
 
 pub mod api;
 pub mod common;
@@ -34,6 +33,6 @@ pub mod s2l;
 pub mod saags;
 
 pub use api::{KGrass, S2l, Saags};
-pub use kgrass::{kgrass_summarize, KGrassConfig};
-pub use s2l::{s2l_summarize, S2lConfig};
-pub use saags::{saags_summarize, SaagsConfig};
+pub use kgrass::KGrassConfig;
+pub use s2l::S2lConfig;
+pub use saags::SaagsConfig;

@@ -69,17 +69,6 @@ impl Center {
     }
 }
 
-/// Summarizes `g` into at most `k_supernodes` supernodes via S2L
-/// clustering. Thin wrapper over [`s2l_loop`], pinned bitwise equal to
-/// it under default run control.
-///
-/// # Panics
-/// Panics if `k_supernodes == 0`.
-pub fn s2l_summarize(g: &Graph, k_supernodes: usize, cfg: &S2lConfig) -> Summary {
-    assert!(k_supernodes >= 1, "need at least one supernode");
-    s2l_loop(g, k_supernodes, cfg, &RunControl::default()).0
-}
-
 /// The S2L Lloyd loop with run control threaded in: cancel/deadline
 /// checks at the top of each Lloyd iteration (the assignment vector is
 /// a valid partition at every boundary), stats counting node-to-center
@@ -179,13 +168,18 @@ pub(crate) fn s2l_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::S2l;
+    use pgs_core::api::{Budget, SummarizeRequest, Summarizer};
     use pgs_graph::builder::graph_from_edges;
     use pgs_graph::gen::{barabasi_albert, planted_partition};
 
     #[test]
     fn respects_supernode_budget() {
         let g = barabasi_albert(100, 3, 4);
-        let s = s2l_summarize(&g, 15, &S2lConfig::default());
+        let s = S2l(S2lConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(15)))
+            .unwrap()
+            .summary;
         assert!(s.num_supernodes() <= 15);
         assert_eq!(s.num_nodes(), 100);
     }
@@ -208,14 +202,13 @@ mod tests {
                 (5, 7),
             ],
         );
-        let s = s2l_summarize(
-            &g,
-            6,
-            &S2lConfig {
-                iterations: 10,
-                seed: 3,
-            },
-        );
+        let s = S2l(S2lConfig {
+            iterations: 10,
+            seed: 3,
+        })
+        .run(&g, &SummarizeRequest::new(Budget::Supernodes(6)))
+        .unwrap()
+        .summary;
         assert_eq!(s.supernode_of(0), s.supernode_of(1), "twins 0,1 split");
         assert_eq!(s.supernode_of(4), s.supernode_of(5), "twins 4,5 split");
     }
@@ -226,14 +219,13 @@ mod tests {
         // block in one cluster, yielding substantially fewer cross-块
         // splits than random.
         let g = planted_partition(200, 4, 1800, 40, 1);
-        let s = s2l_summarize(
-            &g,
-            4,
-            &S2lConfig {
-                iterations: 8,
-                seed: 2,
-            },
-        );
+        let s = S2l(S2lConfig {
+            iterations: 8,
+            seed: 2,
+        })
+        .run(&g, &SummarizeRequest::new(Budget::Supernodes(4)))
+        .unwrap()
+        .summary;
         // Count the majority cluster per planted block.
         let block = 50;
         let mut agree = 0usize;
@@ -250,7 +242,10 @@ mod tests {
     #[test]
     fn weights_are_densities() {
         let g = barabasi_albert(60, 2, 7);
-        let s = s2l_summarize(&g, 8, &S2lConfig::default());
+        let s = S2l(S2lConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(8)))
+            .unwrap()
+            .summary;
         for (_, _, w) in s.superedges() {
             assert!(w > 0.0 && w <= 1.0 + 1e-6);
         }
@@ -259,7 +254,10 @@ mod tests {
     #[test]
     fn k_one_collapses_everything() {
         let g = barabasi_albert(30, 2, 5);
-        let s = s2l_summarize(&g, 1, &S2lConfig::default());
+        let s = S2l(S2lConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(1)))
+            .unwrap()
+            .summary;
         assert_eq!(s.num_supernodes(), 1);
         assert!(s.num_superedges() <= 1); // at most the self-loop block
     }

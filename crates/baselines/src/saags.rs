@@ -92,17 +92,6 @@ impl Cms {
     }
 }
 
-/// Summarizes `g` into at most `k_supernodes` supernodes with SAAGs.
-/// Thin wrapper over [`saags_loop`], pinned bitwise equal to it under
-/// default run control.
-///
-/// # Panics
-/// Panics if `k_supernodes == 0`.
-pub fn saags_summarize(g: &Graph, k_supernodes: usize, cfg: &SaagsConfig) -> Summary {
-    assert!(k_supernodes >= 1, "need at least one supernode");
-    saags_loop(g, k_supernodes, cfg, &RunControl::default()).0
-}
-
 /// The SAAGs merge loop with run control threaded in: cancel/deadline
 /// checks at the top of each merge step (a commit boundary), stats
 /// counting sketch inner-product evaluations. The engine behind
@@ -201,20 +190,28 @@ pub(crate) fn saags_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Saags;
+    use pgs_core::api::{Budget, SummarizeRequest, Summarizer};
     use pgs_graph::builder::graph_from_edges;
     use pgs_graph::gen::barabasi_albert;
 
     #[test]
     fn reaches_supernode_budget() {
         let g = barabasi_albert(120, 3, 2);
-        let s = saags_summarize(&g, 30, &SaagsConfig::default());
+        let s = Saags(SaagsConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(30)))
+            .unwrap()
+            .summary;
         assert_eq!(s.num_supernodes(), 30);
     }
 
     #[test]
     fn produces_count_weighted_superedges() {
         let g = barabasi_albert(80, 3, 6);
-        let s = saags_summarize(&g, 10, &SaagsConfig::default());
+        let s = Saags(SaagsConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(10)))
+            .unwrap()
+            .summary;
         let mut total_weight = 0.0f64;
         for (_, _, w) in s.superedges() {
             assert!(w >= 1.0, "count weights are at least 1, got {w}");
@@ -258,8 +255,14 @@ mod tests {
     #[test]
     fn deterministic_per_seed() {
         let g = barabasi_albert(60, 2, 8);
-        let s1 = saags_summarize(&g, 12, &SaagsConfig::default());
-        let s2 = saags_summarize(&g, 12, &SaagsConfig::default());
+        let s1 = Saags(SaagsConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(12)))
+            .unwrap()
+            .summary;
+        let s2 = Saags(SaagsConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(12)))
+            .unwrap()
+            .summary;
         for u in g.nodes() {
             assert_eq!(s1.supernode_of(u), s2.supernode_of(u));
         }
@@ -268,7 +271,10 @@ mod tests {
     #[test]
     fn tiny_graph() {
         let g = graph_from_edges(3, &[(0, 1), (1, 2)]);
-        let s = saags_summarize(&g, 2, &SaagsConfig::default());
+        let s = Saags(SaagsConfig::default())
+            .run(&g, &SummarizeRequest::new(Budget::Supernodes(2)))
+            .unwrap()
+            .summary;
         assert_eq!(s.num_supernodes(), 2);
     }
 }

@@ -12,8 +12,9 @@
 //! ```
 
 use pgs_bench::{dataset, num_queries, sample_queries, GroundTruth, QueryType};
+use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
 use pgs_core::error::personalized_error;
-use pgs_core::pegasus::{summarize, PegasusConfig};
+use pgs_core::pegasus::PegasusConfig;
 use pgs_core::weights::NodeWeights;
 
 fn main() {
@@ -34,7 +35,7 @@ fn main() {
             .map(|&qt| GroundTruth::compute(g, &queries, qt))
             .collect();
         let w_eval = NodeWeights::personalized(g, &queries, 1.25);
-        let budget = ratio * g.size_bits();
+        let req = SummarizeRequest::new(Budget::Bits(ratio * g.size_bits())).targets(&queries);
 
         for (label, use_absolute) in [("relative", false), ("absolute", true)] {
             let cfg = PegasusConfig {
@@ -42,7 +43,7 @@ fn main() {
                 use_absolute_cost: use_absolute,
                 ..Default::default()
             };
-            let s = summarize(g, &queries, budget, &cfg);
+            let s = Pegasus(cfg).run(g, &req).expect("valid request").summary;
             let err = personalized_error(g, &s, &w_eval).expect("matching node counts");
             let mut row = format!("{:<8} {:<10} {:>12.1} |", d.name, label, err);
             for gt in &truths {

@@ -15,7 +15,8 @@
 //! ```
 
 use pgs_bench::{GroundTruth, QueryType};
-use pgs_core::pegasus::{summarize, PegasusConfig};
+use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
+use pgs_core::pegasus::PegasusConfig;
 use pgs_graph::gen::watts_strogatz;
 use pgs_graph::sample::bfs_local_nodes;
 use pgs_graph::traverse::effective_diameter;
@@ -45,7 +46,7 @@ fn main() {
             .iter()
             .map(|&qt| GroundTruth::compute(&g, &targets, qt))
             .collect();
-        let budget = 0.3 * g.size_bits();
+        let req = SummarizeRequest::new(Budget::Bits(0.3 * g.size_bits())).targets(&targets);
 
         // scores[qi] = (best alpha by SMAPE, best alpha by Spearman)
         let mut best_sm = [(f64::INFINITY, 0.0f64); 3];
@@ -56,7 +57,7 @@ fn main() {
                 alpha,
                 ..Default::default()
             };
-            let s = summarize(&g, &targets, budget, &cfg);
+            let s = Pegasus(cfg).run(&g, &req).expect("valid request").summary;
             for (qi, gt) in truths.iter().enumerate() {
                 let (sm, sc) = gt.score_summary(&s);
                 if sm < best_sm[qi].0 {

@@ -11,7 +11,8 @@
 //! ```
 
 use pgs_bench::{dataset, num_queries, sample_queries, GroundTruth, QueryType};
-use pgs_core::pegasus::{summarize, PegasusConfig};
+use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
+use pgs_core::pegasus::PegasusConfig;
 
 fn main() {
     let names = ["LA", "CA", "DB"];
@@ -32,14 +33,14 @@ fn main() {
                 .iter()
                 .map(|&qt| GroundTruth::compute(g, &queries, qt))
                 .collect();
-            let budget = ratio * g.size_bits();
+            let req = SummarizeRequest::new(Budget::Bits(ratio * g.size_bits())).targets(&queries);
             for (bi, &beta) in betas.iter().enumerate() {
                 let cfg = PegasusConfig {
                     num_threads: pgs_bench::num_threads(),
                     beta,
                     ..Default::default()
                 };
-                let s = summarize(g, &queries, budget, &cfg);
+                let s = Pegasus(cfg).run(g, &req).expect("valid request").summary;
                 for (qi, gt) in truths.iter().enumerate() {
                     let (sm, sc) = gt.score_summary(&s);
                     acc[bi][2 * qi] += sm;

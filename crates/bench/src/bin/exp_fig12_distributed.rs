@@ -75,7 +75,8 @@ fn main() {
                 ("SHPKL", Backend::Subgraph(Method::ShpKL)),
             ];
             for (label, backend) in backends {
-                let cluster = Cluster::build(g, machines, budget, &backend, 31);
+                let cluster = Cluster::try_build(g, machines, budget, &backend, 31)
+                    .expect("valid per-machine budget");
                 let mut row = format!("{label:<10} {ratio:>6.1} |");
                 for gt in &truths {
                     let (sm, sc) = gt.score_cluster(&cluster);

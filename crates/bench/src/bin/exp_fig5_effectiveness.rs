@@ -15,10 +15,11 @@
 //! ```
 
 use pgs_bench::{dataset, sample_queries};
+use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
 use pgs_core::error::personalized_error;
-use pgs_core::pegasus::{summarize, PegasusConfig};
+use pgs_core::pegasus::PegasusConfig;
 use pgs_core::weights::NodeWeights;
-use pgs_core::{ssumm_summarize, SsummConfig};
+use pgs_core::SsummConfig;
 
 fn main() {
     // The smaller datasets keep the sweep quick; the remaining stand-ins
@@ -49,7 +50,7 @@ fn main() {
             let d = dataset(name);
             let g = &d.graph;
             let n = g.num_nodes();
-            let budget = 0.5 * g.size_bits();
+            let bits_req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits()));
 
             // Three test nodes; for each |T|, T contains the test node
             // plus uniform samples (the paper samples T uniformly and
@@ -58,23 +59,20 @@ fn main() {
 
             // Reference: non-personalized summary (T = V), measured with
             // each test node's single-target weights.
-            let uniform = summarize(
-                g,
-                &[],
-                budget,
-                &PegasusConfig {
-                    num_threads: pgs_bench::num_threads(),
-                    ..Default::default()
-                },
-            );
-            let ssumm = ssumm_summarize(
-                g,
-                budget,
-                &SsummConfig {
-                    num_threads: pgs_bench::num_threads(),
-                    ..Default::default()
-                },
-            );
+            let uniform = Pegasus(PegasusConfig {
+                num_threads: pgs_bench::num_threads(),
+                ..Default::default()
+            })
+            .run(g, &bits_req)
+            .expect("valid request")
+            .summary;
+            let ssumm = Ssumm(SsummConfig {
+                num_threads: pgs_bench::num_threads(),
+                ..Default::default()
+            })
+            .run(g, &bits_req)
+            .expect("valid request")
+            .summary;
 
             let mut row = format!("{:<8}", d.name);
             for &(_, frac) in &fractions {
@@ -91,7 +89,10 @@ fn main() {
                         alpha,
                         ..Default::default()
                     };
-                    let s = summarize(g, &targets, budget, &cfg);
+                    let s = Pegasus(cfg)
+                        .run(g, &bits_req.clone().targets(&targets))
+                        .expect("valid request")
+                        .summary;
                     let w_u = NodeWeights::personalized(g, &[u], alpha);
                     let err = personalized_error(g, &s, &w_u).expect("matching node counts");
                     let base = personalized_error(g, &uniform, &w_u)

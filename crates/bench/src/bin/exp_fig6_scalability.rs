@@ -11,7 +11,8 @@
 //! ```
 
 use pgs_bench::{dataset, loglog_slope, sample_queries, timed};
-use pgs_core::pegasus::{summarize, PegasusConfig};
+use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
+use pgs_core::pegasus::PegasusConfig;
 use pgs_graph::sample::node_sampled_subgraph;
 use pgs_graph::Graph;
 
@@ -40,17 +41,12 @@ fn sweep(label: &str, g: &Graph, target_count: Option<usize>) {
             Some(k) => sample_queries(&sub, k.min(sub.num_nodes()), 7),
             None => sample_queries(&sub, sub.num_nodes() / 2, 7),
         };
-        let (_, secs) = timed(|| {
-            summarize(
-                &sub,
-                &targets,
-                budget,
-                &PegasusConfig {
-                    num_threads: pgs_bench::num_threads(),
-                    ..Default::default()
-                },
-            )
+        let pegasus = Pegasus(PegasusConfig {
+            num_threads: pgs_bench::num_threads(),
+            ..Default::default()
         });
+        let req = SummarizeRequest::new(Budget::Bits(budget)).targets(&targets);
+        let (_, secs) = timed(|| pegasus.run(&sub, &req).expect("valid request"));
         println!(
             "{:>10.1} {:>12} {:>12} {:>12.3}",
             frac,

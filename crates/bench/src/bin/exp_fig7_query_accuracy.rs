@@ -16,11 +16,11 @@
 //! cargo run --release -p pgs-bench --bin exp_fig7_query_accuracy
 //! ```
 
-use pgs_baselines::{kgrass_summarize, s2l_summarize, saags_summarize};
-use pgs_baselines::{KGrassConfig, S2lConfig, SaagsConfig};
+use pgs_baselines::{KGrass, S2l, Saags};
 use pgs_bench::{baseline_feasible, dataset, num_queries, sample_queries, GroundTruth, QueryType};
-use pgs_core::pegasus::{summarize, PegasusConfig};
-use pgs_core::{ssumm_summarize, SsummConfig, Summary};
+use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
+use pgs_core::pegasus::PegasusConfig;
+use pgs_core::{SsummConfig, Summary};
 
 fn main() {
     let names: Vec<String> = std::env::args().skip(1).collect();
@@ -59,6 +59,9 @@ fn main() {
             "PHP sm",
             "PHP sc"
         );
+        let run = |alg: &dyn Summarizer, req: &SummarizeRequest| {
+            alg.run(g, req).expect("valid request").summary
+        };
         let report = |method: &str, ratio: f64, s: &Summary| {
             let real = s.size_bits() / g.size_bits();
             let mut row = format!("{method:<8} {ratio:>6.1} {real:>8.2} |");
@@ -70,38 +73,27 @@ fn main() {
         };
 
         for &ratio in &ratios {
-            let budget = ratio * g.size_bits();
+            let bits_req = SummarizeRequest::new(Budget::Bits(ratio * g.size_bits()));
             let cfg = PegasusConfig {
                 num_threads: pgs_bench::num_threads(),
                 ..Default::default()
             }; // α = 1.25
-            let p = summarize(g, &queries, budget, &cfg);
+            let p = run(&Pegasus(cfg), &bits_req.clone().targets(&queries));
             report("PeGaSus", ratio, &p);
-            let s = ssumm_summarize(
-                g,
-                budget,
-                &SsummConfig {
-                    num_threads: pgs_bench::num_threads(),
-                    ..Default::default()
-                },
-            );
-            report("SSumM", ratio, &s);
+            let ssumm = Ssumm(SsummConfig {
+                num_threads: pgs_bench::num_threads(),
+                ..Default::default()
+            });
+            report("SSumM", ratio, &run(&ssumm, &bits_req));
 
             if baseline_feasible(g) {
                 // Supernode budgets 10%..90% of |V| (Sect. V-A); map the
                 // bit-ratio onto the supernode-count ratio for alignment.
                 let k = ((g.num_nodes() as f64 * ratio) as usize).max(2);
-                report(
-                    "SAAGs",
-                    ratio,
-                    &saags_summarize(g, k, &SaagsConfig::default()),
-                );
-                report("S2L", ratio, &s2l_summarize(g, k, &S2lConfig::default()));
-                report(
-                    "k-GraSS",
-                    ratio,
-                    &kgrass_summarize(g, k, &KGrassConfig::default()),
-                );
+                let count_req = SummarizeRequest::new(Budget::Supernodes(k));
+                report("SAAGs", ratio, &run(&Saags::default(), &count_req));
+                report("S2L", ratio, &run(&S2l::default(), &count_req));
+                report("k-GraSS", ratio, &run(&KGrass::default(), &count_req));
             }
         }
         if !baseline_feasible(g) {

@@ -14,8 +14,9 @@
 //! ```
 
 use pgs_bench::{dataset, num_queries, sample_queries, GroundTruth, QueryType};
-use pgs_core::pegasus::{summarize, PegasusConfig};
-use pgs_core::{ssumm_summarize, SsummConfig};
+use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
+use pgs_core::pegasus::PegasusConfig;
+use pgs_core::SsummConfig;
 
 fn main() {
     let names = ["LA", "CA", "DB"];
@@ -39,7 +40,7 @@ fn main() {
                 .iter()
                 .map(|&qt| GroundTruth::compute(g, &queries, qt))
                 .collect();
-            let budget = ratio * g.size_bits();
+            let bits_req = SummarizeRequest::new(Budget::Bits(ratio * g.size_bits()));
 
             for (ai, &alpha) in alphas.iter().enumerate() {
                 let cfg = PegasusConfig {
@@ -47,21 +48,23 @@ fn main() {
                     alpha,
                     ..Default::default()
                 };
-                let s = summarize(g, &queries, budget, &cfg);
+                let s = Pegasus(cfg)
+                    .run(g, &bits_req.clone().targets(&queries))
+                    .expect("valid request")
+                    .summary;
                 for (qi, gt) in truths.iter().enumerate() {
                     let (sm, sc) = gt.score_summary(&s);
                     acc[ai][2 * qi] += sm;
                     acc[ai][2 * qi + 1] += sc;
                 }
             }
-            let s = ssumm_summarize(
-                g,
-                budget,
-                &SsummConfig {
-                    num_threads: pgs_bench::num_threads(),
-                    ..Default::default()
-                },
-            );
+            let s = Ssumm(SsummConfig {
+                num_threads: pgs_bench::num_threads(),
+                ..Default::default()
+            })
+            .run(g, &bits_req)
+            .expect("valid request")
+            .summary;
             for (qi, gt) in truths.iter().enumerate() {
                 let (sm, sc) = gt.score_summary(&s);
                 ssumm_acc[2 * qi] += sm;

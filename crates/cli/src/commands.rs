@@ -1334,6 +1334,30 @@ mod tests {
     }
 
     #[test]
+    fn query_rejects_malformed_summary_files() {
+        let dir = std::env::temp_dir().join("pgs_cli_malformed");
+        std::fs::create_dir_all(&dir).unwrap();
+        let path = dir.join("s.summary");
+        for body in [
+            "pgs-summary v1 2 2 1\nn 0 0\nn 1 1\ne 0 7 1\n",
+            "pgs-summary v1 2 2 1\nn 0 0\nn 1 1\ne 0 1 -1\n",
+            "pgs-summary v1 2 2 18446744073709551615\nn 0 0\nn 1 1\n",
+        ] {
+            std::fs::write(&path, body).unwrap();
+            let err = query(&strs(&[
+                path.to_str().unwrap(),
+                "--type",
+                "rwr",
+                "--node",
+                "0",
+            ]))
+            .unwrap_err();
+            assert!(err.contains("format error"), "{err}");
+        }
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
     fn summarize_rejects_out_of_range_target() {
         let dir = std::env::temp_dir().join("pgs_cli_badtarget");
         std::fs::create_dir_all(&dir).unwrap();

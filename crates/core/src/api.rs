@@ -1,13 +1,6 @@
-//! The unified request/response API: one fallible, cancellable,
+//! The unified request/response API: the one fallible, cancellable,
 //! observable entry point for every summarizer in the workspace
-//! (DESIGN.md §8).
-//!
-//! The historical surface grew one differently-shaped free function per
-//! algorithm (`summarize`, `ssumm_summarize`, three more in
-//! `pgs-baselines`), validated inputs with `assert!`, and offered no way
-//! to cancel, bound, or observe a run — none of which survives contact
-//! with a long-lived multi-tenant server. This module replaces that
-//! surface with:
+//! (DESIGN.md §8). It consists of:
 //!
 //! * [`SummarizeRequest`] — a builder bundling a [`Budget`] (bits, a
 //!   compression ratio, or a supernode count), a [`Personalization`]
@@ -24,10 +17,6 @@
 //!   panics: the request path never panics on bad input.
 //! * [`RunOutput`] — the summary plus final [`RunStats`] plus the
 //!   [`StopReason`] the run ended with.
-//!
-//! The legacy free functions remain as thin wrappers over this path and
-//! are pinned bitwise-equal to it (`tests/api_requests.rs` and the
-//! workspace-level `tests/api_equivalence.rs`).
 //!
 //! # Budget normalization
 //!
@@ -94,8 +83,8 @@ pub struct Checkpointing {
 }
 
 /// Typed failure of a summarization request (or of the error
-/// evaluators): everything the legacy surface expressed as `assert!`,
-/// now returned at the public boundary.
+/// evaluators or the serving layer), returned at the public boundary
+/// instead of a panic.
 #[derive(Clone, Debug, PartialEq)]
 pub enum PgsError {
     /// The input graph has no nodes.
@@ -167,6 +156,13 @@ pub enum PgsError {
         /// The durable key that is quarantined.
         key: String,
     },
+    /// The serving layer could not persist a durable submission's
+    /// admission-journal record, so it refused the job rather than admit
+    /// work a restart could lose.
+    JournalWriteFailed {
+        /// The underlying I/O failure, rendered.
+        reason: String,
+    },
 }
 
 impl std::fmt::Display for PgsError {
@@ -222,6 +218,9 @@ impl std::fmt::Display for PgsError {
                 "durable key {key:?} is quarantined (retry allowance exhausted across restarts); \
                  release it explicitly to resubmit"
             ),
+            PgsError::JournalWriteFailed { reason } => {
+                write!(f, "admission journal write failed: {reason}")
+            }
         }
     }
 }
@@ -557,7 +556,7 @@ impl SummarizeRequest {
     }
 
     /// Personalizes to these target nodes (an empty slice means `T = V`,
-    /// matching the legacy free functions).
+    /// the uniform personalization).
     pub fn targets(mut self, targets: &[NodeId]) -> Self {
         self.personalization = if targets.is_empty() {
             Personalization::Uniform

@@ -4,7 +4,7 @@
 //! Scalable Algorithms, and Applications"* (Kang, Lee, Shin — ICDE 2022).
 //!
 //! Given a graph `G = (V, E)`, a set of target nodes `T ⊆ V`, and a bit
-//! budget `k`, [`pegasus::summarize`] produces a [`Summary`] graph
+//! budget `k`, PeGaSus ([`Pegasus`]) produces a [`Summary`] graph
 //! `G̅ = (S, P)` — supernodes `S` partitioning `V` plus superedges `P` —
 //! that minimizes the **personalized reconstruction error** (Eq. 1):
 //! error on node pairs close to `T` is weighted up by
@@ -29,9 +29,9 @@
 //!
 //! ## Quickstart
 //!
-//! Every summarizer is served through one request path ([`api`],
-//! DESIGN.md §8): build a [`SummarizeRequest`], run it through a
-//! [`Summarizer`], get a [`RunOutput`] or a typed [`PgsError`] back.
+//! Every summarizer runs through one request path ([`api`], DESIGN.md
+//! §8): build a [`SummarizeRequest`], run it through a [`Summarizer`],
+//! get a [`RunOutput`] or a typed [`PgsError`] back.
 //!
 //! ```
 //! use pgs_core::api::{Budget, Pegasus, StopReason, SummarizeRequest, Summarizer};
@@ -46,10 +46,6 @@
 //! assert_eq!(out.summary.num_nodes(), 500);
 //! assert!(out.stats.merges > 0);
 //! ```
-//!
-//! The legacy free functions ([`pegasus::summarize`],
-//! [`ssumm::ssumm_summarize`]) remain as thin wrappers pinned
-//! bitwise-equal to the request path.
 
 // Panic policy (DESIGN.md §13): `clippy.toml` exempts lock-poisoning
 // unwraps; every other site carries an `#[expect(..., reason = ...)]`.
@@ -91,7 +87,7 @@ pub use api::{
 };
 pub use checkpoint::{CheckpointError, RunCheckpoint};
 pub use fault::FaultPlan;
-pub use pegasus::{summarize, PegasusConfig};
-pub use ssumm::{ssumm_summarize, SsummConfig};
+pub use pegasus::PegasusConfig;
+pub use ssumm::SsummConfig;
 pub use summary::{Summary, SuperId};
 pub use weights::NodeWeights;

@@ -8,8 +8,8 @@
 //! The same loop drives SSumM ([`crate::ssumm`]): Sect. III-G defines
 //! PeGaSus as SSumM plus personalized weights, adaptive thresholding and
 //! the error-correction-only cost model, so the driver takes those
-//! differences as data ([`LoopSpec`] plus the node weights) rather than
-//! as a second copy of the loop.
+//! differences as data (a crate-private `LoopSpec` plus the node
+//! weights) rather than as a second copy of the loop.
 //!
 //! Each iteration fans out across [`PegasusConfig::num_threads`] workers:
 //! candidate groups are disjoint supernode sets, so their Alg.-2 rounds
@@ -35,7 +35,7 @@ use crate::summary::{Summary, SuperId};
 use crate::threshold::{ssumm_schedule, AdaptiveThreshold, GAIN_DECAY};
 use crate::weights::NodeWeights;
 use crate::working::{evaluate_group_with, MergeEvaluator, WorkingSummary};
-use pgs_graph::{Graph, NodeId};
+use pgs_graph::Graph;
 
 /// Configuration of PeGaSus (paper defaults from Sect. V-A).
 #[derive(Clone, Debug)]
@@ -173,52 +173,6 @@ pub struct RunStats {
     pub grouped_supernodes: u64,
 }
 
-/// Summarizes `g` personalized to `targets` within `budget_bits`
-/// (Problem 1). An empty `targets` slice means `T = V`
-/// (non-personalized). Returns the frozen summary.
-///
-/// # Example
-/// ```
-/// use pgs_graph::gen::barabasi_albert;
-/// use pgs_core::pegasus::{summarize, PegasusConfig};
-///
-/// let g = barabasi_albert(300, 3, 1);
-/// let summary = summarize(&g, &[0], 0.5 * g.size_bits(), &PegasusConfig::default());
-/// assert!(summary.size_bits() <= 0.5 * g.size_bits());
-/// ```
-pub fn summarize(g: &Graph, targets: &[NodeId], budget_bits: f64, cfg: &PegasusConfig) -> Summary {
-    summarize_with_stats(g, targets, budget_bits, cfg).0
-}
-
-/// [`summarize`] returning run statistics alongside the summary.
-pub fn summarize_with_stats(
-    g: &Graph,
-    targets: &[NodeId],
-    budget_bits: f64,
-    cfg: &PegasusConfig,
-) -> (Summary, RunStats) {
-    let all_nodes: Vec<NodeId>;
-    let targets = if targets.is_empty() {
-        all_nodes = g.nodes().collect();
-        &all_nodes
-    } else {
-        targets
-    };
-    let weights = NodeWeights::personalized(g, targets, cfg.alpha);
-    summarize_with_weights(g, &weights, budget_bits, cfg)
-}
-
-/// Runs the PeGaSus loop against externally built node weights — the
-/// entry point for experiments that reuse one BFS across many runs.
-pub fn summarize_with_weights(
-    g: &Graph,
-    weights: &NodeWeights,
-    budget_bits: f64,
-    cfg: &PegasusConfig,
-) -> (Summary, RunStats) {
-    run_fresh(g, weights, budget_bits, &cfg.spec())
-}
-
 /// Everything the shared driver [`run_loop`] reads from a configuration.
 /// Beside the node weights, PeGaSus and SSumM differ only in the first
 /// four fields (Sect. III-G); the rest are the common engine settings.
@@ -248,27 +202,9 @@ pub(crate) struct LoopSpec {
     pub(crate) evaluator: MergeEvaluator,
 }
 
-/// [`run_loop`] without run control or a resume checkpoint — the engine
-/// behind the free functions of both algorithms.
-pub(crate) fn run_fresh(
-    g: &Graph,
-    weights: &NodeWeights,
-    budget_bits: f64,
-    spec: &LoopSpec,
-) -> (Summary, RunStats) {
-    match run_loop(g, weights, budget_bits, spec, &RunControl::default(), None) {
-        Ok((summary, stats, _)) => (summary, stats),
-        #[expect(
-            clippy::unreachable,
-            reason = "the loop fails only on a resume checkpoint, and none is passed"
-        )]
-        Err(e) => unreachable!("fresh run: {e}"),
-    }
-}
-
 /// The Alg.-1 driver of both PeGaSus and SSumM, with run control
-/// threaded in — the engine behind the free functions and
-/// [`crate::api::Pegasus`] / [`crate::api::Ssumm`].
+/// threaded in — the engine behind [`crate::api::Pegasus`] and
+/// [`crate::api::Ssumm`].
 ///
 /// Cancel/deadline checks sit at the top of each iteration — a commit
 /// boundary: the previous iteration's merge log is fully committed, so
@@ -454,16 +390,27 @@ pub(crate) fn run_loop(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
     use crate::error::{personalized_error, reconstruction_error};
     use crate::ssumm::SsummConfig;
     use pgs_graph::gen::{barabasi_albert, planted_partition};
+    use pgs_graph::NodeId;
+
+    /// A bit-budget request personalized to `targets` (`T = V` when
+    /// empty).
+    fn request(budget_bits: f64, targets: &[NodeId]) -> SummarizeRequest {
+        SummarizeRequest::new(Budget::Bits(budget_bits)).targets(targets)
+    }
 
     #[test]
     fn meets_budget_at_various_ratios() {
         let g = barabasi_albert(300, 4, 11);
         for &ratio in &[0.2, 0.5, 0.8] {
             let budget = ratio * g.size_bits();
-            let s = summarize(&g, &[0], budget, &PegasusConfig::default());
+            let s = Pegasus::default()
+                .run(&g, &request(budget, &[0]))
+                .unwrap()
+                .summary;
             assert!(
                 s.size_bits() <= budget + 1e-9,
                 "ratio {ratio}: {} > {budget}",
@@ -477,11 +424,11 @@ mod tests {
     fn generous_budget_keeps_graph_nearly_intact() {
         let g = barabasi_albert(200, 3, 5);
         let budget = 2.0 * g.size_bits(); // no compression pressure
-        let (s, stats) = summarize_with_stats(&g, &[0], budget, &PegasusConfig::default());
-        assert!(!stats.sparsified);
+        let out = Pegasus::default().run(&g, &request(budget, &[0])).unwrap();
+        assert!(!out.stats.sparsified);
         // Only strictly cost-reducing merges happen; error should be small
         // relative to total possible error.
-        let err = reconstruction_error(&g, &s).unwrap();
+        let err = reconstruction_error(&g, &out.summary).unwrap();
         assert!(err < 2.0 * g.num_edges() as f64);
     }
 
@@ -489,9 +436,15 @@ mod tests {
     fn empty_targets_means_whole_v() {
         let g = barabasi_albert(150, 3, 2);
         let budget = 0.5 * g.size_bits();
-        let s1 = summarize(&g, &[], budget, &PegasusConfig::default());
+        let s1 = Pegasus::default()
+            .run(&g, &request(budget, &[]))
+            .unwrap()
+            .summary;
         let all: Vec<u32> = g.nodes().collect();
-        let s2 = summarize(&g, &all, budget, &PegasusConfig::default());
+        let s2 = Pegasus::default()
+            .run(&g, &request(budget, &all))
+            .unwrap()
+            .summary;
         // Same uniform weights and same seed → identical output.
         assert_eq!(s1.num_supernodes(), s2.num_supernodes());
         assert_eq!(s1.num_superedges(), s2.num_superedges());
@@ -500,9 +453,9 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let g = planted_partition(200, 4, 600, 100, 3);
-        let cfg = PegasusConfig::default();
-        let s1 = summarize(&g, &[0], 0.4 * g.size_bits(), &cfg);
-        let s2 = summarize(&g, &[0], 0.4 * g.size_bits(), &cfg);
+        let req = request(0.4 * g.size_bits(), &[0]);
+        let s1 = Pegasus::default().run(&g, &req).unwrap().summary;
+        let s2 = Pegasus::default().run(&g, &req).unwrap().summary;
         assert_eq!(s1.num_supernodes(), s2.num_supernodes());
         assert_eq!(s1.num_superedges(), s2.num_superedges());
         for u in g.nodes() {
@@ -518,16 +471,17 @@ mod tests {
         let g = planted_partition(400, 8, 1600, 200, 7);
         let budget = 0.3 * g.size_bits();
         let target = [0u32];
-        let personalized = summarize(
-            &g,
-            &target,
-            budget,
-            &PegasusConfig {
-                alpha: 1.5,
-                ..Default::default()
-            },
-        );
-        let uniform = summarize(&g, &[], budget, &PegasusConfig::default());
+        let personalized = Pegasus(PegasusConfig {
+            alpha: 1.5,
+            ..Default::default()
+        })
+        .run(&g, &request(budget, &target))
+        .unwrap()
+        .summary;
+        let uniform = Pegasus::default()
+            .run(&g, &request(budget, &[]))
+            .unwrap()
+            .summary;
         let w_eval = NodeWeights::personalized(&g, &target, 1.5);
         let err_p = personalized_error(&g, &personalized, &w_eval).unwrap();
         let err_u = personalized_error(&g, &uniform, &w_eval).unwrap();
@@ -544,15 +498,20 @@ mod tests {
             use_absolute_cost: true,
             ..Default::default()
         };
-        let s = summarize(&g, &[0], 0.5 * g.size_bits(), &cfg);
+        let s = Pegasus(cfg)
+            .run(&g, &request(0.5 * g.size_bits(), &[0]))
+            .unwrap()
+            .summary;
         assert!(s.size_bits() <= 0.5 * g.size_bits());
     }
 
     #[test]
     fn stats_are_populated() {
         let g = barabasi_albert(300, 4, 9);
-        let (_, stats) =
-            summarize_with_stats(&g, &[0], 0.3 * g.size_bits(), &PegasusConfig::default());
+        let stats = Pegasus::default()
+            .run(&g, &request(0.3 * g.size_bits(), &[0]))
+            .unwrap()
+            .stats;
         assert!(stats.iterations >= 1);
         assert!(stats.merges > 0);
     }
@@ -565,7 +524,8 @@ mod tests {
         // merging, not by dropping nearly all superedges.
         let g = pgs_graph::gen::barabasi_albert_mixed(3000, 0.55, 7);
         let budget = 0.4 * g.size_bits();
-        let (s, stats) = summarize_with_stats(&g, &[], budget, &PegasusConfig::default());
+        let out = Pegasus::default().run(&g, &request(budget, &[])).unwrap();
+        let (s, stats) = (out.summary, out.stats);
         assert!(s.size_bits() <= budget + 1e-9);
         assert!(
             stats.merges > g.num_nodes() / 2,
@@ -587,7 +547,10 @@ mod tests {
         // Note the |V|·log2|S| membership term is a floor that
         // sparsification alone cannot undercut: with |S|=2 the floor is
         // 2 bits, so that is the tightest meetable budget here.
-        let s = summarize(&g, &[0], 2.0, &PegasusConfig::default());
+        let s = Pegasus::default()
+            .run(&g, &request(2.0, &[0]))
+            .unwrap()
+            .summary;
         assert_eq!(s.num_nodes(), 2);
         assert!(s.size_bits() <= 2.0);
     }
@@ -639,10 +602,20 @@ mod tests {
                 };
                 let weights = NodeWeights::personalized(g, &[0, 1], cfg.alpha);
                 let spec = cfg.spec();
-                let at =
-                    |evaluator| run_fresh(g, &weights, budget, &LoopSpec { evaluator, ..spec });
-                let (s_cached, st_cached) = at(MergeEvaluator::Cached);
-                let (s_scan, st_scan) = at(MergeEvaluator::Scan);
+                let control = RunControl::default();
+                let at = |evaluator| {
+                    run_loop(
+                        g,
+                        &weights,
+                        budget,
+                        &LoopSpec { evaluator, ..spec },
+                        &control,
+                        None,
+                    )
+                    .unwrap()
+                };
+                let (s_cached, st_cached, _) = at(MergeEvaluator::Cached);
+                let (s_scan, st_scan, _) = at(MergeEvaluator::Scan);
                 assert_eq!(
                     fingerprint(&s_cached),
                     fingerprint(&s_scan),
@@ -665,9 +638,20 @@ mod tests {
                 ..Default::default()
             };
             let spec = cfg.spec();
-            let at = |evaluator| run_fresh(&g, &weights, budget, &LoopSpec { evaluator, ..spec });
-            let (s_cached, st_cached) = at(MergeEvaluator::Cached);
-            let (s_scan, st_scan) = at(MergeEvaluator::Scan);
+            let control = RunControl::default();
+            let at = |evaluator| {
+                run_loop(
+                    &g,
+                    &weights,
+                    budget,
+                    &LoopSpec { evaluator, ..spec },
+                    &control,
+                    None,
+                )
+                .unwrap()
+            };
+            let (s_cached, st_cached, _) = at(MergeEvaluator::Cached);
+            let (s_scan, st_scan, _) = at(MergeEvaluator::Scan);
             assert_eq!(
                 fingerprint(&s_cached),
                 fingerprint(&s_scan),
@@ -691,9 +675,20 @@ mod tests {
             };
             let weights = NodeWeights::personalized(&g, &[3, 17, 95], cfg.alpha);
             let spec = cfg.spec();
-            let at = |evaluator| run_fresh(&g, &weights, budget, &LoopSpec { evaluator, ..spec });
-            let (s_cached, st_cached) = at(MergeEvaluator::Cached);
-            let (s_scan, st_scan) = at(MergeEvaluator::Scan);
+            let control = RunControl::default();
+            let at = |evaluator| {
+                run_loop(
+                    &g,
+                    &weights,
+                    budget,
+                    &LoopSpec { evaluator, ..spec },
+                    &control,
+                    None,
+                )
+                .unwrap()
+            };
+            let (s_cached, st_cached, _) = at(MergeEvaluator::Cached);
+            let (s_scan, st_scan, _) = at(MergeEvaluator::Scan);
             assert_eq!(
                 fingerprint(&s_cached),
                 fingerprint(&s_scan),

@@ -185,7 +185,7 @@ fn schedule_by_gain(groups: &mut Vec<Vec<SuperId>>, gains: &[f64]) {
 /// contract); recursive re-splitting of oversized groups consumes
 /// successive lanes. Groups of size 1 are dropped (no pairs to merge),
 /// so every live supernode appears in at most one group. Finally groups
-/// are ordered by expected gain ([`schedule_by_gain`]) so high-yield
+/// are ordered by expected gain (`schedule_by_gain`) so high-yield
 /// groups evaluate first and deadline/cancel cutoffs land after the
 /// most valuable work.
 ///

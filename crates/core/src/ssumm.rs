@@ -12,18 +12,15 @@
 //!   error correction ([`crate::cost::CostModel::SsummMin`]), while
 //!   PeGaSus assumes error correction only.
 //!
-//! Those differences are all of [`SsummConfig::spec`] (plus the uniform
-//! weights its callers pass): the iteration loop itself is the PeGaSus
-//! driver's ([`crate::pegasus`]).
+//! Those differences are all of the crate-private `SsummConfig::spec`
+//! (plus the uniform weights [`crate::api::Ssumm`] passes): the
+//! iteration loop itself is the PeGaSus driver's ([`crate::pegasus`]).
 
 use crate::checkpoint::ALGO_SSUMM;
 use crate::cost::CostModel;
-use crate::pegasus::{run_fresh, LoopSpec, RunStats};
+use crate::pegasus::LoopSpec;
 use crate::shingle::ShingleParams;
-use crate::summary::Summary;
-use crate::weights::NodeWeights;
 use crate::working::MergeEvaluator;
-use pgs_graph::Graph;
 
 /// Configuration of the SSumM baseline (paper defaults from Sect. V-A).
 #[derive(Clone, Debug)]
@@ -74,33 +71,29 @@ impl SsummConfig {
     }
 }
 
-/// Summarizes `g` within `budget_bits` using SSumM.
-pub fn ssumm_summarize(g: &Graph, budget_bits: f64, cfg: &SsummConfig) -> Summary {
-    ssumm_summarize_with_stats(g, budget_bits, cfg).0
-}
-
-/// [`ssumm_summarize`] returning run statistics.
-pub fn ssumm_summarize_with_stats(
-    g: &Graph,
-    budget_bits: f64,
-    cfg: &SsummConfig,
-) -> (Summary, RunStats) {
-    let weights = NodeWeights::uniform(g.num_nodes());
-    run_fresh(g, &weights, budget_bits, &cfg.spec())
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Budget, Ssumm, SummarizeRequest, Summarizer};
     use crate::error::reconstruction_error;
+    use crate::summary::Summary;
     use pgs_graph::gen::{barabasi_albert, planted_partition};
+    use pgs_graph::Graph;
+
+    /// An SSumM run with default settings on a bit budget.
+    fn ssumm(g: &Graph, budget_bits: f64) -> Summary {
+        Ssumm::default()
+            .run(g, &SummarizeRequest::new(Budget::Bits(budget_bits)))
+            .unwrap()
+            .summary
+    }
 
     #[test]
     fn meets_budget() {
         let g = barabasi_albert(300, 4, 13);
         for &ratio in &[0.3, 0.6] {
             let budget = ratio * g.size_bits();
-            let s = ssumm_summarize(&g, budget, &SsummConfig::default());
+            let s = ssumm(&g, budget);
             assert!(s.size_bits() <= budget + 1e-9);
         }
     }
@@ -108,8 +101,8 @@ mod tests {
     #[test]
     fn deterministic_under_seed() {
         let g = barabasi_albert(200, 3, 1);
-        let s1 = ssumm_summarize(&g, 0.5 * g.size_bits(), &SsummConfig::default());
-        let s2 = ssumm_summarize(&g, 0.5 * g.size_bits(), &SsummConfig::default());
+        let s1 = ssumm(&g, 0.5 * g.size_bits());
+        let s2 = ssumm(&g, 0.5 * g.size_bits());
         assert_eq!(s1.num_supernodes(), s2.num_supernodes());
         for u in g.nodes() {
             assert_eq!(s1.supernode_of(u), s2.supernode_of(u));
@@ -122,7 +115,7 @@ mod tests {
         // the error at ratio 0.5 should be well below the trivial
         // all-singleton-after-sparsify bound (2|E| = dropping all edges).
         let g = planted_partition(300, 6, 1800, 150, 5);
-        let s = ssumm_summarize(&g, 0.5 * g.size_bits(), &SsummConfig::default());
+        let s = ssumm(&g, 0.5 * g.size_bits());
         let err = reconstruction_error(&g, &s).unwrap();
         // Strictly better than the trivial summary that drops every edge
         // (error 2|E|): the summary must retain real structure.
@@ -134,7 +127,7 @@ mod tests {
         // SSumM's θ is a pure function of the iteration, so a resume
         // blob whose θ and stall-cap words are overwritten still
         // finishes exactly like the uninterrupted run.
-        use crate::api::{Budget, CheckpointSink, Ssumm, SummarizeRequest, Summarizer};
+        use crate::api::CheckpointSink;
         use crate::checkpoint::RunCheckpoint;
         use std::sync::{Arc, Mutex};
 
@@ -175,8 +168,13 @@ mod tests {
     #[test]
     fn merges_happen_under_pressure() {
         let g = barabasi_albert(400, 3, 3);
-        let (_, stats) =
-            ssumm_summarize_with_stats(&g, 0.2 * g.size_bits(), &SsummConfig::default());
+        let stats = Ssumm::default()
+            .run(
+                &g,
+                &SummarizeRequest::new(Budget::Bits(0.2 * g.size_bits())),
+            )
+            .unwrap()
+            .stats;
         assert!(stats.merges > 0, "SSumM should merge under a tight budget");
     }
 }

@@ -9,8 +9,8 @@ pub type SuperId = u32;
 /// An immutable summary graph: a partition of `V` into supernodes plus a
 /// set of (optionally weighted) superedges, self-loops allowed.
 ///
-/// Produced by [`crate::pegasus::summarize`], [`crate::ssumm::ssumm_summarize`],
-/// and the baseline summarizers; consumed by the query-answering crate.
+/// Produced by every [`crate::Summarizer`] (PeGaSus, SSumM and the
+/// baselines); consumed by the query-answering crate.
 /// Superedge weights are 1 for PeGaSus/SSumM summaries; the SAAGs baseline
 /// produces weighted summaries, and the size formula then follows the
 /// weighted-variant accounting of Sect. V-A.

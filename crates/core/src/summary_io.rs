@@ -88,7 +88,9 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
     let num_superedges = parse(it.next(), "num_superedges")?;
 
     let mut assignment = vec![u32::MAX; num_nodes];
-    let mut superedges: Vec<(u32, u32, f32)> = Vec::with_capacity(num_superedges);
+    // The header count is unchecked input: cap the preallocation and
+    // let the body decide (a mismatch is reported below).
+    let mut superedges: Vec<(u32, u32, f32)> = Vec::with_capacity(num_superedges.min(1 << 20));
     for line in lines {
         let line = line?;
         let trimmed = line.trim();
@@ -109,6 +111,13 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
                 if u >= num_nodes {
                     return Err(SummaryIoError::Format(format!("node {u} out of range")));
                 }
+                // Labels index a table in `Summary::new`; |V| bounds how
+                // many distinct supernodes a valid file can name.
+                if s as usize >= num_nodes {
+                    return Err(SummaryIoError::Format(format!(
+                        "supernode label {s} out of range (|V| = {num_nodes})"
+                    )));
+                }
                 assignment[u] = s;
             }
             Some("e") => {
@@ -124,6 +133,11 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
                     .next()
                     .and_then(|t| t.parse().ok())
                     .ok_or_else(|| SummaryIoError::Format(format!("bad edge line: {trimmed}")))?;
+                if !(w.is_finite() && w > 0.0) {
+                    return Err(SummaryIoError::Format(format!(
+                        "superedge weight must be finite and positive: {trimmed}"
+                    )));
+                }
                 superedges.push((a, b, w));
             }
             Some(other) => return Err(SummaryIoError::Format(format!("unknown record: {other}"))),
@@ -132,6 +146,19 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
     }
     if assignment.contains(&u32::MAX) {
         return Err(SummaryIoError::Format("missing node assignments".into()));
+    }
+    let mut is_label = vec![false; num_nodes];
+    for &label in &assignment {
+        is_label[label as usize] = true;
+    }
+    for &(a, b, _) in &superedges {
+        for end in [a, b] {
+            if is_label.get(end as usize) != Some(&true) {
+                return Err(SummaryIoError::Format(format!(
+                    "superedge endpoint {end} names no supernode"
+                )));
+            }
+        }
     }
     let summary = Summary::new(num_nodes, assignment, &superedges);
     if summary.num_supernodes() != num_supers {
@@ -157,7 +184,7 @@ pub fn read_summary<P: AsRef<Path>>(path: P) -> Result<Summary, SummaryIoError> 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::pegasus::{summarize, PegasusConfig};
+    use crate::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
     use pgs_graph::gen::barabasi_albert;
     use std::io::Cursor;
 
@@ -170,7 +197,8 @@ mod tests {
     #[test]
     fn roundtrip_preserves_everything() {
         let g = barabasi_albert(200, 3, 5);
-        let s = summarize(&g, &[0], 0.5 * g.size_bits(), &PegasusConfig::default());
+        let req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits())).targets(&[0]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
         let r = roundtrip(&s);
         assert_eq!(r.num_nodes(), s.num_nodes());
         assert_eq!(r.num_supernodes(), s.num_supernodes());
@@ -229,6 +257,37 @@ mod tests {
         let data = "pgs-summary v1 2 5 0\nn 0 0\nn 1 1\n";
         let err = read_summary_from(Cursor::new(data)).unwrap_err();
         assert!(matches!(err, SummaryIoError::Format(_)));
+    }
+
+    fn format_error(data: &str) -> String {
+        match read_summary_from(Cursor::new(data)) {
+            Err(SummaryIoError::Format(m)) => m,
+            other => panic!("expected a format error, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn rejects_superedge_to_unknown_label() {
+        let m = format_error("pgs-summary v1 2 2 1\nn 0 0\nn 1 1\ne 0 7 1\n");
+        assert!(m.contains("endpoint 7"), "{m}");
+    }
+
+    #[test]
+    fn rejects_non_positive_weight() {
+        let m = format_error("pgs-summary v1 2 2 1\nn 0 0\nn 1 1\ne 0 1 -1\n");
+        assert!(m.contains("weight"), "{m}");
+    }
+
+    #[test]
+    fn rejects_oversized_superedge_count() {
+        let m = format_error("pgs-summary v1 2 2 18446744073709551615\nn 0 0\nn 1 1\n");
+        assert!(m.contains("superedge count mismatch"), "{m}");
+    }
+
+    #[test]
+    fn rejects_label_beyond_node_count() {
+        let m = format_error("pgs-summary v1 2 2 0\nn 0 0\nn 1 5\n");
+        assert!(m.contains("label 5"), "{m}");
     }
 
     #[test]

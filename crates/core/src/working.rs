@@ -143,7 +143,8 @@ impl DenseLane {
 
 /// Reusable evaluation scratch: two epoch-stamped dense lanes (one per
 /// merge endpoint). One allocation serves the millions of evaluations a
-/// run performs; [`Scratch::begin`] clears both lanes in `O(touched)`.
+/// run performs; a crate-private `Scratch::begin` clears both lanes in
+/// `O(touched)`.
 #[derive(Default)]
 pub struct Scratch {
     epoch: u32,
@@ -187,8 +188,8 @@ impl Scratch {
     }
 
     /// Frees both lanes entirely (capacity and epoch state). Safe at any
-    /// quiescent point: the next [`Scratch::begin`] restarts from a
-    /// fresh epoch over zeroed stamps.
+    /// quiescent point: the next evaluation restarts from a fresh epoch
+    /// over zeroed stamps.
     pub fn release(&mut self) {
         *self = Scratch::default();
     }
@@ -464,8 +465,8 @@ where
 /// per Lemma 1 — the *scan* evaluator: it re-walks member edges on every
 /// call. The group evaluator answers from cached spans instead
 /// ([`GroupView::eval_merge_cached`]) and agrees with this function
-/// bitwise on any snapshot state (both price through [`side_cost`] and
-/// [`price_merge_canonical`]).
+/// bitwise on any snapshot state (both price through the crate-private
+/// `side_cost` and `price_merge_canonical`).
 pub fn eval_merge_view<V: SummaryView + ?Sized>(
     v: &V,
     a: SuperId,

@@ -1,8 +1,7 @@
-//! The request-API contract for the two bit-budgeted engines:
-//! `SummarizeRequest` output is byte-identical to the legacy free
-//! functions at 1/2/8 threads, cancel and deadline stop a run at a
-//! commit boundary with a valid partial summary, the observer sees
-//! every iteration, and invalid requests are always typed errors —
+//! The request-API contract for the two bit-budgeted engines: cancel
+//! and deadline stop a run at a commit boundary with a valid partial
+//! summary, run control that never fires changes nothing, the observer
+//! sees every iteration, and invalid requests are always typed errors —
 //! never panics (proptest).
 
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -14,9 +13,8 @@ use proptest::prelude::*;
 use pgs_core::api::{
     Budget, Pegasus, Personalization, RunControl, Ssumm, StopReason, SummarizeRequest, Summarizer,
 };
-use pgs_core::pegasus::{summarize_with_stats, summarize_with_weights, PegasusConfig};
-use pgs_core::ssumm::ssumm_summarize_with_stats;
-use pgs_core::{NodeWeights, SsummConfig, Summary};
+use pgs_core::pegasus::PegasusConfig;
+use pgs_core::{NodeWeights, Summary};
 use pgs_graph::gen::{barabasi_albert, planted_partition};
 use pgs_graph::Graph;
 
@@ -41,63 +39,6 @@ fn assert_identical(a: &Summary, b: &Summary, context: &str) {
         e
     };
     assert_eq!(edges(a), edges(b), "{context}: superedges");
-}
-
-#[test]
-fn pegasus_request_matches_legacy_at_every_thread_count() {
-    let g = planted_partition(400, 8, 1600, 250, 3);
-    let targets = [0u32, 5, 9];
-    for threads in [1usize, 2, 8] {
-        let cfg = PegasusConfig {
-            num_threads: threads,
-            ..Default::default()
-        };
-        let (legacy, legacy_stats) = summarize_with_stats(&g, &targets, 0.4 * g.size_bits(), &cfg);
-        let req = SummarizeRequest::new(Budget::Ratio(0.4)).targets(&targets);
-        let out = Pegasus(cfg).run(&g, &req).unwrap();
-        assert_identical(&legacy, &out.summary, &format!("pegasus t={threads}"));
-        assert_eq!(legacy_stats.iterations, out.stats.iterations);
-        assert_eq!(legacy_stats.merges, out.stats.merges);
-        assert_eq!(legacy_stats.evals, out.stats.evals);
-    }
-}
-
-#[test]
-fn uniform_request_matches_legacy_empty_targets() {
-    let g = barabasi_albert(300, 4, 11);
-    let cfg = PegasusConfig::default();
-    let (legacy, _) = summarize_with_stats(&g, &[], 0.5 * g.size_bits(), &cfg);
-    let req = SummarizeRequest::new(Budget::Ratio(0.5));
-    let out = Pegasus(cfg).run(&g, &req).unwrap();
-    assert_identical(&legacy, &out.summary, "pegasus uniform");
-}
-
-#[test]
-fn weights_request_matches_legacy_weight_entry_point() {
-    let g = barabasi_albert(250, 3, 7);
-    let cfg = PegasusConfig::default();
-    let w = NodeWeights::personalized(&g, &[3, 17], cfg.alpha);
-    let (legacy, _) = summarize_with_weights(&g, &w, 0.4 * g.size_bits(), &cfg);
-    let req = SummarizeRequest::new(Budget::Bits(0.4 * g.size_bits())).weights(w);
-    let out = Pegasus(cfg).run(&g, &req).unwrap();
-    assert_identical(&legacy, &out.summary, "pegasus weights");
-}
-
-#[test]
-fn ssumm_request_matches_legacy_at_every_thread_count() {
-    let g = planted_partition(300, 6, 1400, 180, 5);
-    for threads in [1usize, 2, 8] {
-        let cfg = SsummConfig {
-            num_threads: threads,
-            ..Default::default()
-        };
-        let (legacy, legacy_stats) = ssumm_summarize_with_stats(&g, 0.4 * g.size_bits(), &cfg);
-        let req = SummarizeRequest::new(Budget::Ratio(0.4));
-        let out = Ssumm(cfg).run(&g, &req).unwrap();
-        assert_identical(&legacy, &out.summary, &format!("ssumm t={threads}"));
-        assert_eq!(legacy_stats.iterations, out.stats.iterations);
-        assert_eq!(legacy_stats.merges, out.stats.merges);
-    }
 }
 
 /// A structurally valid summary: the supernodes partition `V`.
@@ -143,8 +84,10 @@ fn cancel_after_iteration_one_returns_valid_partial_summary() {
 
     // An uninterrupted run at the same seed needs more iterations at
     // this budget, so the cancel genuinely cut it short.
-    let (_, full_stats) = summarize_with_stats(&g, &[], 0.2 * g.size_bits(), &Default::default());
-    assert!(full_stats.iterations > 2);
+    let full = Pegasus::default()
+        .run(&g, &SummarizeRequest::new(Budget::Ratio(0.2)))
+        .unwrap();
+    assert!(full.stats.iterations > 2);
 }
 
 #[test]
@@ -179,14 +122,13 @@ fn zero_deadline_returns_identity_summary() {
 #[test]
 fn generous_deadline_changes_nothing() {
     let g = barabasi_albert(300, 4, 9);
-    let cfg = PegasusConfig::default();
-    let (legacy, _) = summarize_with_stats(&g, &[0], 0.4 * g.size_bits(), &cfg);
-    let req = SummarizeRequest::new(Budget::Ratio(0.4))
-        .targets(&[0])
-        .deadline(Duration::from_secs(3600));
-    let out = Pegasus(cfg).run(&g, &req).unwrap();
+    let req = SummarizeRequest::new(Budget::Ratio(0.4)).targets(&[0]);
+    let plain = Pegasus::default().run(&g, &req).unwrap();
+    let out = Pegasus::default()
+        .run(&g, &req.deadline(Duration::from_secs(3600)))
+        .unwrap();
     assert_eq!(out.stop, StopReason::BudgetMet);
-    assert_identical(&legacy, &out.summary, "deadline no-op");
+    assert_identical(&plain.summary, &out.summary, "deadline no-op");
 }
 
 #[test]
@@ -274,18 +216,16 @@ proptest! {
 
 #[test]
 fn run_control_default_is_inert() {
-    // Belt and braces for the wrapper pinning: a request with an
-    // explicitly attached (never-fired) control still matches legacy.
+    // A request with an explicitly attached (never-fired) cancel flag
+    // and deadline matches the same request without them.
     let g = barabasi_albert(200, 3, 6);
-    let cfg = PegasusConfig::default();
-    let (legacy, _) = summarize_with_stats(&g, &[1], 0.5 * g.size_bits(), &cfg);
-    let req = SummarizeRequest::new(Budget::Ratio(0.5))
-        .targets(&[1])
-        .control(RunControl {
-            cancel: Some(Arc::new(AtomicBool::new(false))),
-            deadline: Some(Duration::from_secs(3600)),
-            ..Default::default()
-        });
-    let out = Pegasus(cfg).run(&g, &req).unwrap();
-    assert_identical(&legacy, &out.summary, "inert control");
+    let req = SummarizeRequest::new(Budget::Ratio(0.5)).targets(&[1]);
+    let plain = Pegasus::default().run(&g, &req).unwrap();
+    let controlled = req.control(RunControl {
+        cancel: Some(Arc::new(AtomicBool::new(false))),
+        deadline: Some(Duration::from_secs(3600)),
+        ..Default::default()
+    });
+    let out = Pegasus::default().run(&g, &controlled).unwrap();
+    assert_identical(&plain.summary, &out.summary, "inert control");
 }

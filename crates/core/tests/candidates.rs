@@ -14,14 +14,13 @@ use std::sync::{Arc, Mutex};
 
 use proptest::prelude::*;
 
-use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
+use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
 use pgs_core::cost::CostModel;
 use pgs_core::exec::Exec;
 use pgs_core::shingle::attach_signatures;
-use pgs_core::ssumm::{ssumm_summarize, SsummConfig};
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::WorkingSummary;
-use pgs_core::{summarize, CheckpointSink, PegasusConfig, Summary};
+use pgs_core::{CheckpointSink, PegasusConfig, Summary};
 use pgs_graph::gen::{barabasi_albert, erdos_renyi, planted_partition};
 use pgs_graph::Graph;
 
@@ -91,28 +90,21 @@ proptest! {
 #[test]
 fn incremental_path_is_byte_identical_at_any_thread_count() {
     let g = planted_partition(400, 8, 1600, 250, 3);
+    let req = SummarizeRequest::new(Budget::Bits(0.4 * g.size_bits())).targets(&[0, 9]);
+    let run = |threads, seed| {
+        Pegasus(PegasusConfig {
+            num_threads: threads,
+            seed,
+            ..Default::default()
+        })
+        .run(&g, &req)
+        .unwrap()
+        .summary
+    };
     for seed in [0u64, 7, 42] {
-        let reference = summarize(
-            &g,
-            &[0, 9],
-            0.4 * g.size_bits(),
-            &PegasusConfig {
-                num_threads: 1,
-                seed,
-                ..Default::default()
-            },
-        );
+        let reference = run(1, seed);
         for threads in [2usize, 8] {
-            let got = summarize(
-                &g,
-                &[0, 9],
-                0.4 * g.size_bits(),
-                &PegasusConfig {
-                    num_threads: threads,
-                    seed,
-                    ..Default::default()
-                },
-            );
+            let got = run(threads, seed);
             assert_eq!(
                 fingerprint(&reference),
                 fingerprint(&got),
@@ -167,12 +159,15 @@ fn incremental_resume_is_byte_identical_across_cuts() {
 fn pegasus_and_ssumm_meet_budget_and_populate_candidate_stats() {
     let g = barabasi_albert(400, 4, 11);
     let budget = 0.4 * g.size_bits();
-    let cfg = PegasusConfig::default();
-    let (s, stats) = pgs_core::pegasus::summarize_with_stats(&g, &[0], budget, &cfg);
+    let req = SummarizeRequest::new(Budget::Bits(budget));
+    let out = Pegasus::default()
+        .run(&g, &req.clone().targets(&[0]))
+        .unwrap();
+    let (s, stats) = (out.summary, out.stats);
     assert!(s.size_bits() <= budget + 1e-9, "missed the budget");
     assert!(stats.groups > 0, "formed no groups");
     assert!(stats.grouped_supernodes >= stats.groups, "counters");
     assert!(stats.phases.candidates > 0.0, "candidate time");
-    let s = ssumm_summarize(&g, budget, &SsummConfig::default());
+    let s = Ssumm::default().run(&g, &req).unwrap().summary;
     assert!(s.size_bits() <= budget + 1e-9, "ssumm");
 }

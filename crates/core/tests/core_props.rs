@@ -16,7 +16,7 @@ use pgs_core::shingle::attach_signatures;
 use pgs_core::sparsify::sparsify;
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{Scratch, WorkingSummary};
-use pgs_core::{summarize, PegasusConfig, Summary, SuperId};
+use pgs_core::{Budget, Pegasus, SummarizeRequest, Summarizer, Summary, SuperId};
 use pgs_graph::gen::erdos_renyi;
 use pgs_graph::Graph;
 
@@ -449,7 +449,8 @@ proptest! {
     /// empty-summary error (2 × total pair weight of E).
     #[test]
     fn error_bounded_by_trivial_summary(g in arb_graph(), ratio in 0.3f64..0.9) {
-        let s = summarize(&g, &[0], ratio * g.size_bits(), &PegasusConfig::default());
+        let req = SummarizeRequest::new(Budget::Bits(ratio * g.size_bits())).targets(&[0]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
         let err = reconstruction_error(&g, &s).unwrap();
         prop_assert!(err <= 2.0 * g.num_edges() as f64 + 1e-9);
     }

@@ -7,8 +7,8 @@
 
 use proptest::prelude::*;
 
-use pgs_core::pegasus::{summarize_with_stats, PegasusConfig};
-use pgs_core::{ssumm_summarize, PegasusConfig as Cfg, SsummConfig, Summary};
+use pgs_core::api::{Budget, Pegasus, Ssumm, SummarizeRequest, Summarizer};
+use pgs_core::{PegasusConfig, SsummConfig, Summary};
 use pgs_graph::gen::{barabasi_albert, erdos_renyi, planted_partition};
 use pgs_graph::Graph;
 
@@ -24,12 +24,13 @@ fn fingerprint(s: &Summary) -> (Vec<u32>, Vec<(u32, u32)>) {
 }
 
 fn pegasus_at(g: &Graph, targets: &[u32], budget: f64, threads: usize, seed: u64) -> Summary {
-    let cfg = Cfg {
+    let cfg = PegasusConfig {
         num_threads: threads,
         seed,
         ..Default::default()
     };
-    pgs_core::summarize(g, targets, budget, &cfg)
+    let req = SummarizeRequest::new(Budget::Bits(budget)).targets(targets);
+    Pegasus(cfg).run(g, &req).unwrap().summary
 }
 
 #[test]
@@ -71,7 +72,8 @@ fn ssumm_identical_for_threads_1_2_8() {
             num_threads: threads,
             ..Default::default()
         };
-        fingerprint(&ssumm_summarize(&g, budget, &cfg))
+        let req = SummarizeRequest::new(Budget::Bits(budget));
+        fingerprint(&Ssumm(cfg).run(&g, &req).unwrap().summary)
     };
     let reference = at(1);
     for threads in [2, 8] {
@@ -88,7 +90,8 @@ fn run_stats_are_thread_count_independent() {
             num_threads: threads,
             ..Default::default()
         };
-        summarize_with_stats(&g, &[0], budget, &cfg).1
+        let req = SummarizeRequest::new(Budget::Bits(budget)).targets(&[0]);
+        Pegasus(cfg).run(&g, &req).unwrap().stats
     };
     let r1 = at(1);
     for threads in [2, 8] {

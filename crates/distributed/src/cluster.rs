@@ -7,8 +7,6 @@
 //! the summarizer's evaluate phase uses — and reassembles by machine
 //! index. The built cluster is therefore identical at any parallelism.
 
-use std::sync::Arc;
-
 use pgs_core::api::{Budget, Pegasus, PgsError, Ssumm, SummarizeRequest, Summarizer};
 use pgs_core::exec::Exec;
 use pgs_core::pegasus::PegasusConfig;
@@ -16,8 +14,7 @@ use pgs_core::ssumm::SsummConfig;
 use pgs_core::Summary;
 use pgs_graph::{Graph, NodeId};
 use pgs_partition::Method;
-use pgs_queries::{hops_summary, php_summary, rwr_summary, QueryEngine};
-use pgs_serve::{ServiceConfig, SubmitRequest, SummaryService};
+use pgs_queries::QueryEngine;
 
 use crate::subgraph::local_subgraph;
 
@@ -73,7 +70,8 @@ pub enum Backend {
 /// let g = planted_partition(200, 8, 800, 100, 1);
 /// // 4 machines, each with memory for a ratio-0.5 summary (Sect. V-F).
 /// let budget = 0.5 * g.size_bits();
-/// let cluster = Cluster::build(&g, 4, budget, &Backend::Pegasus(Default::default()), 7);
+/// let cluster = Cluster::try_build(&g, 4, budget, &Backend::Pegasus(Default::default()), 7)
+///     .expect("valid budget");
 /// let scores = cluster.rwr(0, 0.05);      // answered by node 0's machine
 /// assert_eq!(scores.len(), 200);
 /// ```
@@ -86,23 +84,7 @@ pub struct Cluster {
 impl Cluster {
     /// Preprocessing of Alg. 3: partition `V` with Louvain (or the
     /// backend's own partitioner), then build one store per machine
-    /// within `budget_bits_per_machine`. Thin wrapper over
-    /// [`Cluster::try_build`] for callers with pre-validated inputs.
-    ///
-    /// # Panics
-    /// Panics on the [`PgsError`]s [`Cluster::try_build`] reports.
-    pub fn build(
-        g: &Graph,
-        m: usize,
-        budget_bits_per_machine: f64,
-        backend: &Backend,
-        seed: u64,
-    ) -> Cluster {
-        Self::try_build(g, m, budget_bits_per_machine, backend, seed)
-            .unwrap_or_else(|e| panic!("cluster build failed: {e}"))
-    }
-
-    /// [`Cluster::build`] through the request API: summary backends run
+    /// within `budget_bits_per_machine`. Summary backends run
     /// [`Pegasus`]/[`Ssumm`] via [`Summarizer::run`], so an invalid
     /// per-machine budget (or an empty graph) surfaces as a typed
     /// [`PgsError`] instead of a panic deep inside a worker.
@@ -143,8 +125,8 @@ impl Cluster {
                 });
                 exec.map_indexed(&subsets, |_, subset| {
                     // An empty subset means that machine personalizes to
-                    // nothing in particular: `targets` maps it to the
-                    // uniform weights the legacy path used.
+                    // nothing in particular: `targets` maps it to uniform
+                    // weights.
                     let req = SummarizeRequest::new(Budget::Bits(budget_bits_per_machine))
                         .targets(subset);
                     inner
@@ -165,64 +147,6 @@ impl Cluster {
                 MachineStore::Subgraph(local_subgraph(g, subset, budget_bits_per_machine))
             }),
         };
-        Ok(Cluster { part, machines })
-    }
-
-    /// Alg.-3 preprocessing routed through the multi-tenant serving
-    /// layer: partitions `V` with Louvain, then submits one
-    /// personalized summarization request per machine (tenant
-    /// `machine-<i>`) to a [`SummaryService`] over the Pegasus backend
-    /// and assembles the stores from the handles. The service's worker
-    /// pool replaces [`Cluster::try_build`]'s ad-hoc per-machine
-    /// fan-out — same batch, but with the serving layer's queueing,
-    /// deadlines, and stats — and the output is byte-identical to
-    /// `try_build` with [`Backend::Pegasus`] (the engine is
-    /// deterministic at any parallelism; pinned in the tests below).
-    ///
-    /// Inner summarizer parallelism follows [`Cluster::try_build`]'s
-    /// split: `cfg.num_threads` (0 = hardware) divided across the `m`
-    /// machine builds, so pool workers × evaluate-phase threads never
-    /// oversubscribes. Output is identical at any split.
-    pub fn try_build_served(
-        g: &Arc<Graph>,
-        m: usize,
-        budget_bits_per_machine: f64,
-        cfg: &PegasusConfig,
-        seed: u64,
-        svc_cfg: ServiceConfig,
-    ) -> Result<Cluster, PgsError> {
-        assert!(m >= 1, "need at least one machine");
-        let part = Method::Louvain.partition(g, m, seed);
-        let mut subsets: Vec<Vec<NodeId>> = vec![Vec::new(); m];
-        for (u, &p) in part.iter().enumerate() {
-            subsets[p as usize].push(u as NodeId);
-        }
-        let inner = Pegasus(PegasusConfig {
-            num_threads: (Exec::new(cfg.num_threads).threads() / m.max(1)).max(1),
-            ..cfg.clone()
-        });
-        // Every machine personalizes to a distinct subset, so the
-        // submit-side weight cache could never hit — disabling it keeps
-        // each machine's Eq.-2 BFS inside its (parallel) worker run
-        // instead of resolving serially on this thread at submit time.
-        let svc_cfg = ServiceConfig {
-            cache_capacity: 0,
-            ..svc_cfg
-        };
-        let svc = SummaryService::new(Arc::clone(g), Arc::new(inner), svc_cfg);
-        let handles: Vec<_> = subsets
-            .iter()
-            .enumerate()
-            .map(|(i, subset)| {
-                let req =
-                    SummarizeRequest::new(Budget::Bits(budget_bits_per_machine)).targets(subset);
-                svc.submit(SubmitRequest::new(format!("machine-{i}"), req))
-            })
-            .collect::<Result<_, _>>()?;
-        let machines: Vec<MachineStore> = handles
-            .iter()
-            .map(|h| h.wait().map(|out| MachineStore::Summary(out.summary)))
-            .collect::<Result<_, _>>()?;
         Ok(Cluster { part, machines })
     }
 
@@ -253,7 +177,7 @@ impl Cluster {
     /// RWR query on node `q`, answered entirely by `q`'s machine.
     pub fn rwr(&self, q: NodeId, restart: f64) -> Vec<f64> {
         match &self.machines[self.route(q)] {
-            MachineStore::Summary(s) => rwr_summary(s, q, restart),
+            MachineStore::Summary(s) => QueryEngine::new(s).rwr(q, restart),
             MachineStore::Subgraph(g) => pgs_queries::rwr_exact(g, q, restart),
         }
     }
@@ -262,7 +186,7 @@ impl Cluster {
     /// Unreachable nodes are `u32::MAX` as usual.
     pub fn hops(&self, q: NodeId) -> Vec<u32> {
         match &self.machines[self.route(q)] {
-            MachineStore::Summary(s) => hops_summary(s, q),
+            MachineStore::Summary(s) => QueryEngine::new(s).hops(q),
             MachineStore::Subgraph(g) => pgs_queries::hops_exact(g, q),
         }
     }
@@ -270,7 +194,7 @@ impl Cluster {
     /// PHP query on node `q`, answered entirely by `q`'s machine.
     pub fn php(&self, q: NodeId, c: f64) -> Vec<f64> {
         match &self.machines[self.route(q)] {
-            MachineStore::Summary(s) => php_summary(s, q, c),
+            MachineStore::Summary(s) => QueryEngine::new(s).php(q, c),
             MachineStore::Subgraph(g) => pgs_queries::php_exact(g, q, c),
         }
     }
@@ -351,7 +275,8 @@ mod tests {
         let g = test_graph();
         // Per-machine memory k = ratio × Size(G), per Sect. V-F.
         let budget = 0.5 * g.size_bits();
-        let c = Cluster::build(&g, 8, budget, &Backend::Pegasus(Default::default()), 1);
+        let c =
+            Cluster::try_build(&g, 8, budget, &Backend::Pegasus(Default::default()), 1).unwrap();
         assert_eq!(c.num_machines(), 8);
         assert!(c.max_machine_bits() <= budget + 1e-9);
     }
@@ -360,7 +285,7 @@ mod tests {
     fn ssumm_cluster_replicates_one_summary() {
         let g = test_graph();
         let budget = 0.5 * g.size_bits();
-        let c = Cluster::build(&g, 8, budget, &Backend::Ssumm(Default::default()), 1);
+        let c = Cluster::try_build(&g, 8, budget, &Backend::Ssumm(Default::default()), 1).unwrap();
         let first = c.machine(0).size_bits();
         for i in 1..8 {
             assert_eq!(c.machine(i).size_bits(), first);
@@ -372,7 +297,7 @@ mod tests {
         let g = test_graph();
         let budget = 0.4 * g.size_bits();
         for method in Method::ALL {
-            let c = Cluster::build(&g, 8, budget, &Backend::Subgraph(method), 2);
+            let c = Cluster::try_build(&g, 8, budget, &Backend::Subgraph(method), 2).unwrap();
             assert!(
                 c.max_machine_bits() <= budget + 1e-9,
                 "{} overflows budget",
@@ -385,7 +310,8 @@ mod tests {
     fn every_node_routes_to_a_machine() {
         let g = test_graph();
         let budget = 0.5 * g.size_bits();
-        let c = Cluster::build(&g, 4, budget, &Backend::Pegasus(Default::default()), 3);
+        let c =
+            Cluster::try_build(&g, 4, budget, &Backend::Pegasus(Default::default()), 3).unwrap();
         for u in g.nodes() {
             assert!(c.route(u) < 4);
         }
@@ -400,7 +326,7 @@ mod tests {
             Backend::Ssumm(Default::default()),
             Backend::Subgraph(Method::Louvain),
         ] {
-            let c = Cluster::build(&g, 4, budget, &backend, 4);
+            let c = Cluster::try_build(&g, 4, budget, &backend, 4).unwrap();
             let r = c.rwr(7, 0.05);
             assert_eq!(r.len(), g.num_nodes());
             let h = c.hops(7);
@@ -420,7 +346,7 @@ mod tests {
             Backend::Ssumm(Default::default()),
             Backend::Subgraph(Method::Louvain),
         ] {
-            let c = Cluster::build(&g, 4, budget, &backend, 6);
+            let c = Cluster::try_build(&g, 4, budget, &backend, 6).unwrap();
             let serial_rwr: Vec<Vec<f64>> = qs.iter().map(|&q| c.rwr(q, 0.05)).collect();
             let serial_hops: Vec<Vec<f64>> =
                 qs.iter().map(|&q| super::hops_as_f64(&c.hops(q))).collect();
@@ -447,66 +373,6 @@ mod tests {
     }
 
     #[test]
-    fn served_build_is_byte_identical_to_direct_build() {
-        let g = Arc::new(test_graph());
-        let budget = 0.5 * g.size_bits();
-        let cfg = PegasusConfig::default();
-        let direct = Cluster::build(&g, 4, budget, &Backend::Pegasus(cfg.clone()), 9);
-        for workers in [1usize, 2, 8] {
-            let served = Cluster::try_build_served(
-                &g,
-                4,
-                budget,
-                &cfg,
-                9,
-                ServiceConfig {
-                    workers,
-                    ..Default::default()
-                },
-            )
-            .unwrap();
-            assert_eq!(served.part, direct.part, "workers={workers}");
-            for i in 0..4 {
-                let (MachineStore::Summary(a), MachineStore::Summary(b)) =
-                    (direct.machine(i), served.machine(i))
-                else {
-                    panic!("both builds store summaries");
-                };
-                assert_eq!(a.num_supernodes(), b.num_supernodes(), "machine {i}");
-                let edges = |s: &Summary| {
-                    let mut e: Vec<(u32, u32, u32)> = s
-                        .superedges()
-                        .map(|(x, y, w)| (x, y, w.to_bits()))
-                        .collect();
-                    e.sort_unstable();
-                    e
-                };
-                assert_eq!(edges(a), edges(b), "machine {i} superedges");
-                for u in g.nodes() {
-                    assert_eq!(a.supernode_of(u), b.supernode_of(u), "machine {i} node {u}");
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn served_build_surfaces_typed_errors() {
-        let g = Arc::new(test_graph());
-        match Cluster::try_build_served(
-            &g,
-            4,
-            f64::NAN,
-            &PegasusConfig::default(),
-            1,
-            ServiceConfig::default(),
-        ) {
-            Err(PgsError::InvalidBudgetBits(_)) => {}
-            Err(other) => panic!("wrong error: {other}"),
-            Ok(_) => panic!("NaN budget should be rejected"),
-        }
-    }
-
-    #[test]
     fn try_build_reports_typed_errors() {
         let g = test_graph();
         let bad_budgets = [
@@ -527,7 +393,8 @@ mod tests {
         // Sanity: PeGaSus-cluster answers correlate with ground truth.
         let g = test_graph();
         let budget = 0.6 * g.size_bits();
-        let c = Cluster::build(&g, 4, budget, &Backend::Pegasus(Default::default()), 5);
+        let c =
+            Cluster::try_build(&g, 4, budget, &Backend::Pegasus(Default::default()), 5).unwrap();
         let q = 11;
         let truth = hops_to_f64(&pgs_queries::hops_exact(&g, q));
         let approx = hops_to_f64(&c.hops(q));

@@ -1,71 +1,13 @@
-//! Approximate query answering directly on a summary graph
-//! (Appendix A, Alg. 4–6) — no reconstruction is materialized.
-//!
-//! All routines exploit the key structural fact of summary graphs: every
-//! member of a supernode has the *same* reconstructed neighborhood
-//! (namely, the members of the supernode's superedge neighbors), modulo
-//! excluding itself under a self-loop. Per-node loops therefore collapse
-//! to per-supernode aggregation, making query time proportional to the
-//! summary size rather than the reconstructed edge count.
-//!
-//! Superedge weights participate as edge weights of the reconstructed
-//! multigraph (Sect. V-A footnote on weighted summary graphs); for
-//! PeGaSus/SSumM summaries all weights are 1 and the formulas reduce to
-//! the unweighted versions.
-//!
-//! The iterative functions here are convenience wrappers that compile a
-//! throwaway [`QueryEngine`] plan per call. Callers answering more than
-//! one query on the same summary should build one engine and reuse it —
-//! the plan and scratch buffers then amortize across the whole batch
-//! (see `DESIGN.md` §6).
+//! Approximate query answering directly on a summary graph (Appendix
+//! A, Alg. 4–6), checked end to end: `QueryEngine` answers on the
+//! identity summary equal the exact answers on the input graph, and
+//! answers on a merged summary equal the exact answers on its
+//! reconstruction `Ĝ` (self-loops and superedge weights included).
 
-use pgs_core::summary::Summary;
-use pgs_graph::NodeId;
-
-use crate::engine::QueryEngine;
-
-/// Approximate neighborhood query (Alg. 4): the neighbors of `q` in the
-/// reconstructed graph `Ĝ`, read directly from the summary in
-/// `O(d̂(q))` — cheap enough that no plan is needed.
-pub fn get_neighbors(s: &Summary, q: NodeId) -> Vec<NodeId> {
-    let sq = s.supernode_of(q);
-    let mut out = Vec::with_capacity(s.reconstructed_degree(q));
-    for &(x, _) in s.neighbor_supers(sq) {
-        for &v in s.members(x) {
-            if v != q {
-                out.push(v);
-            }
-        }
-    }
-    out
-}
-
-/// Approximate HOP query (Alg. 5): BFS hop counts from `q` on `Ĝ`.
-/// Wraps a throwaway [`QueryEngine`]; see the module docs.
-///
-/// Unreachable nodes get `u32::MAX`; convert with
-/// [`crate::hops_to_f64`] before scoring.
-pub fn hops_summary(s: &Summary, q: NodeId) -> Vec<u32> {
-    QueryEngine::new(s).hops(q)
-}
-
-/// Approximate RWR query (Alg. 6) on `Ĝ`; `restart` is the restarting
-/// probability (paper: 0.05). Wraps a throwaway [`QueryEngine`]; see
-/// the module docs.
-pub fn rwr_summary(s: &Summary, q: NodeId, restart: f64) -> Vec<f64> {
-    QueryEngine::new(s).rwr(q, restart)
-}
-
-/// Approximate PHP query on `Ĝ`; `c` is the decay constant (paper:
-/// 0.95). Wraps a throwaway [`QueryEngine`]; see the module docs.
-pub fn php_summary(s: &Summary, q: NodeId, c: f64) -> Vec<f64> {
-    QueryEngine::new(s).php(q, c)
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
+    use crate::engine::QueryEngine;
     use crate::exact::{hops_exact, php_exact, rwr_exact};
+    use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
     use pgs_core::Summary;
     use pgs_graph::builder::graph_from_edges;
     use pgs_graph::gen::barabasi_albert;
@@ -77,7 +19,7 @@ mod tests {
         let g = barabasi_albert(60, 3, 1);
         let s = Summary::identity(&g);
         for u in g.nodes() {
-            let mut approx = get_neighbors(&s, u);
+            let mut approx = QueryEngine::new(&s).neighbors(u);
             approx.sort_unstable();
             assert_eq!(approx, g.neighbors(u));
         }
@@ -88,7 +30,7 @@ mod tests {
         let g = barabasi_albert(80, 2, 5);
         let s = Summary::identity(&g);
         for q in [0u32, 10, 41] {
-            assert_eq!(hops_summary(&s, q), hops_exact(&g, q));
+            assert_eq!(QueryEngine::new(&s).hops(q), hops_exact(&g, q));
         }
     }
 
@@ -97,7 +39,7 @@ mod tests {
         let g = barabasi_albert(60, 3, 7);
         let s = Summary::identity(&g);
         let exact = rwr_exact(&g, 3, 0.05);
-        let approx = rwr_summary(&s, 3, 0.05);
+        let approx = QueryEngine::new(&s).rwr(3, 0.05);
         for (u, (a, b)) in exact.iter().zip(approx.iter()).enumerate() {
             assert!((a - b).abs() < 1e-8, "rwr mismatch at {u}: {a} vs {b}");
         }
@@ -108,7 +50,7 @@ mod tests {
         let g = barabasi_albert(60, 3, 9);
         let s = Summary::identity(&g);
         let exact = php_exact(&g, 11, 0.95);
-        let approx = php_summary(&s, 11, 0.95);
+        let approx = QueryEngine::new(&s).php(11, 0.95);
         for (u, (a, b)) in exact.iter().zip(approx.iter()).enumerate() {
             assert!((a - b).abs() < 1e-8, "php mismatch at {u}: {a} vs {b}");
         }
@@ -127,22 +69,23 @@ mod tests {
             &[(0, 1, 1.0), (0, 2, 1.0), (2, 3, 1.0), (3, 4, 1.0)],
         );
         let recon = s.reconstruct();
+        let e = QueryEngine::new(&s);
 
         for q in 0..6u32 {
             // Neighbors.
-            let mut nb = get_neighbors(&s, q);
+            let mut nb = e.neighbors(q);
             nb.sort_unstable();
             assert_eq!(nb, recon.neighbors(q), "neighbors differ at {q}");
             // Hops.
-            assert_eq!(hops_summary(&s, q), hops_exact(&recon, q), "hops at {q}");
+            assert_eq!(e.hops(q), hops_exact(&recon, q), "hops at {q}");
             // RWR.
-            let r1 = rwr_summary(&s, q, 0.05);
+            let r1 = e.rwr(q, 0.05);
             let r2 = rwr_exact(&recon, q, 0.05);
             for (u, (a, b)) in r1.iter().zip(r2.iter()).enumerate() {
                 assert!((a - b).abs() < 1e-7, "rwr {q}->{u}: {a} vs {b}");
             }
             // PHP.
-            let p1 = php_summary(&s, q, 0.95);
+            let p1 = e.php(q, 0.95);
             let p2 = php_exact(&recon, q, 0.95);
             for (u, (a, b)) in p1.iter().zip(p2.iter()).enumerate() {
                 assert!((a - b).abs() < 1e-7, "php {q}->{u}: {a} vs {b}");
@@ -155,12 +98,13 @@ mod tests {
         // Supernode {0,1,2} with self-loop = clique; node 3 attached.
         let s = Summary::new(4, vec![0, 0, 0, 1], &[(0, 0, 1.0), (0, 1, 1.0)]);
         let recon = s.reconstruct();
+        let e = QueryEngine::new(&s);
         for q in 0..4u32 {
-            let mut nb = get_neighbors(&s, q);
+            let mut nb = e.neighbors(q);
             nb.sort_unstable();
             assert_eq!(nb, recon.neighbors(q));
-            assert_eq!(hops_summary(&s, q), hops_exact(&recon, q));
-            let r1 = rwr_summary(&s, q, 0.05);
+            assert_eq!(e.hops(q), hops_exact(&recon, q));
+            let r1 = e.rwr(q, 0.05);
             let r2 = rwr_exact(&recon, q, 0.05);
             for (a, b) in r1.iter().zip(r2.iter()) {
                 assert!((a - b).abs() < 1e-7);
@@ -171,7 +115,7 @@ mod tests {
     #[test]
     fn disconnected_summary_hops() {
         let s = Summary::new(4, vec![0, 0, 1, 2], &[(0, 0, 1.0), (1, 2, 1.0)]);
-        let hops = hops_summary(&s, 0);
+        let hops = QueryEngine::new(&s).hops(0);
         assert_eq!(hops[0], 0);
         assert_eq!(hops[1], 1); // via self-loop
         assert_eq!(hops[2], u32::MAX);
@@ -181,8 +125,9 @@ mod tests {
     #[test]
     fn rwr_summary_is_distribution() {
         let g = barabasi_albert(120, 3, 4);
-        let s = pgs_core::summarize(&g, &[0], 0.5 * g.size_bits(), &Default::default());
-        let r = rwr_summary(&s, 0, 0.05);
+        let req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits())).targets(&[0]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
+        let r = QueryEngine::new(&s).rwr(0, 0.05);
         let sum: f64 = r.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum = {sum}");
     }
@@ -192,7 +137,7 @@ mod tests {
         // Two superedges with different weights from {0}: walker prefers
         // the heavier edge.
         let s = Summary::new(3, vec![0, 1, 2], &[(0, 1, 3.0), (0, 2, 1.0)]);
-        let r = rwr_summary(&s, 0, 0.05);
+        let r = QueryEngine::new(&s).rwr(0, 0.05);
         assert!(
             r[1] > r[2],
             "heavier superedge should attract more probability: {r:?}"

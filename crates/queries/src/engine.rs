@@ -10,7 +10,7 @@
 //!   (`nbr: Vec<SuperId>`, `wgt: Vec<f32>`, offsets borrowed from the
 //!   summary),
 //! * per-supernode weighted reconstructed degrees `d̂` and self-loop
-//!   weights (recomputed per call by the free functions),
+//!   weights,
 //! * per-supernode member counts as `f64`, and
 //! * the node→supernode and member-CSR columns, borrowed zero-copy from
 //!   the summary.
@@ -645,6 +645,7 @@ mod tests {
     use super::*;
     use crate::exact::{hops_exact, php_exact, rwr_exact};
     use crate::extended::pagerank_exact;
+    use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
     use pgs_graph::gen::barabasi_albert;
 
     fn close(a: &[f64], b: &[f64], tol: f64, what: &str) {
@@ -714,7 +715,8 @@ mod tests {
         // Repeating a query through the same engine (recycled scratch)
         // must give the byte-identical answer.
         let g = barabasi_albert(100, 3, 9);
-        let s = pgs_core::summarize(&g, &[0], 0.5 * g.size_bits(), &Default::default());
+        let req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits())).targets(&[0]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
         let e = QueryEngine::new(&s);
         let first = e.rwr(7, 0.05);
         let hops_first = e.hops(13);
@@ -727,7 +729,8 @@ mod tests {
     #[test]
     fn batched_results_byte_identical_at_any_thread_count() {
         let g = barabasi_albert(150, 3, 5);
-        let s = pgs_core::summarize(&g, &[0, 1], 0.5 * g.size_bits(), &Default::default());
+        let req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits())).targets(&[0, 1]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
         let e = QueryEngine::new(&s);
         let qs: Vec<NodeId> = (0..24).map(|i| (i * 5) as NodeId).collect();
         let serial_rwr: Vec<Vec<f64>> = qs.iter().map(|&q| e.rwr(q, 0.05)).collect();

@@ -6,35 +6,19 @@
 //! neighborhood queries, and thus also can be executed directly on G̅";
 //! the related-work section cites degree and clustering-coefficient
 //! estimation from summaries \[10\] and eigenvector centrality \[11\].
-//! These implementations exploit the same per-supernode aggregation as
-//! the core queries, so they run in `O(|V| + |P|)` per pass instead of
-//! touching reconstructed edges. The global summary-side functions wrap
-//! a throwaway [`QueryEngine`] plan per call; callers answering several
-//! queries on one summary should build the engine once and reuse it.
+//! The summary-side answers are [`QueryEngine`](crate::QueryEngine)'s
+//! `degrees`, `pagerank`, `clustering_coefficient` and
+//! `eigenvector_centrality`: they exploit the same per-supernode
+//! aggregation as the core queries, so they run in `O(|V| + |P|)` per
+//! pass instead of touching reconstructed edges. This module holds their
+//! exact counterparts on the input graph.
 
-use pgs_core::summary::Summary;
 use pgs_graph::{Graph, NodeId};
 
-use crate::engine::QueryEngine;
 use crate::{MAX_ITERS, TOLERANCE};
 
-/// Degrees of every node in the reconstructed graph `Ĝ`, in
-/// `O(|V| + |P|)` total (all members of a supernode share a degree).
-/// Wraps a throwaway [`QueryEngine`]; see the module docs.
-pub fn degrees_summary(s: &Summary) -> Vec<usize> {
-    QueryEngine::new(s).degrees()
-}
-
-/// PageRank on the reconstructed graph `Ĝ`, computed at supernode
-/// granularity; `damping` is the usual factor (0.85 classically).
-/// Dangling mass is redistributed uniformly. Wraps a throwaway
-/// [`QueryEngine`]; see the module docs.
-pub fn pagerank_summary(s: &Summary, damping: f64) -> Vec<f64> {
-    QueryEngine::new(s).pagerank(damping)
-}
-
 /// Exact PageRank on the input graph (reference for
-/// [`pagerank_summary`]).
+/// [`QueryEngine::pagerank`](crate::QueryEngine::pagerank)).
 pub fn pagerank_exact(g: &Graph, damping: f64) -> Vec<f64> {
     assert!((0.0..1.0).contains(&damping), "damping must be in [0, 1)");
     let n = g.num_nodes();
@@ -72,16 +56,6 @@ pub fn pagerank_exact(g: &Graph, damping: f64) -> Vec<f64> {
     pr
 }
 
-/// Clustering coefficient of node `u` in `Ĝ`, computed from supernode
-/// structure: with `N̂(u)` spanning supernodes `Y` (with multiplicities
-/// `|Y|`), the triangle count is the number of adjacent pairs among the
-/// neighbor multiset, which depends only on supernode-level adjacency.
-/// `O(deg_P(S_u)²)` per node. Wraps a throwaway [`QueryEngine`]; see
-/// the module docs.
-pub fn clustering_coefficient_summary(s: &Summary, u: NodeId) -> f64 {
-    QueryEngine::new(s).clustering_coefficient(u)
-}
-
 /// Exact clustering coefficient on the input graph.
 pub fn clustering_coefficient_exact(g: &Graph, u: NodeId) -> f64 {
     let neighbors = g.neighbors(u);
@@ -103,6 +77,8 @@ pub fn clustering_coefficient_exact(g: &Graph, u: NodeId) -> f64 {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::QueryEngine;
+    use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
     use pgs_core::Summary;
     use pgs_graph::builder::graph_from_edges;
     use pgs_graph::gen::barabasi_albert;
@@ -111,7 +87,7 @@ mod tests {
     fn degrees_identity_match() {
         let g = barabasi_albert(100, 3, 1);
         let s = Summary::identity(&g);
-        let deg = degrees_summary(&s);
+        let deg = QueryEngine::new(&s).degrees();
         for u in g.nodes() {
             assert_eq!(deg[u as usize], g.degree(u));
         }
@@ -121,7 +97,7 @@ mod tests {
     fn degrees_merged_match_reconstruction() {
         let s = Summary::new(5, vec![0, 0, 1, 1, 2], &[(0, 1, 1.0), (0, 0, 1.0)]);
         let recon = s.reconstruct();
-        let deg = degrees_summary(&s);
+        let deg = QueryEngine::new(&s).degrees();
         for u in 0..5u32 {
             assert_eq!(deg[u as usize], recon.degree(u), "node {u}");
         }
@@ -132,7 +108,7 @@ mod tests {
         let g = barabasi_albert(80, 3, 2);
         let s = Summary::identity(&g);
         let exact = pagerank_exact(&g, 0.85);
-        let approx = pagerank_summary(&s, 0.85);
+        let approx = QueryEngine::new(&s).pagerank(0.85);
         for (u, (a, b)) in exact.iter().zip(approx.iter()).enumerate() {
             assert!((a - b).abs() < 1e-8, "pagerank mismatch at {u}: {a} vs {b}");
         }
@@ -141,8 +117,9 @@ mod tests {
     #[test]
     fn pagerank_is_distribution() {
         let g = barabasi_albert(100, 3, 3);
-        let s = pgs_core::summarize(&g, &[0], 0.5 * g.size_bits(), &Default::default());
-        let pr = pagerank_summary(&s, 0.85);
+        let req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits())).targets(&[0]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
+        let pr = QueryEngine::new(&s).pagerank(0.85);
         let sum: f64 = pr.iter().sum();
         assert!((sum - 1.0).abs() < 1e-6, "sum {sum}");
         assert!(pr.iter().all(|&x| x > 0.0));
@@ -167,9 +144,10 @@ mod tests {
     fn clustering_identity_matches_exact() {
         let g = barabasi_albert(60, 4, 5);
         let s = Summary::identity(&g);
+        let engine = QueryEngine::new(&s);
         for u in g.nodes() {
             let e = clustering_coefficient_exact(&g, u);
-            let a = clustering_coefficient_summary(&s, u);
+            let a = engine.clustering_coefficient(u);
             assert!((e - a).abs() < 1e-12, "cc mismatch at {u}: {e} vs {a}");
         }
     }
@@ -182,9 +160,10 @@ mod tests {
             &[(0, 0, 1.0), (0, 1, 1.0), (1, 2, 1.0)],
         );
         let recon = s.reconstruct();
+        let engine = QueryEngine::new(&s);
         for u in 0..6u32 {
             let e = clustering_coefficient_exact(&recon, u);
-            let a = clustering_coefficient_summary(&s, u);
+            let a = engine.clustering_coefficient(u);
             assert!((e - a).abs() < 1e-12, "cc mismatch at {u}: {e} vs {a}");
         }
     }
@@ -194,7 +173,7 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1), (1, 2), (0, 2)]);
         assert_eq!(clustering_coefficient_exact(&g, 0), 1.0);
         let s = Summary::identity(&g);
-        assert_eq!(clustering_coefficient_summary(&s, 0), 1.0);
+        assert_eq!(QueryEngine::new(&s).clustering_coefficient(0), 1.0);
     }
 
     #[test]
@@ -202,21 +181,12 @@ mod tests {
         let g = graph_from_edges(3, &[(0, 1)]);
         assert_eq!(clustering_coefficient_exact(&g, 0), 0.0);
         let s = Summary::identity(&g);
-        assert_eq!(clustering_coefficient_summary(&s, 2), 0.0);
+        assert_eq!(QueryEngine::new(&s).clustering_coefficient(2), 0.0);
     }
 }
 
-/// Eigenvector centrality on the reconstructed graph `Ĝ` by power
-/// iteration at supernode granularity (cited as summary-answerable in
-/// the paper's introduction, ref. \[11\]). Returns the L2-normalized
-/// dominant eigenvector; zero vector if `Ĝ` has no edges. Wraps a
-/// throwaway [`QueryEngine`]; see the module docs.
-pub fn eigenvector_centrality_summary(s: &Summary, iters: usize) -> Vec<f64> {
-    QueryEngine::new(s).eigenvector_centrality(iters)
-}
-
 /// Exact eigenvector centrality on the input graph (reference for
-/// [`eigenvector_centrality_summary`]).
+/// [`QueryEngine::eigenvector_centrality`](crate::QueryEngine::eigenvector_centrality)).
 pub fn eigenvector_centrality_exact(g: &Graph, iters: usize) -> Vec<f64> {
     let n = g.num_nodes();
     if n == 0 {
@@ -244,6 +214,7 @@ pub fn eigenvector_centrality_exact(g: &Graph, iters: usize) -> Vec<f64> {
 #[cfg(test)]
 mod eig_tests {
     use super::*;
+    use crate::engine::QueryEngine;
     use pgs_core::Summary;
     use pgs_graph::builder::graph_from_edges;
     use pgs_graph::gen::barabasi_albert;
@@ -253,7 +224,7 @@ mod eig_tests {
         let g = barabasi_albert(60, 3, 1);
         let s = Summary::identity(&g);
         let e = eigenvector_centrality_exact(&g, 50);
-        let a = eigenvector_centrality_summary(&s, 50);
+        let a = QueryEngine::new(&s).eigenvector_centrality(50);
         for (u, (x, y)) in e.iter().zip(a.iter()).enumerate() {
             assert!((x - y).abs() < 1e-6, "mismatch at {u}: {x} vs {y}");
         }
@@ -279,7 +250,7 @@ mod eig_tests {
         let e = eigenvector_centrality_exact(&g, 10);
         assert!(e.iter().all(|&x| x == 0.0));
         let s = Summary::identity(&g);
-        let a = eigenvector_centrality_summary(&s, 10);
+        let a = QueryEngine::new(&s).eigenvector_centrality(10);
         assert!(a.iter().all(|&x| x == 0.0));
     }
 
@@ -292,7 +263,7 @@ mod eig_tests {
         );
         let recon = s.reconstruct();
         let e = eigenvector_centrality_exact(&recon, 60);
-        let a = eigenvector_centrality_summary(&s, 60);
+        let a = QueryEngine::new(&s).eigenvector_centrality(60);
         for (u, (x, y)) in e.iter().zip(a.iter()).enumerate() {
             assert!((x - y).abs() < 1e-5, "mismatch at {u}: {x} vs {y}");
         }

@@ -4,7 +4,7 @@
 //!
 //! * **exactly** on the input graph ([`exact`]), producing the ground
 //!   truth `x`, and
-//! * **approximately** on a summary graph ([`approx`]) without
+//! * **approximately** on a summary graph ([`QueryEngine`]) without
 //!   reconstructing it (Appendix A, Alg. 4–6), producing `x̂`.
 //!
 //! Query types:
@@ -22,28 +22,24 @@
 //!
 //! ## Serving many queries
 //!
-//! The free functions compile a throwaway plan per call. For serving
-//! workloads, build a [`QueryEngine`] once per summary: it precomputes a
-//! struct-of-arrays supernode plan, answers every query type from
-//! reusable scratch buffers, and offers `*_batch` methods that fan
-//! independent query nodes out over [`pgs_core::exec::Exec`] with
-//! byte-identical results at any thread count. The original per-node
-//! implementations live on as the test suite's oracle
-//! (`tests/support/reference.rs`).
+//! [`QueryEngine::new`] compiles a summary once into a struct-of-arrays
+//! supernode plan; build it once per summary and reuse it. It answers
+//! every query type from reusable scratch buffers, and its `*_batch`
+//! methods fan independent query nodes out over
+//! [`pgs_core::exec::Exec`] with byte-identical results at any thread
+//! count. The original per-node implementations live on as the test
+//! suite's oracle (`tests/support/reference.rs`).
 
-pub mod approx;
+#[cfg(test)]
+mod approx;
 pub mod engine;
 pub mod exact;
 pub mod extended;
 pub mod metrics;
 
-pub use approx::{get_neighbors, hops_summary, php_summary, rwr_summary};
 pub use engine::QueryEngine;
 pub use exact::{hops_exact, php_exact, rwr_exact};
-pub use extended::{
-    clustering_coefficient_exact, clustering_coefficient_summary, degrees_summary,
-    eigenvector_centrality_exact, eigenvector_centrality_summary, pagerank_exact, pagerank_summary,
-};
+pub use extended::{clustering_coefficient_exact, eigenvector_centrality_exact, pagerank_exact};
 pub use metrics::{smape, spearman};
 
 /// Default RWR restart probability (Sect. V-A).

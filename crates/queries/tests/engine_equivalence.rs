@@ -6,9 +6,11 @@
 //!
 //! * **Bitwise** for everything whose computation the engine performs
 //!   with the identical operation sequence: HOP, neighbors, degrees,
-//!   clustering coefficients — and for *every* query type, batched
-//!   results vs the serial loop at any thread count (each query is a
-//!   pure function of the plan, so fan-out order cannot change a bit).
+//!   clustering coefficients (against the exact coefficient on the
+//!   reconstruction) — and for *every* query type, batched results vs
+//!   the serial loop and a fresh plan vs a reused one (each query is a
+//!   pure function of the plan, so neither fan-out order nor recycled
+//!   scratch can change a bit).
 //! * **`≤ 1e-8` per element** for the iterative float solvers (RWR,
 //!   PHP, PageRank, eigenvector centrality) against the per-node
 //!   reference: the engine collapses per-node state to per-supernode
@@ -18,10 +20,11 @@
 
 use proptest::prelude::*;
 
+use pgs_core::api::{Budget, Pegasus, SummarizeRequest, Summarizer};
 use pgs_core::exec::Exec;
 use pgs_core::Summary;
 use pgs_graph::gen::barabasi_albert;
-use pgs_queries::QueryEngine;
+use pgs_queries::{clustering_coefficient_exact, QueryEngine};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -94,13 +97,14 @@ proptest! {
         let s = random_summary(n, k, weighted, seed);
         let e = QueryEngine::new(&s);
         let qs = query_nodes(n);
+        let recon = s.reconstruct();
 
         // Integer / combinatorial queries: bitwise against the reference.
         for &q in &qs {
             prop_assert_eq!(e.hops(q), reference::hops_summary(&s, q));
-            prop_assert_eq!(e.neighbors(q), pgs_queries::get_neighbors(&s, q));
+            prop_assert_eq!(e.neighbors(q), reference::get_neighbors(&s, q));
             let cc = e.clustering_coefficient(q);
-            let cc_ref = pgs_queries::clustering_coefficient_summary(&s, q);
+            let cc_ref = clustering_coefficient_exact(&recon, q);
             prop_assert_eq!(cc.to_bits(), cc_ref.to_bits());
         }
         prop_assert_eq!(e.degrees(), reference::degrees_summary(&s));
@@ -154,8 +158,8 @@ proptest! {
         }
     }
 
-    /// The public free functions wrap the engine, so a throwaway plan
-    /// must answer exactly like a long-lived (scratch-recycling) one.
+    /// A throwaway plan (a fresh engine per query, with fresh scratch)
+    /// answers exactly like a long-lived, scratch-recycling one.
     #[test]
     fn free_functions_bitwise_match_plan_reuse(
         n in 1usize..40,
@@ -164,22 +168,18 @@ proptest! {
     ) {
         let s = random_summary(n, k, false, seed);
         let e = QueryEngine::new(&s);
+        let fresh = || QueryEngine::new(&s);
         for &q in &query_nodes(n) {
+            prop_assert_eq!(bits(&e.rwr(q, 0.05)), bits(&fresh().rwr(q, 0.05)));
+            prop_assert_eq!(e.hops(q), fresh().hops(q));
+            prop_assert_eq!(bits(&e.php(q, 0.95)), bits(&fresh().php(q, 0.95)));
             prop_assert_eq!(
-                bits(&e.rwr(q, 0.05)),
-                bits(&pgs_queries::rwr_summary(&s, q, 0.05))
-            );
-            prop_assert_eq!(e.hops(q), pgs_queries::hops_summary(&s, q));
-            prop_assert_eq!(
-                bits(&e.php(q, 0.95)),
-                bits(&pgs_queries::php_summary(&s, q, 0.95))
+                e.clustering_coefficient(q).to_bits(),
+                fresh().clustering_coefficient(q).to_bits()
             );
         }
-        prop_assert_eq!(
-            bits(&e.pagerank(0.85)),
-            bits(&pgs_queries::pagerank_summary(&s, 0.85))
-        );
-        prop_assert_eq!(e.degrees(), pgs_queries::degrees_summary(&s));
+        prop_assert_eq!(bits(&e.pagerank(0.85)), bits(&fresh().pagerank(0.85)));
+        prop_assert_eq!(e.degrees(), fresh().degrees());
     }
 }
 
@@ -188,7 +188,8 @@ proptest! {
 #[test]
 fn engine_agrees_with_reference_path() {
     let g = barabasi_albert(120, 3, 4);
-    let s = pgs_core::summarize(&g, &[0], 0.5 * g.size_bits(), &Default::default());
+    let req = SummarizeRequest::new(Budget::Bits(0.5 * g.size_bits())).targets(&[0]);
+    let s = Pegasus::default().run(&g, &req).unwrap().summary;
     let e = QueryEngine::new(&s);
     for q in [0u32, 17, 63] {
         assert_close(

@@ -1,8 +1,8 @@
 //! Paper-literal per-node query implementations, kept as the *reference
 //! path* of the equivalence suite.
 //!
-//! These are the original free-function bodies that answered every query
-//! by iterating over all `|V|` node states each pass. The
+//! Each answers its query by iterating over all `|V|` node states each
+//! pass (Alg. 4 reads member lists directly). The
 //! [`pgs_queries::QueryEngine`] collapses per-node state to per-supernode
 //! state (see `engine.rs` for why that is exact); the suite checks the
 //! engine against these independent implementations on random summaries.
@@ -11,6 +11,21 @@ use pgs_core::summary::{Summary, SuperId};
 use pgs_graph::NodeId;
 
 use pgs_queries::{MAX_ITERS, TOLERANCE};
+
+/// Neighborhood reference (Alg. 4): the neighbors of `q` in `Ĝ`, read
+/// member by member from the summary's superedge list.
+pub fn get_neighbors(s: &Summary, q: NodeId) -> Vec<NodeId> {
+    let sq = s.supernode_of(q);
+    let mut out = Vec::with_capacity(s.reconstructed_degree(q));
+    for &(x, _) in s.neighbor_supers(sq) {
+        for &v in s.members(x) {
+            if v != q {
+                out.push(v);
+            }
+        }
+    }
+    out
+}
 
 /// Per-node HOP reference (Alg. 5): BFS hop counts from `q` on `Ĝ`,
 /// assigning distances member-by-member. Unreachable nodes get

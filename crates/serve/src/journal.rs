@@ -225,9 +225,11 @@ impl JobRecord {
 
 /// The on-disk journal: one `.job` record per in-flight durable key
 /// under `<checkpoint_dir>/journal/`, quarantined records under
-/// `<checkpoint_dir>/quarantine/`. All operations are best-effort
-/// filesystem I/O — the serving layer treats journal failures as
-/// degraded durability, never as request failures.
+/// `<checkpoint_dir>/quarantine/`. All operations are filesystem I/O.
+/// The serving layer refuses a durable submission whose write-ahead
+/// [`Journal::append`] fails (`PgsError::JournalWriteFailed`) and treats
+/// every other journal failure as degraded durability, never as a
+/// request failure.
 #[derive(Debug)]
 pub struct Journal {
     dir: PathBuf,

@@ -47,14 +47,13 @@
 //! The observability layer (DESIGN.md §14) makes all of the above
 //! visible without perturbing it: a lock-light metrics registry (queue
 //! depth, per-tenant outcomes, cache and engine counters, latency
-//! histograms) surfaced as one coherent
-//! [`MetricsSnapshot`](service::MetricsSnapshot) with a stable JSON
-//! shape; a bounded [`EventJournal`](pgs_observe::EventJournal) of
-//! job-lifecycle events (admitted → queued → running → checkpointed →
-//! retried / stalled / completed) with an optional NDJSON sink; and
-//! stall forensics — the watchdog snapshots the event tail into a
-//! [`StallReport`](service::StallReport) at the moment it flags a job,
-//! before the cancellation unwinds.
+//! histograms) surfaced as one coherent [`MetricsSnapshot`] with a
+//! stable JSON shape; a bounded
+//! [`EventJournal`](pgs_observe::EventJournal) of job-lifecycle events
+//! (admitted → queued → running → checkpointed → retried / stalled /
+//! completed) with an optional NDJSON sink; and stall forensics — the
+//! watchdog snapshots the event tail into a [`StallReport`] at the
+//! moment it flags a job, before the cancellation unwinds.
 //!
 //! ```
 //! use std::sync::Arc;

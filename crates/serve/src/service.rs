@@ -23,8 +23,8 @@
 //! * **A shared-BFS weight cache** — the first run for a
 //!   `(tenant, targets, α)` key resolves Eq.-2 weights once; later
 //!   runs (a budget sweep, say) replay them as
-//!   [`Personalization::Weights`], bitwise-identical to resolving
-//!   fresh (see [`crate::cache`]).
+//!   [`Personalization::Weights`](pgs_core::Personalization::Weights),
+//!   bitwise-identical to resolving fresh (see [`crate::cache`]).
 //!
 //! The resilience layer (DESIGN.md §10) sits on top:
 //!
@@ -65,7 +65,7 @@
 //!   [`SummaryService::release_quarantined`] clears it.
 //! * **Stall watchdog** — with [`ServiceConfig::stall_timeout`] set,
 //!   every run gets a heartbeat stamped at group granularity
-//!   and a [`Supervisor`](crate::supervise::Supervisor) thread cancels
+//!   and a [`Supervisor`] thread cancels
 //!   runs whose heartbeat freezes past the timeout; the worker
 //!   publishes the partial result as [`StopReason::Stalled`] and moves
 //!   on — a wedged evaluator can never hold a worker forever.
@@ -1179,7 +1179,9 @@ impl SummaryService {
     /// Enqueues one request and returns its handle, or rejects it with
     /// [`PgsError::Overloaded`] when admission control says no (see
     /// the module docs — the error carries a load-derived hint for how
-    /// long the caller should back off before resubmitting).
+    /// long the caller should back off before resubmitting). A durable
+    /// submission whose admission-journal record cannot be written is
+    /// refused with [`PgsError::JournalWriteFailed`].
     ///
     /// If the algorithm personalizes (see
     /// [`Summarizer::personalization_alpha`]) and the request carries
@@ -1492,8 +1494,8 @@ fn do_submit(
             // sync failed after the rename): retire it, or a restart
             // would run a job whose submission the caller saw fail.
             journal.retire(key);
-            return Err(PgsError::CheckpointInvalid {
-                reason: format!("admission journal write failed: {e}"),
+            return Err(PgsError::JournalWriteFailed {
+                reason: e.to_string(),
             });
         }
     }

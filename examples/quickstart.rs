@@ -39,10 +39,12 @@ fn main() {
     );
 
     // 3. Answer node-similarity queries directly from the summary and
-    //    compare against the ground truth on the full graph.
+    //    compare against the ground truth on the full graph. The summary
+    //    is compiled once into a query plan that serves every query.
+    let engine = QueryEngine::new(&summary);
     for &q in &targets {
         let exact = rwr_exact(&g, q, 0.05);
-        let approx = rwr_summary(&summary, q, 0.05);
+        let approx = engine.rwr(q, 0.05);
         println!(
             "RWR from node {q}: SMAPE {:.3}, Spearman {:.3}",
             smape(&exact, &approx),
@@ -57,12 +59,13 @@ fn main() {
         .run(&g, &SummarizeRequest::new(Budget::Ratio(0.5)))
         .expect("valid request")
         .summary;
+    let uniform_engine = QueryEngine::new(&uniform);
     let mut pers = 0.0;
     let mut nonp = 0.0;
     for &q in &targets {
         let truth = hops_to_f64(&hops_exact(&g, q));
-        pers += smape(&truth, &hops_to_f64(&hops_summary(&summary, q)));
-        nonp += smape(&truth, &hops_to_f64(&hops_summary(&uniform, q)));
+        pers += smape(&truth, &hops_to_f64(&engine.hops(q)));
+        nonp += smape(&truth, &hops_to_f64(&uniform_engine.hops(q)));
     }
     println!(
         "HOP SMAPE at targets: personalized {:.3} vs non-personalized {:.3}",
@@ -73,7 +76,7 @@ fn main() {
     // 5. The neighborhood query (Alg. 4) is the primitive everything
     //    else builds on.
     let q = targets[0];
-    let n0 = get_neighbors(&summary, q);
+    let n0 = engine.neighbors(q);
     println!(
         "node {q}: {} true neighbors, {} reconstructed neighbors",
         g.degree(q),

@@ -64,8 +64,8 @@ fn main() {
 
     // Compare hop-distance accuracy in rings around the traveler.
     let truth = hops_exact(&g, traveler);
-    let local_hops = hops_summary(&local, traveler);
-    let global_hops = hops_summary(&global, traveler);
+    let local_hops = QueryEngine::new(&local).hops(traveler);
+    let global_hops = QueryEngine::new(&global).hops(traveler);
     let t = hops_to_f64(&truth);
     let l = hops_to_f64(&local_hops);
     let gl = hops_to_f64(&global_hops);

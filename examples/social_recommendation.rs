@@ -73,12 +73,13 @@ fn main() {
     let mut pers_sc = 0.0f64;
     let mut gen_sc = 0.0f64;
     let users: Vec<NodeId> = (0..10).collect();
+    let (p_engine, g_engine) = (QueryEngine::new(&personalized), QueryEngine::new(&generic));
     for &q in &users {
         let truth = rwr_exact(&g, q, 0.05);
         let ideal = top_candidates(&g, q, &truth, k);
 
-        let p_scores = rwr_summary(&personalized, q, 0.05);
-        let g_scores = rwr_summary(&generic, q, 0.05);
+        let p_scores = p_engine.rwr(q, 0.05);
+        let g_scores = g_engine.rwr(q, 0.05);
         pers_hits += overlap(&ideal, &top_candidates(&g, q, &p_scores, k));
         gen_hits += overlap(&ideal, &top_candidates(&g, q, &g_scores, k));
         pers_sc += spearman(&truth, &p_scores);

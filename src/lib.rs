@@ -13,7 +13,7 @@
 //! | [`graph`] (`pgs-graph`) | CSR graphs, generators, IO, traversal |
 //! | [`core`] (`pgs-core`) | PeGaSus, SSumM, summary representation, cost model |
 //! | [`baselines`] (`pgs-baselines`) | k-GraSS, S2L, SAAGs |
-//! | [`queries`] (`pgs-queries`) | RWR / HOP / PHP on graphs & summaries, SMAPE/Spearman |
+//! | [`queries`] (`pgs-queries`) | RWR / HOP / PHP on graphs, `QueryEngine` on summaries, SMAPE/Spearman |
 //! | [`partition`] (`pgs-partition`) | Louvain, BLP, SHP |
 //! | [`distributed`] (`pgs-distributed`) | Alg. 3 cluster simulator |
 //! | [`serve`] (`pgs-serve`) | Multi-tenant serving: request queue, worker pool, weight cache |
@@ -39,8 +39,10 @@
 //! let summary = out.summary;
 //! assert!(summary.size_bits() <= 0.5 * g.size_bits());
 //!
-//! // Answer a node-similarity query straight from the summary.
-//! let approx = rwr_summary(&summary, targets[0], 0.05);
+//! // Answer a node-similarity query straight from the summary: compile
+//! // it once into a query plan, then ask as many queries as needed.
+//! let engine = QueryEngine::new(&summary);
+//! let approx = engine.rwr(targets[0], 0.05);
 //! let exact = rwr_exact(&g, targets[0], 0.05);
 //! let err = smape(&exact, &approx);
 //! assert!(err < 0.9); // far better than an uninformed answer
@@ -67,14 +69,12 @@ pub use pgs_serve as serve;
 
 /// One-stop imports for applications.
 pub mod prelude {
-    pub use pgs_baselines::{kgrass_summarize, s2l_summarize, saags_summarize};
     pub use pgs_baselines::{KGrass, KGrassConfig, S2l, S2lConfig, Saags, SaagsConfig};
     pub use pgs_core::error::{personalized_error, reconstruction_error};
     pub use pgs_core::summary_io::{read_summary, write_summary};
     pub use pgs_core::{
-        ssumm_summarize, summarize, Budget, NodeWeights, Pegasus, PegasusConfig, Personalization,
-        PgsError, RunControl, RunOutput, Ssumm, SsummConfig, StopReason, SummarizeRequest,
-        Summarizer, Summary,
+        Budget, NodeWeights, Pegasus, PegasusConfig, Personalization, PgsError, RunControl,
+        RunOutput, Ssumm, SsummConfig, StopReason, SummarizeRequest, Summarizer, Summary,
     };
     pub use pgs_distributed::{Backend, Cluster};
     pub use pgs_graph::gen::{
@@ -83,9 +83,8 @@ pub mod prelude {
     pub use pgs_graph::{Graph, GraphBuilder, NodeId};
     pub use pgs_partition::Method;
     pub use pgs_queries::{
-        clustering_coefficient_exact, clustering_coefficient_summary, degrees_summary,
-        get_neighbors, hops_exact, hops_summary, hops_to_f64, pagerank_exact, pagerank_summary,
-        php_exact, php_summary, rwr_exact, rwr_summary, smape, spearman,
+        clustering_coefficient_exact, hops_exact, hops_to_f64, pagerank_exact, php_exact,
+        rwr_exact, smape, spearman, QueryEngine,
     };
     pub use pgs_serve::{ServiceConfig, SubmitRequest, SummaryHandle, SummaryService};
 }

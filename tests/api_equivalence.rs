@@ -1,9 +1,7 @@
 //! Workspace-level contract of the unified request API: every one of
-//! the five algorithms is runnable through `Summarizer::run`, and the
-//! new path is byte-identical to its legacy free function — for the
-//! parallel engines at 1/2/8 threads, for the serial baselines at their
-//! native supernode budgets. Plus: baseline cancellation at commit
-//! boundaries and typed errors on every invalid-request axis.
+//! the five algorithms runs through `Summarizer::run` and reports
+//! uniform run stats, the baselines cancel at commit boundaries, and
+//! every invalid-request axis is a typed error.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -12,78 +10,6 @@ use pegasus_summary::prelude::*;
 
 fn social_graph(seed: u64) -> Graph {
     planted_partition(500, 10, 3_000, 400, seed)
-}
-
-/// Byte-level identity: same partition, same superedge set, same
-/// superedge weight bits.
-fn assert_identical(a: &Summary, b: &Summary, context: &str) {
-    assert_eq!(a.num_nodes(), b.num_nodes(), "{context}: |V|");
-    assert_eq!(a.num_supernodes(), b.num_supernodes(), "{context}: |S|");
-    for u in 0..a.num_nodes() as u32 {
-        assert_eq!(
-            a.supernode_of(u),
-            b.supernode_of(u),
-            "{context}: node {u} assignment"
-        );
-    }
-    let edges = |s: &Summary| {
-        let mut e: Vec<(u32, u32, u32)> = s
-            .superedges()
-            .map(|(x, y, w)| (x, y, w.to_bits()))
-            .collect();
-        e.sort_unstable();
-        e
-    };
-    assert_eq!(edges(a), edges(b), "{context}: superedges");
-}
-
-#[test]
-fn all_five_algorithms_match_their_legacy_functions() {
-    let g = social_graph(1);
-    let bits = 0.4 * g.size_bits();
-    let k = 80usize;
-    let targets = [0u32, 7];
-
-    // Parallel engines: pinned at 1, 2, and 8 threads.
-    for threads in [1usize, 2, 8] {
-        let pcfg = PegasusConfig {
-            num_threads: threads,
-            ..Default::default()
-        };
-        let legacy = summarize(&g, &targets, bits, &pcfg);
-        let out = Pegasus(pcfg)
-            .run(
-                &g,
-                &SummarizeRequest::new(Budget::Bits(bits)).targets(&targets),
-            )
-            .unwrap();
-        assert_identical(&legacy, &out.summary, &format!("pegasus t={threads}"));
-
-        let scfg = SsummConfig {
-            num_threads: threads,
-            ..Default::default()
-        };
-        let legacy = ssumm_summarize(&g, bits, &scfg);
-        let out = Ssumm(scfg)
-            .run(&g, &SummarizeRequest::new(Budget::Bits(bits)))
-            .unwrap();
-        assert_identical(&legacy, &out.summary, &format!("ssumm t={threads}"));
-    }
-
-    // Serial baselines at their native supernode budget.
-    let req = SummarizeRequest::new(Budget::Supernodes(k));
-    let legacy = kgrass_summarize(&g, k, &KGrassConfig::default());
-    let out = KGrass::default().run(&g, &req).unwrap();
-    assert_identical(&legacy, &out.summary, "kgrass");
-    assert_eq!(out.stop, StopReason::BudgetMet);
-
-    let legacy = s2l_summarize(&g, k, &S2lConfig::default());
-    let out = S2l::default().run(&g, &req).unwrap();
-    assert_identical(&legacy, &out.summary, "s2l");
-
-    let legacy = saags_summarize(&g, k, &SaagsConfig::default());
-    let out = Saags::default().run(&g, &req).unwrap();
-    assert_identical(&legacy, &out.summary, "saags");
 }
 
 #[test]

@@ -9,27 +9,43 @@ fn social_graph(seed: u64) -> Graph {
     planted_partition(1_000, 10, 7_000, 1_000, seed)
 }
 
+/// A bit-budget request personalized to `targets` (`T = V` when empty).
+fn bits(budget: f64, targets: &[NodeId]) -> SummarizeRequest {
+    SummarizeRequest::new(Budget::Bits(budget)).targets(targets)
+}
+
+/// A supernode-count request for the baselines.
+fn supernodes(k: usize) -> SummarizeRequest {
+    SummarizeRequest::new(Budget::Supernodes(k))
+}
+
 #[test]
 fn every_summarizer_meets_its_budget_contract() {
     let g = social_graph(1);
     for &ratio in &[0.2, 0.5, 0.8] {
         let budget = ratio * g.size_bits();
-        let p = summarize(&g, &[0, 1], budget, &PegasusConfig::default());
-        assert!(p.size_bits() <= budget + 1e-9, "pegasus ratio {ratio}");
-        let s = ssumm_summarize(&g, budget, &SsummConfig::default());
-        assert!(s.size_bits() <= budget + 1e-9, "ssumm ratio {ratio}");
+        let p = Pegasus::default().run(&g, &bits(budget, &[0, 1])).unwrap();
+        assert!(
+            p.summary.size_bits() <= budget + 1e-9,
+            "pegasus ratio {ratio}"
+        );
+        let s = Ssumm::default().run(&g, &bits(budget, &[])).unwrap();
+        assert!(
+            s.summary.size_bits() <= budget + 1e-9,
+            "ssumm ratio {ratio}"
+        );
     }
     // Supernode-count budgeted baselines.
     for &k in &[50usize, 200, 500] {
-        assert_eq!(
-            kgrass_summarize(&g, k, &KGrassConfig::default()).num_supernodes(),
-            k
-        );
-        assert!(s2l_summarize(&g, k, &S2lConfig::default()).num_supernodes() <= k);
-        assert_eq!(
-            saags_summarize(&g, k, &SaagsConfig::default()).num_supernodes(),
-            k
-        );
+        let supernodes_of = |alg: &dyn Summarizer| {
+            alg.run(&g, &supernodes(k))
+                .unwrap()
+                .summary
+                .num_supernodes()
+        };
+        assert_eq!(supernodes_of(&KGrass::default()), k);
+        assert!(supernodes_of(&S2l::default()) <= k);
+        assert_eq!(supernodes_of(&Saags::default()), k);
     }
 }
 
@@ -37,23 +53,15 @@ fn every_summarizer_meets_its_budget_contract() {
 fn all_summarizers_produce_valid_partitions() {
     let g = social_graph(2);
     let budget = 0.5 * g.size_bits();
-    let summaries: Vec<(&str, Summary)> = vec![
-        (
-            "pegasus",
-            summarize(&g, &[5], budget, &PegasusConfig::default()),
-        ),
-        (
-            "ssumm",
-            ssumm_summarize(&g, budget, &SsummConfig::default()),
-        ),
-        (
-            "kgrass",
-            kgrass_summarize(&g, 100, &KGrassConfig::default()),
-        ),
-        ("s2l", s2l_summarize(&g, 100, &S2lConfig::default())),
-        ("saags", saags_summarize(&g, 100, &SaagsConfig::default())),
+    let runs: [(&str, Box<dyn Summarizer>, SummarizeRequest); 5] = [
+        ("pegasus", Box::new(Pegasus::default()), bits(budget, &[5])),
+        ("ssumm", Box::new(Ssumm::default()), bits(budget, &[])),
+        ("kgrass", Box::new(KGrass::default()), supernodes(100)),
+        ("s2l", Box::new(S2l::default()), supernodes(100)),
+        ("saags", Box::new(Saags::default()), supernodes(100)),
     ];
-    for (name, s) in &summaries {
+    for (name, alg, req) in &runs {
+        let s = alg.run(&g, req).unwrap().summary;
         assert_eq!(s.num_nodes(), g.num_nodes(), "{name}: node count");
         // The supernodes partition V.
         let mut seen = vec![false; g.num_nodes()];
@@ -83,11 +91,11 @@ fn personalized_error_improves_at_single_target() {
         alpha: 1.5,
         ..Default::default()
     };
-    let focused = summarize(&g, &target, budget, &cfg);
-    let uniform = summarize(&g, &[], budget, &PegasusConfig::default());
+    let focused = Pegasus(cfg).run(&g, &bits(budget, &target)).unwrap();
+    let uniform = Pegasus::default().run(&g, &bits(budget, &[])).unwrap();
     let w = NodeWeights::personalized(&g, &target, 1.5);
-    let err_focused = personalized_error(&g, &focused, &w).unwrap();
-    let err_uniform = personalized_error(&g, &uniform, &w).unwrap();
+    let err_focused = personalized_error(&g, &focused.summary, &w).unwrap();
+    let err_uniform = personalized_error(&g, &uniform.summary, &w).unwrap();
     assert!(
         err_focused < err_uniform,
         "personalized {err_focused} should beat uniform {err_uniform}"
@@ -102,15 +110,22 @@ fn target_queries_beat_ssumm() {
     let g = social_graph(4);
     let budget = 0.5 * g.size_bits();
     let targets: Vec<NodeId> = (0..50).map(|i| i * 17 % 1000).collect();
-    let p = summarize(&g, &targets, budget, &PegasusConfig::default());
-    let s = ssumm_summarize(&g, budget, &SsummConfig::default());
+    let p = Pegasus::default()
+        .run(&g, &bits(budget, &targets))
+        .unwrap()
+        .summary;
+    let s = Ssumm::default()
+        .run(&g, &bits(budget, &[]))
+        .unwrap()
+        .summary;
+    let (p_engine, s_engine) = (QueryEngine::new(&p), QueryEngine::new(&s));
 
     let mut p_err = 0.0;
     let mut s_err = 0.0;
     for &q in targets.iter().take(10) {
         let truth = hops_to_f64(&hops_exact(&g, q));
-        p_err += smape(&truth, &hops_to_f64(&hops_summary(&p, q)));
-        s_err += smape(&truth, &hops_to_f64(&hops_summary(&s, q)));
+        p_err += smape(&truth, &hops_to_f64(&p_engine.hops(q)));
+        s_err += smape(&truth, &hops_to_f64(&s_engine.hops(q)));
     }
     assert!(
         p_err < s_err,
@@ -122,20 +137,22 @@ fn target_queries_beat_ssumm() {
 fn queries_work_on_every_summarizer_output() {
     let g = social_graph(5);
     let budget = 0.6 * g.size_bits();
-    let summaries: Vec<Summary> = vec![
-        summarize(&g, &[3], budget, &PegasusConfig::default()),
-        ssumm_summarize(&g, budget, &SsummConfig::default()),
-        kgrass_summarize(&g, 200, &KGrassConfig::default()),
-        s2l_summarize(&g, 200, &S2lConfig::default()),
-        saags_summarize(&g, 200, &SaagsConfig::default()),
+    let runs: [(Box<dyn Summarizer>, SummarizeRequest); 5] = [
+        (Box::new(Pegasus::default()), bits(budget, &[3])),
+        (Box::new(Ssumm::default()), bits(budget, &[])),
+        (Box::new(KGrass::default()), supernodes(200)),
+        (Box::new(S2l::default()), supernodes(200)),
+        (Box::new(Saags::default()), supernodes(200)),
     ];
-    for s in &summaries {
-        let r = rwr_summary(s, 3, 0.05);
+    for (alg, req) in &runs {
+        let s = alg.run(&g, req).unwrap().summary;
+        let engine = QueryEngine::new(&s);
+        let r = engine.rwr(3, 0.05);
         assert_eq!(r.len(), 1000);
         assert!(r.iter().all(|&x| x.is_finite() && x >= -1e-12));
-        let h = hops_summary(s, 3);
+        let h = engine.hops(3);
         assert_eq!(h.len(), 1000);
-        let p = php_summary(s, 3, 0.95);
+        let p = engine.php(3, 0.95);
         assert!(p.iter().all(|&x| (0.0..=1.0 + 1e-9).contains(&x)));
         assert_eq!(p[3], 1.0);
     }
@@ -155,7 +172,7 @@ fn distributed_pipeline_runs_all_backends() {
         Backend::Subgraph(Method::ShpKL),
     ];
     for backend in backends {
-        let cluster = Cluster::build(&g, 4, budget, &backend, 9);
+        let cluster = Cluster::try_build(&g, 4, budget, &backend, 9).unwrap();
         let r = cluster.rwr(42, 0.05);
         assert_eq!(r.len(), 1000);
         assert!(r.iter().all(|x| x.is_finite()));
@@ -169,14 +186,16 @@ fn distributed_pipeline_runs_all_backends() {
 fn distributed_personalization_beats_replicated_ssumm() {
     let g = planted_partition(2_000, 20, 14_000, 2_000, 7);
     let budget = 0.4 * g.size_bits();
-    let pegasus = Cluster::build(
+    let pegasus = Cluster::try_build(
         &g,
         4,
         budget,
         &Backend::Pegasus(PegasusConfig::default()),
         1,
-    );
-    let ssumm = Cluster::build(&g, 4, budget, &Backend::Ssumm(SsummConfig::default()), 1);
+    )
+    .unwrap();
+    let ssumm =
+        Cluster::try_build(&g, 4, budget, &Backend::Ssumm(SsummConfig::default()), 1).unwrap();
     let queries: Vec<NodeId> = (0..20).map(|i| i * 97 % 2000).collect();
     let mut p_err = 0.0;
     let mut s_err = 0.0;
@@ -205,7 +224,10 @@ fn larger_alpha_lowers_relative_personalized_error() {
             alpha,
             ..Default::default()
         };
-        let s = summarize(&g, &target, budget, &cfg);
+        let s = Pegasus(cfg)
+            .run(&g, &bits(budget, &target))
+            .unwrap()
+            .summary;
         // Relative personalized error: error at target / error of the
         // non-personalized summary under the same target weights.
         let w = NodeWeights::personalized(&g, &target, 2.0);
@@ -228,7 +250,10 @@ fn loaders_round_trip_through_summarization() {
     pgs_graph::io::write_edge_list(&g, &path).unwrap();
     let (g2, _) = pgs_graph::io::read_edge_list(&path).unwrap();
     assert_eq!(g.num_edges(), g2.num_edges());
-    let s = summarize(&g2, &[0], 0.5 * g2.size_bits(), &PegasusConfig::default());
+    let s = Pegasus::default()
+        .run(&g2, &bits(0.5 * g2.size_bits(), &[0]))
+        .unwrap()
+        .summary;
     assert!(s.size_bits() <= 0.5 * g2.size_bits());
     std::fs::remove_file(path).ok();
 }

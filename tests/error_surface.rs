@@ -43,6 +43,7 @@ variants! {
     PgsError::Overloaded { .. } => "Overloaded",
     PgsError::CheckpointInvalid { .. } => "CheckpointInvalid",
     PgsError::Quarantined { .. } => "Quarantined",
+    PgsError::JournalWriteFailed { .. } => "JournalWriteFailed",
 }
 
 fn ratio() -> SummarizeRequest {
@@ -99,7 +100,8 @@ impl Summarizer for Panics {
 }
 
 /// Errors the service returns from `submit` and `wait`: a run that
-/// panics, a full tenant queue and a quarantined durable key.
+/// panics, a full tenant queue, a quarantined durable key and an
+/// admission journal that cannot be written.
 fn service_errors() -> Vec<PgsError> {
     let g = Arc::new(barabasi_albert(200, 3, 7));
     let mut errors = Vec::new();
@@ -171,6 +173,14 @@ fn service_errors() -> Vec<PgsError> {
         },
     );
     let durable = SubmitRequest::new("t", ratio().targets(&[0])).durable("poison");
+    errors.extend(svc.submit(durable).err());
+
+    // A plain file where the journal directory should be: the
+    // write-ahead append fails and the durable submission is refused.
+    let journal = dir.join("journal");
+    std::fs::remove_dir_all(&journal).expect("removes the journal directory");
+    std::fs::write(&journal, b"not a directory").expect("writes the blocking file");
+    let durable = SubmitRequest::new("t", ratio().targets(&[0])).durable("fresh");
     errors.extend(svc.submit(durable).err());
     drop(svc);
     let _ = std::fs::remove_dir_all(&dir);

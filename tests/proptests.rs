@@ -35,7 +35,8 @@ proptest! {
     #[test]
     fn pegasus_budget_and_partition((g, _) in arb_graph_and_partition(60), ratio in 0.3f64..0.9) {
         let budget = ratio * g.size_bits();
-        let s = summarize(&g, &[0], budget, &PegasusConfig::default());
+        let req = SummarizeRequest::new(Budget::Bits(budget)).targets(&[0]);
+        let s = Pegasus::default().run(&g, &req).unwrap().summary;
         // Feasibility: the membership floor |V|·log2|S| can exceed tiny
         // budgets; in that case the algorithm has done all it can.
         let floor = g.num_nodes() as f64 * (s.num_supernodes().max(2) as f64).log2();
@@ -79,13 +80,14 @@ proptest! {
         let s = pgs_baselines::common::partition_to_summary(
             &g, &labels, pgs_baselines::common::BlockWeight::Density);
         let recon = s.reconstruct();
+        let engine = QueryEngine::new(&s);
         let q = 0u32;
         // Neighborhood query (weights do not affect the edge set).
-        let mut nb = get_neighbors(&s, q);
+        let mut nb = engine.neighbors(q);
         nb.sort_unstable();
         prop_assert_eq!(nb, recon.neighbors(q).to_vec());
         // HOP query.
-        prop_assert_eq!(hops_summary(&s, q), hops_exact(&recon, q));
+        prop_assert_eq!(engine.hops(q), hops_exact(&recon, q));
     }
 
     /// Eq. (3): the size formula matches its definition.
@@ -175,7 +177,7 @@ proptest! {
     fn identity_summary_is_lossless(g in arb_graph(40)) {
         let s = Summary::identity(&g);
         let truth = rwr_exact(&g, 0, 0.05);
-        let approx = rwr_summary(&s, 0, 0.05);
+        let approx = QueryEngine::new(&s).rwr(0, 0.05);
         prop_assert!(smape(&truth, &approx) < 1e-6);
     }
 }
