@@ -279,7 +279,6 @@ fn build_algorithm(args: &Args) -> Result<Box<dyn Summarizer + Send + Sync>, Str
             t_max: args.get_parse("tmax", 20)?,
             seed,
             num_threads,
-            ..Default::default()
         })),
         "kgrass" => Box::new(KGrass(KGrassConfig {
             c: args.get_parse("c", 1.0)?,
@@ -1342,6 +1341,8 @@ mod tests {
             "pgs-summary v1 2 2 1\nn 0 0\nn 1 1\ne 0 7 1\n",
             "pgs-summary v1 2 2 1\nn 0 0\nn 1 1\ne 0 1 -1\n",
             "pgs-summary v1 2 2 18446744073709551615\nn 0 0\nn 1 1\n",
+            "pgs-summary v1 18446744073709551615 0 0\n",
+            "pgs-summary v1 1000000000 1 0\nn 0 0\n",
         ] {
             std::fs::write(&path, body).unwrap();
             let err = query(&strs(&[

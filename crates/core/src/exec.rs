@@ -14,6 +14,11 @@
 //! shingle bucketing better than contiguous chunking, at zero bookkeeping
 //! cost: worker `w`'s `k`-th result is global item `w + k·t`, so outputs
 //! reassemble by index arithmetic alone.
+//!
+//! Each fan-out is one [`std::thread::scope`] with one scoped thread per
+//! worker, joined before the call returns (DESIGN.md §4).
+
+use std::num::NonZeroUsize;
 
 /// A fork-join executor with a fixed thread-count policy.
 #[derive(Clone, Copy, Debug)]
@@ -26,7 +31,7 @@ impl Exec {
     /// available hardware thread.
     pub fn new(threads: usize) -> Self {
         let threads = if threads == 0 {
-            rayon::current_num_threads()
+            std::thread::available_parallelism().map_or(1, NonZeroUsize::get)
         } else {
             threads
         };
@@ -66,10 +71,10 @@ impl Exec {
         let mut parts: Vec<Vec<O>> = (0..t)
             .map(|w| Vec::with_capacity(n / t + usize::from(w < n % t)))
             .collect();
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for (w, part) in parts.iter_mut().enumerate() {
                 let f = &f;
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for i in (w..n).step_by(t) {
                         part.push(f(i, &items[i]));
                     }
@@ -100,10 +105,10 @@ impl Exec {
             return;
         }
         let chunk = n.div_ceil(t);
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for (c, slice) in out.chunks_mut(chunk).enumerate() {
                 let f = &f;
-                s.spawn(move |_| f(c * chunk, slice));
+                s.spawn(move || f(c * chunk, slice));
             }
         });
     }
@@ -129,10 +134,10 @@ impl Exec {
         for (r, items) in runs.into_iter().enumerate() {
             shares[r % t].push(items);
         }
-        rayon::scope(|s| {
+        std::thread::scope(|s| {
             for share in shares {
                 let f = &f;
-                s.spawn(move |_| share.into_iter().for_each(f));
+                s.spawn(move || share.into_iter().for_each(f));
             }
         });
     }

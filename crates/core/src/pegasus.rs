@@ -48,10 +48,6 @@ pub struct PegasusConfig {
     pub t_max: usize,
     /// RNG seed (shingle hashes and pair sampling).
     pub seed: u64,
-    /// Maximum candidate-group size (paper constant 500).
-    pub max_group: usize,
-    /// Maximum recursive shingle-splitting depth (paper constant 10).
-    pub shingle_depth: usize,
     /// Ablation switch: rank merges by the absolute reduction Eq. (10)
     /// instead of the relative reduction Eq. (11).
     pub use_absolute_cost: bool,
@@ -69,8 +65,6 @@ impl Default for PegasusConfig {
             beta: 0.1,
             t_max: 20,
             seed: 0,
-            max_group: 500,
-            shingle_depth: 10,
             use_absolute_cost: false,
             num_threads: 0,
         }
@@ -87,10 +81,6 @@ impl PegasusConfig {
             use_absolute_cost: self.use_absolute_cost,
             t_max: self.t_max,
             seed: self.seed,
-            shingle: ShingleParams {
-                max_group: self.max_group,
-                depth: self.shingle_depth,
-            },
             num_threads: self.num_threads,
             evaluator: MergeEvaluator::Cached,
         }
@@ -193,8 +183,6 @@ pub(crate) struct LoopSpec {
     pub(crate) t_max: usize,
     /// Run seed.
     pub(crate) seed: u64,
-    /// Candidate-group size cap and re-splitting depth.
-    pub(crate) shingle: ShingleParams,
     /// Worker threads (`0` = all hardware threads).
     pub(crate) num_threads: usize,
     /// Merge evaluator: always [`MergeEvaluator::Cached`] outside the
@@ -253,12 +241,13 @@ pub(crate) fn run_loop(
             vec![0.0; g.num_nodes()],
         ),
     };
+    let shingle = ShingleParams::default();
     // Attach the persistent lane bank once (bit-identical at any thread
     // count). The bank is a pure function of (graph, seed, current
     // partition), so attaching after a checkpoint restore reproduces
     // exactly the signatures the uninterrupted run maintained
     // (composition under union, DESIGN.md §11).
-    attach_signatures(&mut ws, spec.seed, lane_count(spec.shingle.depth), &exec);
+    attach_signatures(&mut ws, spec.seed, lane_count(shingle.depth), &exec);
 
     let stop = loop {
         if ws.size_bits() <= budget_bits {
@@ -274,7 +263,7 @@ pub(crate) fn run_loop(
         control.fault_point(t as u64);
         let mut rng = StdRng::seed_from_u64(iteration_seed(spec.seed, t as u64));
         let cand_start = std::time::Instant::now();
-        let groups = candidate_groups_incremental(&ws, &mut rng, &spec.shingle, &gains);
+        let groups = candidate_groups_incremental(&ws, &mut rng, &shingle, &gains);
         stats.phases.candidates += cand_start.elapsed().as_secs_f64();
         stats.groups += groups.len() as u64;
         stats.grouped_supernodes += groups.iter().map(|grp| grp.len() as u64).sum::<u64>();
@@ -292,9 +281,6 @@ pub(crate) fn run_loop(
             .map(|grp| (grp, rng.next_u64()))
             .collect();
         let eval_start = std::time::Instant::now();
-        // Tables the last commit left stale are rescanned here, once,
-        // so every group reads exact values (DESIGN.md §7).
-        ws.refresh_stale(&exec);
         let outcomes = exec.map_indexed(&seeded, |_, (group, seed)| {
             control.beat();
             evaluate_group_with(

@@ -15,7 +15,7 @@ use crate::working::WorkingSummary;
 /// Dropping superedges does not change `|S|`, so each drop removes
 /// exactly `2·log2|S|` bits; the number of drops needed is known up
 /// front. Pricing reads the persistent neighbor tables (DESIGN.md §7),
-/// refreshed first so every value is the flat member-edge sum: each
+/// whose every value is the flat member-edge sum: each
 /// superedge `{a, b}` is priced once, from its smaller endpoint's table
 /// entry. Pricing fans out over contiguous ranges of the supernode *id
 /// space*, and every price is a pure function of one table entry, so
@@ -27,7 +27,6 @@ pub fn sparsify(ws: &mut WorkingSummary<'_>, budget_bits: f64, exec: &Exec) {
     if log_s == 0.0 || ws.size_bits() <= budget_bits {
         return;
     }
-    ws.refresh_stale(exec);
 
     let params = *ws.params();
     let n = ws.graph().num_nodes();

@@ -19,7 +19,6 @@
 use crate::checkpoint::ALGO_SSUMM;
 use crate::cost::CostModel;
 use crate::pegasus::LoopSpec;
-use crate::shingle::ShingleParams;
 use crate::working::MergeEvaluator;
 
 /// Configuration of the SSumM baseline (paper defaults from Sect. V-A).
@@ -29,10 +28,6 @@ pub struct SsummConfig {
     pub t_max: usize,
     /// RNG seed.
     pub seed: u64,
-    /// Maximum candidate-group size (500, as for PeGaSus).
-    pub max_group: usize,
-    /// Maximum recursive shingle-splitting depth (10).
-    pub shingle_depth: usize,
     /// Worker threads for the parallel phases (same engine as PeGaSus;
     /// `0` = all hardware threads; output identical at any setting).
     pub num_threads: usize,
@@ -43,8 +38,6 @@ impl Default for SsummConfig {
         SsummConfig {
             t_max: 20,
             seed: 0,
-            max_group: 500,
-            shingle_depth: 10,
             num_threads: 0,
         }
     }
@@ -61,10 +54,6 @@ impl SsummConfig {
             use_absolute_cost: false,
             t_max: self.t_max,
             seed: self.seed,
-            shingle: ShingleParams {
-                max_group: self.max_group,
-                depth: self.shingle_depth,
-            },
             num_threads: self.num_threads,
             evaluator: MergeEvaluator::Cached,
         }

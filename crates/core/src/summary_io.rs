@@ -87,9 +87,10 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
     let num_supers = parse(it.next(), "num_supernodes")?;
     let num_superedges = parse(it.next(), "num_superedges")?;
 
-    let mut assignment = vec![u32::MAX; num_nodes];
-    // The header count is unchecked input: cap the preallocation and
-    // let the body decide (a mismatch is reported below).
+    // The header counts are unchecked input: the dense assignment is
+    // sized only once the body holds that many node records, and the
+    // superedge preallocation is capped (a mismatch is reported below).
+    let mut nodes: Vec<(usize, u32)> = Vec::new();
     let mut superedges: Vec<(u32, u32, f32)> = Vec::with_capacity(num_superedges.min(1 << 20));
     for line in lines {
         let line = line?;
@@ -118,7 +119,7 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
                         "supernode label {s} out of range (|V| = {num_nodes})"
                     )));
                 }
-                assignment[u] = s;
+                nodes.push((u, s));
             }
             Some("e") => {
                 let a: u32 = it
@@ -144,8 +145,16 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
             None => continue,
         }
     }
+    let missing = || SummaryIoError::Format("missing node assignments".into());
+    if nodes.len() < num_nodes {
+        return Err(missing());
+    }
+    let mut assignment = vec![u32::MAX; num_nodes];
+    for (u, s) in nodes {
+        assignment[u] = s;
+    }
     if assignment.contains(&u32::MAX) {
-        return Err(SummaryIoError::Format("missing node assignments".into()));
+        return Err(missing());
     }
     let mut is_label = vec![false; num_nodes];
     for &label in &assignment {
@@ -282,6 +291,18 @@ mod tests {
     fn rejects_oversized_superedge_count() {
         let m = format_error("pgs-summary v1 2 2 18446744073709551615\nn 0 0\nn 1 1\n");
         assert!(m.contains("superedge count mismatch"), "{m}");
+    }
+
+    #[test]
+    fn rejects_node_count_beyond_body() {
+        // Neither header may size memory before the body backs it.
+        for data in [
+            "pgs-summary v1 18446744073709551615 0 0\n",
+            "pgs-summary v1 1000000000 1 0\nn 0 0\n",
+        ] {
+            let m = format_error(data);
+            assert!(m.contains("missing node assignments"), "{m}");
+        }
     }
 
     #[test]

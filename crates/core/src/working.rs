@@ -20,10 +20,11 @@
 //!   supernode, one scan of its final member list (Alg. 2's superedge
 //!   re-addition, priced against the true global state); per table that
 //!   receives superedge bits from a survivor, one pass that takes them
-//!   (relabeling an untouched table's merged keys on the way). The
-//!   result is bit for bit what applying the merges one at a time in
-//!   canonical group order gives ([`WorkingSummary::merge`] is the
-//!   one-merge case).
+//!   (relabeling an untouched table's merged keys on the way, and
+//!   rescanning its values where two keys collapse). The result is bit
+//!   for bit what applying the merges one at a time in canonical group
+//!   order gives ([`WorkingSummary::merge`] is the one-merge case), and
+//!   every table is exact when it returns.
 //!
 //! # The merge-evaluation hot loop (DESIGN.md §7)
 //!
@@ -210,7 +211,7 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// supernode-id slots ([`Scratch::shrink_to`]). Called by the request
 /// API at run finalization so a long-lived server thread keeps lanes
 /// sized to the graph it is actually serving, not the largest one it
-/// ever saw. (Under the vendored scoped executor, evaluate-phase worker
+/// ever saw. (Under [`Exec`]'s scoped threads, evaluate-phase worker
 /// threads are per-phase and their lanes free with the threads; this
 /// hook covers the persistent driver thread — and every worker, under a
 /// pooled executor, if routed through it.)
@@ -659,16 +660,12 @@ impl Entry {
     }
 }
 
-/// Arena window of one table. The top bit of `meta` marks the table
-/// stale; the rest is its length.
+/// Arena window of one table.
 #[derive(Clone, Copy, Default)]
 struct Slot {
     start: u32,
-    meta: u32,
+    len: u32,
 }
-
-/// The stale flag in [`Slot::meta`].
-const STALE: u32 = 1 << 31;
 
 impl Slot {
     /// A fresh window. Empty tables all sit at 0, so no compaction or
@@ -676,18 +673,13 @@ impl Slot {
     fn new(start: usize, len: usize) -> Self {
         Slot {
             start: if len == 0 { 0 } else { start as u32 },
-            meta: len as u32,
+            len: len as u32,
         }
     }
 
     #[inline]
     fn len(self) -> usize {
-        (self.meta & !STALE) as usize
-    }
-
-    #[inline]
-    fn stale(self) -> bool {
-        self.meta & STALE != 0
+        self.len as usize
     }
 
     #[inline]
@@ -695,14 +687,14 @@ impl Slot {
         self.start as usize..self.start as usize + self.len()
     }
 
-    /// Keeps the window's first `len` entries, the stale flag unchanged;
-    /// an emptied window moves to 0 like every empty table.
+    /// Keeps the window's first `len` entries; an emptied window moves
+    /// to 0 like every empty table.
     fn truncate(&mut self, len: usize) {
         debug_assert!(len <= self.len());
         if len == 0 {
             self.start = 0;
         }
-        self.meta = (self.meta & STALE) | len as u32;
+        self.len = len as u32;
     }
 }
 
@@ -727,18 +719,13 @@ const TABLE_SLACK_SHIFT: u32 = 5;
 ///
 /// An untouched table in which two keys collapse onto one survivor
 /// cannot combine their two subtotals exactly (they interleave in visit
-/// order), so it is marked stale: keys and bits stay exact, and
-/// [`WorkingSummary::refresh_stale`] rescans the values before they are
-/// next read.
+/// order), so the commit rescans its values from its member edges.
 #[derive(Default)]
 struct NeighborTables {
     /// Every table's entries, each table ascending by key.
     entries: Vec<Entry>,
     /// Per supernode id: its table's window (dead slots: length 0).
     slots: Vec<Slot>,
-    /// Supernodes marked stale since the last refresh. May repeat ids
-    /// that merged or were rescanned since; the slot bits are the truth.
-    stale_ids: Vec<SuperId>,
 }
 
 impl NeighborTables {
@@ -748,7 +735,6 @@ impl NeighborTables {
         NeighborTables {
             entries: Vec::with_capacity(entries + (entries >> TABLE_SLACK_SHIFT) + 64),
             slots: vec![Slot::default(); n],
-            stale_ids: Vec::new(),
         }
     }
 
@@ -773,11 +759,6 @@ impl NeighborTables {
             .binary_search_by_key(&x, |e| e.key())
             .ok()
             .map(|i| r.start + i)
-    }
-
-    #[inline]
-    fn is_stale(&self, s: SuperId) -> bool {
-        self.slots[s as usize].stale()
     }
 
     /// Appends one window per `(supernode, size)` at the arena end and
@@ -958,8 +939,7 @@ struct RelabelRun<'t> {
 
 /// An untouched table that names a merged supernode (pass 3): its arena
 /// start, its id, and the number of survivors it neighbors — which pass
-/// 3 overwrites with the table's new length, or'd with [`STALE`] when
-/// keys collapsed.
+/// 3 overwrites with the table's new length.
 type Queued = (u32, SuperId, u32);
 
 /// The superedge bits pass 3 hands out (the transpose of the survivors'
@@ -1031,10 +1011,10 @@ impl<'a> WorkingSummary<'a> {
     /// the incremental merge sums preserved), and members in their
     /// original in-memory order; plus the superedge pair set. Neighbor
     /// tables are rebuilt by a fresh member-edge scan — exactly the
-    /// values the live run's tables hold once refreshed — so the
-    /// resulting state is indistinguishable from the one
-    /// [`WorkingSummary::commit`] built live: the checkpoint/resume
-    /// byte-identity contract (DESIGN.md §10).
+    /// values the live run's tables hold — so the resulting state is
+    /// indistinguishable from the one [`WorkingSummary::commit`] built
+    /// live: the checkpoint/resume byte-identity contract (DESIGN.md
+    /// §10).
     ///
     /// # Errors
     /// [`CheckpointError::Corrupt`] when a superedge joins two supernodes
@@ -1266,57 +1246,13 @@ impl<'a> WorkingSummary<'a> {
 
     /// `s`'s neighbor table in ascending key order: per neighbor
     /// supernode (`s` itself for intra edges), the flat member-edge
-    /// weight sum and the superedge bit. The sums are exact unless the
-    /// table is stale ([`WorkingSummary::is_table_stale`]).
+    /// weight sum and the superedge bit. Each sum is, bit for bit, what
+    /// a fresh scan of `s`'s member edges computes (DESIGN.md §7).
     pub fn neighbor_table(&self, s: SuperId) -> impl Iterator<Item = (SuperId, f64, bool)> + '_ {
         self.tables
             .table(s)
             .iter()
             .map(|e| (e.key(), e.val(), e.superedge()))
-    }
-
-    /// True if `s`'s table values await a rescan: a commit merged two of
-    /// its neighbors. Keys and superedge bits are exact regardless.
-    pub fn is_table_stale(&self, s: SuperId) -> bool {
-        self.tables.is_stale(s)
-    }
-
-    /// Rescans the values of every stale neighbor table (DESIGN.md §7),
-    /// in parallel through `exec`: each table's keys are exact, so a
-    /// fresh member-edge scan of its supernode rewrites the values in
-    /// place, in the table's own arena window. Runs before an evaluate
-    /// phase and before sparsification; the result is the same at any
-    /// thread count.
-    pub fn refresh_stale(&mut self, exec: &Exec) {
-        // The tables move out so the scans can read the rest of `self`
-        // while the workers write disjoint windows of the arena.
-        let mut tables = std::mem::take(&mut self.tables);
-        let NeighborTables {
-            entries,
-            slots,
-            stale_ids,
-        } = &mut tables;
-        stale_ids.retain(|&s| slots[s as usize].stale() && self.is_live(s));
-        stale_ids.sort_unstable_by_key(|&s| (slots[s as usize].start, s));
-        stale_ids.dedup();
-        let mut windows: Vec<(SuperId, &mut [Entry])> = Vec::with_capacity(stale_ids.len());
-        let (mut rest, mut at) = (entries.as_mut_slice(), 0);
-        for &s in stale_ids.iter() {
-            let slot = &mut slots[s as usize];
-            slot.meta &= !STALE;
-            let r = slot.range();
-            let (table, tail) = std::mem::take(&mut rest)[r.start - at..].split_at_mut(r.len());
-            windows.push((s, table));
-            (rest, at) = (tail, r.end);
-        }
-        let this = &*self;
-        exec.fill_chunks(&mut windows, |_, chunk| {
-            for (s, table) in chunk.iter_mut() {
-                this.rescan_into(*s, table);
-            }
-        });
-        stale_ids.clear();
-        self.tables = tables;
     }
 
     /// Rewrites the values of `s`'s table `table` (keys exact) from a
@@ -1377,8 +1313,8 @@ impl<'a> WorkingSummary<'a> {
     ///    the bits of the pairs it left to a later side, and each
     ///    untouched table naming a merged supernode relabels those keys
     ///    to their survivors and takes their bits; values move unchanged.
-    ///    Two keys collapsing onto one survivor leave one entry and mark
-    ///    the table stale.
+    ///    Two keys collapsing onto one survivor leave one entry, and the
+    ///    table's values are rescanned from its member edges.
     ///
     /// `beat` is called once per log and once per run of survivors or
     /// tables, so a liveness watchdog sees the commit progress.
@@ -1659,11 +1595,7 @@ impl<'a> WorkingSummary<'a> {
         let mut queued = self.queue_untouched(survivors);
         let columns = self.transpose_bits(survivors, deferred, &queued);
         let mut tables = std::mem::take(&mut self.tables);
-        let NeighborTables {
-            entries,
-            slots,
-            stale_ids,
-        } = &mut tables;
+        let NeighborTables { entries, slots } = &mut tables;
         let (lower, upper) = entries.split_at_mut(base);
 
         let mut later = Vec::new();
@@ -1704,18 +1636,13 @@ impl<'a> WorkingSummary<'a> {
                 for (i, (_, y, out)) in run.tables.iter_mut().enumerate() {
                     let r = slots_read[*y as usize].range();
                     let table = &mut run.region[r.start - run.start..r.end - run.start];
-                    *out = this.relabel_table(table, columns.range(run.first + i), columns);
+                    *out = this.relabel_table(*y, table, columns.range(run.first + i), columns);
                 }
             }
         });
         drop((later, runs));
-        for &(_, y, out) in &queued {
-            let slot = &mut slots[y as usize];
-            slot.truncate((out & !STALE) as usize);
-            if out & STALE != 0 && !slot.stale() {
-                slot.meta |= STALE;
-                stale_ids.push(y);
-            }
+        for &(_, y, len) in &queued {
+            slots[y as usize].truncate(len as usize);
             self.marks[y as usize] = mark::UNTOUCHED;
         }
         self.tables = tables;
@@ -1816,14 +1743,20 @@ impl<'a> WorkingSummary<'a> {
         debug_assert_eq!(k, bits.end);
     }
 
-    /// Pass 3 for one untouched table: each key naming a merged-away
+    /// Pass 3 for `y`'s untouched table: each key naming a merged-away
     /// supernode becomes its survivor, and the survivors' keys take the
     /// bits of column `bits` in key order. A value moves unchanged — the
     /// same edges in the same visit order make up its sum — unless two
-    /// keys collapse onto one survivor: then one entry stays and the
-    /// table goes stale. Returns the new length, or'd with [`STALE`] on a
-    /// collapse.
-    fn relabel_table(&self, table: &mut [Entry], bits: Range<usize>, columns: &Columns) -> u32 {
+    /// keys collapse onto one survivor: their subtotals interleave in
+    /// visit order, so one entry stays and the values are rescanned.
+    /// Returns the new length.
+    fn relabel_table(
+        &self,
+        y: SuperId,
+        table: &mut [Entry],
+        bits: Range<usize>,
+        columns: &Columns,
+    ) -> u32 {
         let mut relabeled = false;
         for e in table.iter_mut() {
             if self.marks[e.key() as usize] == mark::DEAD {
@@ -1843,6 +1776,9 @@ impl<'a> WorkingSummary<'a> {
                     len += 1;
                 }
             }
+            if len < table.len() {
+                self.rescan_into(y, &mut table[..len]);
+            }
         }
         let mut k = bits.start;
         for e in &mut table[..len] {
@@ -1852,7 +1788,7 @@ impl<'a> WorkingSummary<'a> {
             }
         }
         debug_assert_eq!(k, bits.end);
-        len as u32 | if len < table.len() { STALE } else { 0 }
+        len as u32
     }
 
     /// Drops the superedge `{a, b}` if present (used by sparsification,
@@ -2246,12 +2182,10 @@ impl<'w, 'a> GroupView<'w, 'a> {
     /// A fresh overlay carrying the group-local span cache: every
     /// member's neighbor table is copied into the arena once, here, and
     /// every subsequent [`GroupView::eval_merge_cached`] answers from the
-    /// cached spans. The members' tables must be exact: call
-    /// [`WorkingSummary::refresh_stale`] after committing merges.
+    /// cached spans, whose values are the tables' exact sums.
     pub fn with_cache(ws: &'w WorkingSummary<'a>, group: &[SuperId]) -> Self {
         let mut cache = pooled_group_cache();
         for &s in group {
-            debug_assert!(!ws.is_table_stale(s), "stale table of {s} not refreshed");
             cache.store_from_table(s, ws.tables.table(s), &ws.wsum);
         }
         let mut view = GroupView::new(ws);
@@ -2707,9 +2641,8 @@ pub fn evaluate_group_with(
 
 /// Evaluates one group and immediately commits its merge log — the
 /// serial convenience form of the evaluate/commit pair (one Alg.-2
-/// round, the one-log case of [`WorkingSummary::commit`]), refreshing
-/// stale tables first. Returns the outcome so callers can inspect the
-/// rejection samples.
+/// round, the one-log case of [`WorkingSummary::commit`]). Returns the
+/// outcome so callers can inspect the rejection samples.
 pub fn merge_group(
     ws: &mut WorkingSummary<'_>,
     group: &[SuperId],
@@ -2717,10 +2650,8 @@ pub fn merge_group(
     seed: u64,
     use_absolute_cost: bool,
 ) -> GroupOutcome {
-    let serial = Exec::serial();
-    ws.refresh_stale(&serial);
     let outcome = evaluate_group(ws, group, theta, seed, use_absolute_cost);
-    ws.commit([outcome.merges.as_slice()], &serial, || {});
+    ws.commit([outcome.merges.as_slice()], &Exec::serial(), || {});
     outcome
 }
 
@@ -2883,7 +2814,6 @@ mod tests {
         // Multi-member supernodes make the spans non-trivial.
         ws.merge(0, 1);
         ws.merge(2, 3);
-        ws.refresh_stale(&Exec::serial());
         let group: Vec<SuperId> = ws.live_ids().into_iter().take(20).collect();
         let mut view = GroupView::with_cache(&ws, &group);
         for i in 0..group.len() {
@@ -3149,7 +3079,6 @@ mod tests {
             assert_eq!(ws.tables.entries.capacity(), cap, "arena reallocated");
         }
         assert!(compactions > 0, "the slack never ran out");
-        ws.refresh_stale(&Exec::serial());
         for s in ws.live_iter() {
             scratch.begin(g.num_nodes());
             accumulate_edge_weights_view(&ws, s, &mut scratch.a, scratch.epoch);

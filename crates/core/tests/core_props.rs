@@ -60,8 +60,8 @@ fn model_merge(
 }
 
 /// Every table against the fresh scan and the superedge model: exact
-/// keys and bits always, values bit for bit unless marked stale;
-/// `has_superedge` symmetric; `|P|` equal to the model's.
+/// keys and bits, values bit for bit; `has_superedge` symmetric; `|P|`
+/// equal to the model's.
 fn check_tables(
     ws: &WorkingSummary<'_>,
     model: &BTreeSet<(SuperId, SuperId)>,
@@ -72,9 +72,7 @@ fn check_tables(
         let keys: Vec<SuperId> = table.iter().map(|t| t.0).collect();
         prop_assert!(keys.iter().eq(fresh.keys()), "keys of {}: {:?}", s, keys);
         for (&(x, v, bit), (_, &f)) in table.iter().zip(&fresh) {
-            if !ws.is_table_stale(s) {
-                prop_assert!(v.to_bits() == f.to_bits(), "value of {} in {}", x, s);
-            }
+            prop_assert!(v.to_bits() == f.to_bits(), "value of {} in {}", x, s);
             prop_assert!(
                 bit == model.contains(&(s.min(x), s.max(x))),
                 "bit of {} in {}",
@@ -176,8 +174,7 @@ fn draw_logs(ws: &WorkingSummary<'_>, rng: &mut impl rand::Rng) -> Vec<Vec<(Supe
 
 /// Everything a commit must agree on, bit for bit: per node its
 /// supernode; per live supernode its members in order, weight-sum bits,
-/// signature lanes and table keys and bits (and, once `values`, the
-/// table values); `|S|` and `|P|`.
+/// signature lanes and table keys, bits and values; `|S|` and `|P|`.
 type Fingerprint = (
     Vec<SuperId>,
     Vec<(
@@ -186,13 +183,13 @@ type Fingerprint = (
         u64,
         u64,
         Vec<u64>,
-        Vec<(SuperId, bool, Option<u64>)>,
+        Vec<(SuperId, bool, u64)>,
     )>,
     usize,
     usize,
 );
 
-fn fingerprint(ws: &WorkingSummary<'_>, values: bool) -> Fingerprint {
+fn fingerprint(ws: &WorkingSummary<'_>) -> Fingerprint {
     let nodes = ws.graph().nodes().map(|u| ws.supernode_of(u)).collect();
     let supers = ws
         .live_iter()
@@ -204,7 +201,7 @@ fn fingerprint(ws: &WorkingSummary<'_>, values: bool) -> Fingerprint {
                 ws.sqsum_raw(s).to_bits(),
                 (0..LANES).map(|k| ws.signature(s, k)).collect(),
                 ws.neighbor_table(s)
-                    .map(|(x, v, bit)| (x, bit, values.then(|| v.to_bits())))
+                    .map(|(x, v, bit)| (x, bit, v.to_bits()))
                     .collect(),
             )
         })
@@ -230,8 +227,8 @@ proptest! {
         let g = erdos_renyi(n, 3 * n, graph_seed);
         let w = NodeWeights::personalized(&g, &[0], 1.5);
         let mut rng = rand::rngs::StdRng::seed_from_u64(seed);
-        // A few committed merges first: multi-member supernodes and
-        // stale tables going into the batch.
+        // A few committed merges first: multi-member supernodes going
+        // into the batch.
         let mut pre_merges = Vec::new();
         let mut live = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection).live_ids();
         for _ in 0..pre {
@@ -251,9 +248,7 @@ proptest! {
             model_merge(&one_by_one, &mut model, kept, if kept == a { b } else { a });
             check_tables(&one_by_one, &model)?;
         }
-        let expect = fingerprint(&one_by_one, false);
-        one_by_one.refresh_stale(&Exec::serial());
-        let expect_values = fingerprint(&one_by_one, true);
+        let expect = fingerprint(&one_by_one);
 
         for threads in [1usize, 2, 8] {
             let mut batched = premerged(&g, &w, &pre_merges, None)?;
@@ -263,13 +258,7 @@ proptest! {
             });
             prop_assert!(beats.into_inner() >= logs.len(), "one beat per log");
             check_tables(&batched, &model)?;
-            prop_assert!(fingerprint(&batched, false) == expect, "state at {} threads", threads);
-            batched.refresh_stale(&Exec::new(threads));
-            prop_assert!(
-                fingerprint(&batched, true) == expect_values,
-                "refreshed values at {} threads",
-                threads
-            );
+            prop_assert!(fingerprint(&batched) == expect, "state at {} threads", threads);
         }
     }
 
@@ -360,16 +349,13 @@ proptest! {
         let ck = RunCheckpoint::decode(&ck.encode()).unwrap();
         let restored = ck.restore_working(&g, &w, CostModel::ErrorCorrection).unwrap();
         check_tables(&restored, &model)?;
-        prop_assert!(restored.live_iter().all(|s| !restored.is_table_stale(s)));
 
-        // Sparsification prices from refreshed tables and keeps them
+        // Sparsification prices from the tables and keeps them
         // consistent with what it drops.
         let budget = ws.size_bits() - 2.0 * ws.log_s() * (model.len() / 2) as f64;
-        let pressed = ws.size_bits() > budget && ws.log_s() > 0.0;
         sparsify(&mut ws, budget, &Exec::new(2));
         model.retain(|&(a, b)| ws.has_superedge(a, b));
         check_tables(&ws, &model)?;
-        prop_assert!(!pressed || ws.live_iter().all(|s| !ws.is_table_stale(s)));
     }
 
     /// eval_merge's delta equals the actual change in the global

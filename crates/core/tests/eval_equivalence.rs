@@ -25,7 +25,6 @@
 use proptest::prelude::*;
 
 use pgs_core::cost::CostModel;
-use pgs_core::exec::Exec;
 use pgs_core::weights::NodeWeights;
 use pgs_core::working::{
     eval_merge_view, evaluate_group_with, GroupView, MergeEvaluator, Scratch, WorkingSummary,
@@ -83,7 +82,6 @@ proptest! {
         let w = weights_for(&g, wseed);
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         commit_random_merges(&mut ws, mseed, merges);
-        ws.refresh_stale(&Exec::serial());
         let mut scratch = Scratch::default();
         let group: Vec<SuperId> = ws.live_ids().into_iter().take(12).collect();
         prop_assume!(group.len() >= 2);
@@ -127,7 +125,6 @@ proptest! {
         let w = weights_for(&g, wseed);
         let mut ws = WorkingSummary::new(&g, &w, CostModel::ErrorCorrection);
         commit_random_merges(&mut ws, mseed, 4);
-        ws.refresh_stale(&Exec::serial());
         let mut scratch = Scratch::default();
         let mut group: Vec<SuperId> = ws.live_ids().into_iter().take(10).collect();
         prop_assume!(group.len() >= 3);

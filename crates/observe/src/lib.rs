@@ -6,8 +6,8 @@
 //! for observability nobody is consuming.
 //!
 //! * [`Registry`] — a lock-light metrics registry of typed
-//!   [`Counter`]s (sharded relaxed atomics, one cache line per shard),
-//!   [`Gauge`]s, and fixed-bucket [`Histogram`]s. The registry mutex is
+//!   [`Counter`]s and [`Gauge`]s (one relaxed atomic each) and
+//!   fixed-bucket [`Histogram`]s. The registry mutex is
 //!   touched only on handle creation and snapshot; the hot update paths
 //!   are a single relaxed `fetch_add` on a pre-bound handle.
 //! * [`EventJournal`] — a bounded ring of structured job-lifecycle

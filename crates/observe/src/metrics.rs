@@ -1,51 +1,29 @@
-//! Lock-light typed metrics: sharded counters, gauges, fixed-bucket
+//! Lock-light typed metrics: counters, gauges, fixed-bucket
 //! histograms, and the registry that names them.
 //!
 //! Update paths are wait-free relaxed atomics on pre-bound [`Arc`]
 //! handles; the only mutex in the module guards the name → handle maps
 //! and is taken on handle creation and [`Registry::snapshot`] — never
-//! per update. Counters shard across [`SHARDS`] cache-line-padded
-//! atomics keyed by a per-thread index, so eight workers bumping the
-//! same counter do not bounce one cache line between cores.
+//! per update. A counter is one atomic: the serve counters are bumped
+//! under the service's stats lock and the engine ones once per
+//! iteration, so no update path is hot enough to contend on it.
 //!
 //! Snapshot semantics: values are read with relaxed loads, so a
 //! snapshot taken mid-update is a *consistent per-metric* view (each
-//! counter is monotone across snapshots; a sharded sum never tears a
-//! single shard) but not a cross-metric transaction — two counters
-//! incremented together may differ by in-flight updates. That is the
-//! contract the concurrency tests pin.
+//! counter is monotone across snapshots) but not a cross-metric
+//! transaction — two counters incremented together may differ by
+//! in-flight updates. That is the contract the concurrency tests pin.
 
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicI64, AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
 
 use crate::json;
 
-/// Counter shard count (power of two; one cache line each).
-pub const SHARDS: usize = 8;
-
-static NEXT_SHARD: AtomicUsize = AtomicUsize::new(0);
-
-thread_local! {
-    /// Each thread draws a shard index once; round-robin assignment
-    /// spreads concurrent writers across shards without hashing.
-    static SHARD: usize = NEXT_SHARD.fetch_add(1, Ordering::Relaxed) & (SHARDS - 1);
-}
-
-fn shard_index() -> usize {
-    SHARD.with(|s| *s)
-}
-
-/// One cache line per shard so concurrent writers on different shards
-/// never contend on the same line.
-#[repr(align(64))]
-#[derive(Default)]
-struct PaddedU64(AtomicU64);
-
-/// A monotone event counter on [`SHARDS`] padded relaxed atomics.
+/// A monotone event counter on one relaxed atomic.
 #[derive(Default)]
 pub struct Counter {
-    shards: [PaddedU64; SHARDS],
+    value: AtomicU64,
 }
 
 impl Counter {
@@ -54,9 +32,9 @@ impl Counter {
         Counter::default()
     }
 
-    /// Adds `n` to the calling thread's shard (wait-free).
+    /// Adds `n` (wait-free).
     pub fn add(&self, n: u64) {
-        self.shards[shard_index()].0.fetch_add(n, Ordering::Relaxed);
+        self.value.fetch_add(n, Ordering::Relaxed);
     }
 
     /// Adds one.
@@ -64,12 +42,10 @@ impl Counter {
         self.add(1);
     }
 
-    /// Sums all shards. Monotone across calls (counters only grow);
+    /// The current total. Monotone across calls (counters only grow);
     /// concurrent `add`s may or may not be visible yet.
     pub fn get(&self) -> u64 {
-        self.shards
-            .iter()
-            .fold(0u64, |acc, s| acc.wrapping_add(s.0.load(Ordering::Relaxed)))
+        self.value.load(Ordering::Relaxed)
     }
 }
 
