@@ -1343,6 +1343,8 @@ mod tests {
             "pgs-summary v1 2 2 18446744073709551615\nn 0 0\nn 1 1\n",
             "pgs-summary v1 18446744073709551615 0 0\n",
             "pgs-summary v1 1000000000 1 0\nn 0 0\n",
+            "pgs-summary v1 2 1 0\nn 0 0\nn 0 1\nn 1 1\n",
+            "pgs-summary v1 2 1 1\nn 0 0\nn 1 0\ne 0 0 1\ne 0 0 5\n",
         ] {
             std::fs::write(&path, body).unwrap();
             let err = query(&strs(&[

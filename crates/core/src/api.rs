@@ -348,7 +348,7 @@ pub struct RunControl {
     /// counter at *group* granularity — once per iteration, once per
     /// candidate group evaluated, once per group committed, and once per
     /// run of survivors or neighbor tables in the commit's table passes —
-    /// so a supervisor observing a stuck value for longer than its stall
+    /// so a watchdog observing a stuck value for longer than its stall
     /// timeout may conclude the run is wedged and escalate to `cancel`.
     /// `None` costs nothing on the hot path.
     pub heartbeat: Option<Arc<AtomicU64>>,

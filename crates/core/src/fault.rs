@@ -141,23 +141,15 @@ impl FaultPlan {
     }
 
     /// The engine's per-iteration fault point: fires (and disarms) every
-    /// armed panic or stall scheduled for iteration `t`. Equivalent to
-    /// [`FaultPlan::fire_ctl`] without a cancel flag.
+    /// armed panic or stall scheduled for iteration `t`. The run's
+    /// cooperative cancel flag keeps an indefinite stall interruptible:
+    /// a watchdog raising `cancel` unblocks the fault within one tick.
+    /// Without a flag (or with no watchdog watching it) a ~30 s safety
+    /// cap bounds the block.
     ///
     /// # Panics
     /// Panics when an armed [`FaultPlan::panic_at`] fault matches `t` —
     /// that is the injected failure.
-    pub fn fire(&self, t: u64) {
-        self.fire_ctl(t, None);
-    }
-
-    /// [`FaultPlan::fire`] with the run's cooperative cancel flag, so an
-    /// indefinite stall stays interruptible: a watchdog raising `cancel`
-    /// unblocks the fault within one tick. Without a flag (or with no
-    /// watchdog watching it) a ~30 s safety cap bounds the block.
-    ///
-    /// # Panics
-    /// Panics when an armed [`FaultPlan::panic_at`] fault matches `t`.
     pub fn fire_ctl(&self, t: u64, cancel: Option<&AtomicBool>) {
         const STALL_SAFETY_CAP: Duration = Duration::from_secs(30);
         for f in &self.faults {
@@ -235,13 +227,13 @@ mod tests {
     #[test]
     fn panic_fires_once_at_its_iteration() {
         let plan = FaultPlan::new().panic_at(3);
-        plan.fire(1);
-        plan.fire(2);
+        plan.fire_ctl(1, None);
+        plan.fire_ctl(2, None);
         assert_eq!(plan.armed(), 1);
-        let caught = std::panic::catch_unwind(|| plan.fire(3));
+        let caught = std::panic::catch_unwind(|| plan.fire_ctl(3, None));
         assert!(caught.is_err(), "iteration 3 must panic");
         assert_eq!(plan.armed(), 0);
-        plan.fire(3); // disarmed: a resumed run passes the same boundary
+        plan.fire_ctl(3, None); // disarmed: a resumed run passes the same boundary
     }
 
     #[test]
@@ -255,7 +247,7 @@ mod tests {
     #[test]
     fn stall_does_not_panic_and_disarms() {
         let plan = FaultPlan::new().stall_at(1, Duration::from_millis(1));
-        plan.fire(1);
+        plan.fire_ctl(1, None);
         assert_eq!(plan.armed(), 0);
     }
 
@@ -302,7 +294,7 @@ mod tests {
     #[test]
     fn torn_journal_write_consumes_once() {
         let plan = FaultPlan::new().torn_journal_write_at(1);
-        plan.fire(1); // engine fault point ignores journal faults
+        plan.fire_ctl(1, None); // engine fault point ignores journal faults
         assert_eq!(plan.armed(), 1);
         assert!(!plan.journal_write_torn(0));
         assert!(plan.journal_write_torn(1));

@@ -52,7 +52,8 @@ impl Summary {
     /// are compacted to `0..|S|` preserving first-appearance order.
     /// Superedge endpoints refer to the *compacted* ids when
     /// `assignment` is already dense `0..|S|`, which is the common case;
-    /// duplicate superedges are ignored (first weight wins).
+    /// duplicate superedges collapse to one, keeping an arbitrary one of
+    /// their weights.
     ///
     /// # Panics
     /// Panics if `assignment.len() != num_nodes`, a superedge endpoint is

@@ -151,6 +151,9 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
     }
     let mut assignment = vec![u32::MAX; num_nodes];
     for (u, s) in nodes {
+        if assignment[u] != u32::MAX {
+            return Err(SummaryIoError::Format(format!("node {u} assigned twice")));
+        }
         assignment[u] = s;
     }
     if assignment.contains(&u32::MAX) {
@@ -168,6 +171,19 @@ pub fn read_summary_from<R: BufRead>(r: R) -> Result<Summary, SummaryIoError> {
                 )));
             }
         }
+    }
+    // `Summary::new` would silently collapse a repeated pair to one of
+    // its weights; the writer lists each pair once.
+    let mut pairs: Vec<(u32, u32)> = superedges
+        .iter()
+        .map(|&(a, b, _)| (a.min(b), a.max(b)))
+        .collect();
+    pairs.sort_unstable();
+    if let Some(w) = pairs.windows(2).find(|w| w[0] == w[1]) {
+        let (a, b) = w[0];
+        return Err(SummaryIoError::Format(format!(
+            "superedge ({a}, {b}) listed twice"
+        )));
     }
     let summary = Summary::new(num_nodes, assignment, &superedges);
     if summary.num_supernodes() != num_supers {
@@ -303,6 +319,18 @@ mod tests {
             let m = format_error(data);
             assert!(m.contains("missing node assignments"), "{m}");
         }
+    }
+
+    #[test]
+    fn rejects_a_node_assigned_twice() {
+        let m = format_error("pgs-summary v1 2 1 0\nn 0 0\nn 0 1\nn 1 1\n");
+        assert!(m.contains("node 0 assigned twice"), "{m}");
+    }
+
+    #[test]
+    fn rejects_a_repeated_superedge() {
+        let m = format_error("pgs-summary v1 2 1 1\nn 0 0\nn 1 0\ne 0 0 1\ne 0 0 5\n");
+        assert!(m.contains("superedge (0, 0) listed twice"), "{m}");
     }
 
     #[test]

@@ -187,13 +187,6 @@ impl Scratch {
         self.a.shrink_to_ids(cap);
         self.b.shrink_to_ids(cap);
     }
-
-    /// Frees both lanes entirely (capacity and epoch state). Safe at any
-    /// quiescent point: the next evaluation restarts from a fresh epoch
-    /// over zeroed stamps.
-    pub fn release(&mut self) {
-        *self = Scratch::default();
-    }
 }
 
 thread_local! {
@@ -213,18 +206,9 @@ pub(crate) fn with_thread_scratch<R>(f: impl FnOnce(&mut Scratch) -> R) -> R {
 /// sized to the graph it is actually serving, not the largest one it
 /// ever saw. (Under [`Exec`]'s scoped threads, evaluate-phase worker
 /// threads are per-phase and their lanes free with the threads; this
-/// hook covers the persistent driver thread — and every worker, under a
-/// pooled executor, if routed through it.)
+/// hook covers the persistent driver thread.)
 pub fn shrink_thread_scratch(cap: usize) {
     with_thread_scratch(|s| s.shrink_to(cap));
-}
-
-/// Frees the current thread's reusable evaluation scratch entirely
-/// ([`Scratch::release`]), along with its pooled group-cache arena —
-/// for workers being retired or parked.
-pub fn release_thread_scratch() {
-    with_thread_scratch(|s| s.release());
-    GROUP_CACHE_POOL.with(|cell| *cell.borrow_mut() = None);
 }
 
 /// Outcome of evaluating a candidate merge `{A, B}` (Eq. 10–11).
@@ -2845,7 +2829,7 @@ mod tests {
     }
 
     #[test]
-    fn scratch_shrink_and_release_preserve_correctness() {
+    fn scratch_shrink_preserves_correctness() {
         let g = barabasi_albert(60, 3, 2);
         let (w, m) = uniform_ws(&g);
         let ws = WorkingSummary::new(&g, &w, m);
@@ -2860,15 +2844,8 @@ mod tests {
         let after = ws.eval_merge(3, 7, &mut scratch);
         assert_eq!(before.delta.to_bits(), after.delta.to_bits());
 
-        // Full release also round-trips.
-        scratch.release();
-        assert_eq!(scratch.a.stamp.len(), 0);
-        let again = ws.eval_merge(3, 7, &mut scratch);
-        assert_eq!(before.delta.to_bits(), again.delta.to_bits());
-
-        // The thread-local hooks are callable at any quiescent point.
+        // The thread-local hook is callable at any quiescent point.
         shrink_thread_scratch(16);
-        release_thread_scratch();
     }
 
     #[test]
@@ -3169,7 +3146,6 @@ mod tests {
             assert_eq!(cached.merges, scan.merges);
             assert_eq!(cached.rejected, scan.rejected);
         }
-        release_thread_scratch();
     }
 
     #[test]

@@ -66,11 +66,6 @@ impl GraphBuilder {
         self.num_nodes = self.num_nodes.max(n);
     }
 
-    /// Number of (possibly duplicated) edges added so far.
-    pub fn raw_edge_count(&self) -> usize {
-        self.edges.len()
-    }
-
     /// Finalizes into an immutable CSR [`Graph`]: sorts, de-duplicates,
     /// and lays out sorted adjacency rows. `O(|E| log |E|)`.
     pub fn build(mut self) -> Graph {

@@ -102,14 +102,6 @@ impl Json {
         }
     }
 
-    /// The object members in document order, if this is an object.
-    pub fn as_obj(&self) -> Option<&[(String, Json)]> {
-        match self {
-            Json::Obj(members) => Some(members),
-            _ => None,
-        }
-    }
-
     /// The object's keys in document order (empty for non-objects).
     pub fn keys(&self) -> Vec<&str> {
         match self {

@@ -584,12 +584,6 @@ impl<'s> QueryEngine<'s> {
         2.0 * links as f64 / (deg * (deg - 1)) as f64
     }
 
-    /// [`QueryEngine::clustering_coefficient`] for a batch of query
-    /// nodes, fanned out over `exec` and reassembled in input order.
-    pub fn clustering_batch(&self, qs: &[NodeId], exec: &Exec) -> Vec<f64> {
-        exec.map_indexed(qs, |_, &q| self.clustering_coefficient(q))
-    }
-
     // ----- eigenvector centrality -------------------------------------
 
     /// Eigenvector centrality on `Ĝ` by power iteration with collapsed

@@ -177,12 +177,6 @@ impl WeightCache {
         );
     }
 
-    /// Drops every entry (the epoch mechanism already protects against
-    /// staleness; this just frees memory eagerly).
-    pub fn clear(&mut self) {
-        self.entries.clear();
-    }
-
     /// Drops every entry belonging to `tenant` (scoped invalidation for
     /// a per-tenant graph swap). Returns the number dropped. Not an
     /// eviction and not a miss — the entries were not unlucky, they were
@@ -210,11 +204,6 @@ impl WeightCache {
     /// True when no entries are cached.
     pub fn is_empty(&self) -> bool {
         self.entries.is_empty()
-    }
-
-    /// The configured capacity.
-    pub fn capacity(&self) -> usize {
-        self.capacity
     }
 
     /// Cumulative counters.

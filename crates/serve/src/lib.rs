@@ -36,8 +36,9 @@
 //! durable submission before it is admitted, so a process crash at any
 //! point loses no job — a rebuilt service replays admitted-but-
 //! unfinished records (seeding from recovered checkpoints) and finishes
-//! them byte-identically. A [`Supervisor`] watchdog flags runs whose
-//! heartbeat freezes for longer than the stall timeout
+//! them byte-identically. A stall watchdog thread scans the running
+//! jobs and flags those whose heartbeat freezes for longer than the
+//! stall timeout
 //! ([`StopReason::Stalled`](pgs_core::api::StopReason::Stalled)), so a
 //! wedged evaluator can never hold a worker forever; per-tenant
 //! [`Breaker`]s fast-reject tenants whose recent completions keep
@@ -123,4 +124,4 @@ pub use service::{
     JobStatus, JobTimings, MetricsSnapshot, ServiceConfig, SharedSummarizer, StallReport,
     SubmitRequest, SummaryHandle, SummaryService, TenantStats,
 };
-pub use supervise::{Breaker, OnStall, Supervisor};
+pub use supervise::Breaker;

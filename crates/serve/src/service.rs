@@ -64,8 +64,8 @@
 //!   **quarantined** — rejected with [`PgsError::Quarantined`] until
 //!   [`SummaryService::release_quarantined`] clears it.
 //! * **Stall watchdog** — with [`ServiceConfig::stall_timeout`] set,
-//!   every run gets a heartbeat stamped at group granularity
-//!   and a [`Supervisor`] thread cancels
+//!   every run gets a heartbeat stamped at group granularity and one
+//!   more service thread, scanning the set of running jobs, cancels
 //!   runs whose heartbeat freezes past the timeout; the worker
 //!   publishes the partial result as [`StopReason::Stalled`] and moves
 //!   on — a wedged evaluator can never hold a worker forever.
@@ -89,11 +89,11 @@
 //!
 //! Dropping the service drains it: queued and running requests finish
 //! (cancelled ones short-circuit, backoff delays are honored), then
-//! the pool joins.
+//! the pool joins, then the watchdog.
 
 use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -113,7 +113,7 @@ use pgs_observe::{
 use crate::cache::{CacheStats, WeightCache, WeightKey};
 use crate::durable::{ckpt_filename, recover_checkpoints, FileCheckpointSink};
 use crate::journal::{JobRecord, Journal};
-use crate::supervise::{Breaker, Supervisor};
+use crate::supervise::Breaker;
 
 /// The shareable algorithm a service dispatches to.
 pub type SharedSummarizer = Arc<dyn Summarizer + Send + Sync>;
@@ -413,14 +413,14 @@ struct Job {
     /// Set by the stall watchdog when it cancels this job for a frozen
     /// heartbeat — the worker rewrites the resulting `Cancelled` stop
     /// into [`StopReason::Stalled`].
-    stalled: Arc<AtomicBool>,
-    /// How many times this job has died to a worker panic.
-    attempts: AtomicU32,
-    /// Worker pickups — a superset of deaths: the final, surviving
-    /// attempt counts too. A separate `Arc` so the checkpoint sink can
-    /// read the live attempt index without holding the job (which
-    /// would be a reference cycle through the request).
-    runs: Arc<AtomicU32>,
+    stalled: AtomicBool,
+    /// Pickups of earlier processes, none of which finished: the
+    /// replayed journal record's attempt count (0 for a fresh
+    /// submission).
+    prior_attempts: u32,
+    /// Worker pickups in this process, the final, surviving one
+    /// included.
+    runs: AtomicU32,
     /// Per-attempt wall-clock bookkeeping (see [`AttemptClock`]).
     clock: Mutex<AttemptClock>,
     /// The write-ahead journal record backing this job (`None` unless
@@ -428,11 +428,8 @@ struct Job {
     /// pickup with a bumped attempt count; retired or quarantined when
     /// the result publishes.
     journal_rec: Mutex<Option<JobRecord>>,
-    /// Latest successfully written checkpoint blob. A *separate* `Arc`
-    /// so the checkpoint sink can capture it without capturing the job
-    /// (the request owns the sink and the job owns the request — a
-    /// `Job` capture would be a reference cycle).
-    last_checkpoint: Arc<Mutex<Option<Arc<Vec<u8>>>>>,
+    /// Latest successfully written checkpoint blob.
+    last_checkpoint: Mutex<Option<Arc<Vec<u8>>>>,
     /// File sink for durable checkpoints (`None` unless the submission
     /// carried a durable key and the service has a checkpoint
     /// directory). Written alongside the in-memory slot; removed when
@@ -470,6 +467,21 @@ impl Job {
 struct QueuedEntry {
     job: Arc<Job>,
     not_before: Option<Instant>,
+}
+
+/// A job a worker holds, plus the stall watchdog's window on it while
+/// its engine call runs under a [`ServiceConfig::stall_timeout`].
+struct RunningJob {
+    job: Arc<Job>,
+    watch: Option<Watch>,
+}
+
+/// One attempt's stall window: its heartbeat, the value the watchdog
+/// saw last, and when that value last changed.
+struct Watch {
+    heartbeat: Arc<AtomicU64>,
+    last_value: u64,
+    last_change: Instant,
 }
 
 #[derive(Default)]
@@ -919,21 +931,19 @@ struct Inner {
     /// Durable keys currently quarantined: submissions for them are
     /// rejected with [`PgsError::Quarantined`] until released.
     quarantined: Mutex<BTreeSet<String>>,
-    /// Stall watchdog (`Some` iff [`ServiceConfig::stall_timeout`] is
-    /// set).
-    supervisor: Option<Supervisor>,
     /// Crash simulation ([`SummaryService::crash`]): when set, workers
     /// stop picking up work and all journal/checkpoint retirement is
     /// skipped, freezing on-disk state the way a process death would.
     abandon: AtomicBool,
-    /// Jobs currently held by a worker, for crash-time cancellation.
-    running: Mutex<BTreeMap<u64, Arc<Job>>>,
+    /// Jobs currently held by a worker: swept by
+    /// [`SummaryService::crash`], scanned by the stall watchdog.
+    running: Mutex<BTreeMap<u64, RunningJob>>,
     /// Handles of jobs replayed from the journal at startup.
     replayed: Mutex<Vec<SummaryHandle>>,
     /// Counters, lifecycle events and per-tenant stats (see [`Ledger`]).
     ledger: Arc<Ledger>,
-    /// Stall-forensics captures appended by the watchdog's on-stall
-    /// hook (see [`StallReport`]).
+    /// Stall-forensics captures appended by the watchdog (see
+    /// [`StallReport`]).
     stall_reports: Mutex<Vec<StallReport>>,
 }
 
@@ -1013,6 +1023,10 @@ impl SummaryHandle {
 pub struct SummaryService {
     inner: Arc<Inner>,
     pool: Vec<JoinHandle<()>>,
+    /// The stall watchdog thread (`Some` iff
+    /// [`ServiceConfig::stall_timeout`] is set) and the sender whose
+    /// drop stops it.
+    watchdog: Option<(mpsc::Sender<()>, JoinHandle<()>)>,
 }
 
 impl SummaryService {
@@ -1032,7 +1046,6 @@ impl SummaryService {
             None => BTreeMap::new(),
         };
         let journal = cfg.checkpoint_dir.as_deref().map(Journal::new);
-        let supervisor = cfg.stall_timeout.map(Supervisor::new);
         let events = match &cfg.events_path {
             Some(path) => EventJournal::with_sink(cfg.event_capacity, path).unwrap_or_else(|e| {
                 // Degrade, don't die: a broken sink path must not take
@@ -1103,39 +1116,12 @@ impl SummaryService {
             recovered: Mutex::new(recovered),
             journal,
             quarantined: Mutex::new(quarantined),
-            supervisor,
             abandon: AtomicBool::new(false),
             running: Mutex::new(BTreeMap::new()),
             replayed: Mutex::new(Vec::new()),
             ledger,
             stall_reports: Mutex::new(Vec::new()),
         });
-        // Stall forensics: when the watchdog flags a job, snapshot the
-        // event-ring tail *before* anything else reacts to the
-        // cancellation — later lifecycle events would rotate the
-        // evidence out of the bounded ring. `Weak` breaks the cycle
-        // (the supervisor is owned by `Inner`).
-        if let Some(sup) = &inner.supervisor {
-            let weak = Arc::downgrade(&inner);
-            sup.set_on_stall(Arc::new(move |job_id| {
-                let Some(inner) = weak.upgrade() else { return };
-                // Finished inside the race window: the publish path
-                // already told the full story.
-                let Some(job) = inner.running.lock().unwrap().get(&job_id).cloned() else {
-                    return;
-                };
-                let attempt = job.runs.load(Ordering::Relaxed).saturating_sub(1);
-                let (ledger, tenant) = (&inner.ledger, job.tenant.clone());
-                ledger.transition(job_id, &tenant, attempt, Transition::Stalled);
-                let events = ledger.events.tail();
-                let report = StallReport {
-                    job_id,
-                    tenant,
-                    events,
-                };
-                inner.stall_reports.lock().unwrap().push(report);
-            }));
-        }
         // Re-admit the survivors before the pool spawns: they only
         // queue here, and bypass admission bounds — the journal record
         // *is* their admission. The rebuilt request is bit-identical to
@@ -1173,7 +1159,24 @@ impl SummaryService {
                     .expect("spawning service worker")
             })
             .collect();
-        SummaryService { inner, pool }
+        #[expect(
+            clippy::expect_used,
+            reason = "OS thread exhaustion at construction is unrecoverable"
+        )]
+        let watchdog = inner.cfg.stall_timeout.map(|timeout| {
+            let (stop, stopped) = mpsc::channel();
+            let inner = Arc::clone(&inner);
+            let thread = std::thread::Builder::new()
+                .name("pgs-watchdog".into())
+                .spawn(move || watchdog_loop(&inner, &stopped, timeout))
+                .expect("spawning watchdog");
+            (stop, thread)
+        });
+        SummaryService {
+            inner,
+            pool,
+            watchdog,
+        }
     }
 
     /// Enqueues one request and returns its handle, or rejects it with
@@ -1243,14 +1246,15 @@ impl SummaryService {
             let mut sched = self.inner.sched.lock().unwrap();
             sched.shutdown = true;
         }
-        for job in self.inner.running.lock().unwrap().values() {
-            job.cancel.store(true, Ordering::Relaxed);
+        for running in self.inner.running.lock().unwrap().values() {
+            running.job.cancel.store(true, Ordering::Relaxed);
         }
         self.inner.work_cv.notify_all();
         for worker in self.pool.drain(..) {
             let _ = worker.join();
         }
-        // `Drop` still runs but finds shutdown set and an empty pool.
+        // `Drop` still runs: it finds shutdown set and an empty pool,
+        // and stops the watchdog.
     }
 
     /// Swaps the graph for **one tenant** only. Future submissions by
@@ -1331,11 +1335,6 @@ impl SummaryService {
         self.inner.graphs.lock().unwrap().default.1
     }
 
-    /// Stable name of the algorithm this service dispatches to.
-    pub fn algorithm_name(&self) -> &'static str {
-        self.inner.algorithm.name()
-    }
-
     /// Weight-cache counters.
     pub fn cache_stats(&self) -> CacheStats {
         self.inner.cache.lock().unwrap().stats()
@@ -1412,7 +1411,9 @@ impl SummaryService {
 
 impl Drop for SummaryService {
     /// Graceful drain: workers finish every queued and running request
-    /// (cancelled ones short-circuit), then the pool joins.
+    /// (cancelled ones short-circuit), then the pool joins. The
+    /// watchdog stops only after that, since a run can stall during the
+    /// drain.
     fn drop(&mut self) {
         {
             let mut sched = self.inner.sched.lock().unwrap();
@@ -1422,12 +1423,16 @@ impl Drop for SummaryService {
         for worker in self.pool.drain(..) {
             let _ = worker.join();
         }
+        if let Some((stop, thread)) = self.watchdog.take() {
+            drop(stop);
+            let _ = thread.join();
+        }
     }
 }
 
 /// The submission path shared by [`SummaryService::submit`] and the
 /// startup journal replay. `replayed_attempts` is `Some` for a replay:
-/// the job's attempt counters are seeded from the persisted record and
+/// the job's prior attempt count is seeded from the persisted record and
 /// admission bounds (quarantine, queue depths, breaker) are bypassed —
 /// the journal record *is* the job's admission; re-judging it could
 /// silently drop a job the service already accepted.
@@ -1576,9 +1581,9 @@ fn do_submit(
         submitted: submitted_at,
         graph,
         cancel,
-        stalled: Arc::new(AtomicBool::new(false)),
-        attempts: AtomicU32::new(first_attempt),
-        runs: Arc::new(AtomicU32::new(0)),
+        stalled: AtomicBool::new(false),
+        prior_attempts: first_attempt,
+        runs: AtomicU32::new(0),
         clock: Mutex::new(AttemptClock {
             ready_at: submitted_at,
             prior_wait_secs: 0.0,
@@ -1586,7 +1591,7 @@ fn do_submit(
             backoff_secs: 0.0,
         }),
         journal_rec: Mutex::new(journal_rec),
-        last_checkpoint: Arc::new(Mutex::new(None)),
+        last_checkpoint: Mutex::new(None),
         durable,
         state: Mutex::new(JobState::Queued(Box::new(request))),
         done_cv: Condvar::new(),
@@ -1888,13 +1893,67 @@ fn worker_loop(inner: &Inner) {
     }
 }
 
+/// The stall watchdog thread (DESIGN.md §12), until `stop`'s sender
+/// drops. Cancellation is cooperative: a run that stops ticking its
+/// commit boundaries (a wedged evaluator, the injected
+/// [`FaultKind::StallForever`](pgs_core::fault::FaultKind::StallForever))
+/// holds its worker forever without a deadline, and a deadline cannot
+/// tell *slow* from *stuck*. A heartbeat can: engines stamp it at group
+/// granularity (through [`RunControl::beat`]), so a value unchanged for
+/// `stall_timeout` means the run is wedged, however long its iterations
+/// are. Every quarter timeout this scans the running set's open
+/// windows and flags each frozen run once: `stalled` set, then
+/// `cancel` raised, so the worker publishes [`StopReason::Stalled`].
+fn watchdog_loop(inner: &Inner, stop: &mpsc::Receiver<()>, stall_timeout: Duration) {
+    let tick = (stall_timeout / 4).max(Duration::from_millis(1));
+    while let Err(mpsc::RecvTimeoutError::Timeout) = stop.recv_timeout(tick) {
+        let now = Instant::now();
+        let mut flagged = Vec::new();
+        for RunningJob { job, watch } in inner.running.lock().unwrap().values_mut() {
+            let Some(watch) = watch else { continue };
+            let value = watch.heartbeat.load(Ordering::Relaxed);
+            if value != watch.last_value {
+                watch.last_value = value;
+                watch.last_change = now;
+            } else if now.duration_since(watch.last_change) >= stall_timeout
+                && !job.stalled.swap(true, Ordering::Relaxed)
+            {
+                // Mark first, then cancel: the worker that observes the
+                // cancel must already see the verdict.
+                job.cancel.store(true, Ordering::Relaxed);
+                flagged.push(Arc::clone(job));
+            }
+        }
+        // Stall forensics, after the running-set lock is released:
+        // snapshot the event-ring tail before later lifecycle events
+        // rotate the evidence out of the bounded ring.
+        for job in flagged {
+            // Finished inside the race window: the publish path already
+            // told the full story.
+            if !inner.running.lock().unwrap().contains_key(&job.id) {
+                continue;
+            }
+            let attempt = job.runs.load(Ordering::Relaxed).saturating_sub(1);
+            let step = Transition::Stalled;
+            inner.ledger.transition(job.id, &job.tenant, attempt, step);
+            let report = StallReport {
+                job_id: job.id,
+                tenant: job.tenant.clone(),
+                events: inner.ledger.events.tail(),
+            };
+            inner.stall_reports.lock().unwrap().push(report);
+        }
+    }
+}
+
 /// What a worker decided to do with a popped job.
 enum Outcome {
     /// Publish this result to the handle (the job is finished).
     Publish(Box<Result<RunOutput, PgsError>>),
     /// The run died but has retry budget left: re-enqueue this request
-    /// (already re-armed with the last checkpoint) after backoff.
-    Retry(Box<SummarizeRequest>),
+    /// (already re-armed with the last checkpoint) after backoff. The
+    /// count is the job's deaths so far.
+    Retry(Box<SummarizeRequest>, u32),
 }
 
 /// Runs one job end to end: take the request, shape its deadline from
@@ -1932,11 +1991,11 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
     // is either registered in time to be swept, or its load below sees
     // the flag — never neither (which would leave a worker running a
     // job the crash can no longer cancel, wedging the pool join).
-    inner
-        .running
-        .lock()
-        .unwrap()
-        .insert(job.id, Arc::clone(job));
+    let entry = RunningJob {
+        job: Arc::clone(job),
+        watch: None,
+    };
+    inner.running.lock().unwrap().insert(job.id, entry);
     if inner.abandon.load(Ordering::SeqCst) {
         // Crashing: freeze — put the request back and walk away. The
         // scheduler counters are left inconsistent on purpose (the
@@ -2005,24 +2064,26 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             // file; the in-memory slot is updated first, so a file
             // write failure (surfaced as WriteFailed, absorbed by the
             // engine) still leaves panic-retry on the freshest state.
-            let durable = job.durable.clone();
-            if (inner.cfg.retry_budget > 0 || durable.is_some())
+            // The sink holds the job weakly: the job owns the request
+            // that owns the sink.
+            if (inner.cfg.retry_budget > 0 || job.durable.is_some())
                 && request.control_ref().checkpoint.is_none()
             {
-                let slot = Arc::clone(&job.last_checkpoint);
+                let weak = Arc::downgrade(job);
                 let ledger = Arc::clone(&inner.ledger);
-                let (ev_id, ev_tenant, ev_runs) =
-                    (job.id, job.tenant.clone(), Arc::clone(&job.runs));
                 let sink: CheckpointSink = Arc::new(move |_t, blob| {
+                    let Some(job) = weak.upgrade() else {
+                        return Ok(());
+                    };
                     let blob = Arc::new(blob);
-                    *slot.lock().unwrap() = Some(Arc::clone(&blob));
-                    let result = match &durable {
+                    *job.last_checkpoint.lock().unwrap() = Some(Arc::clone(&blob));
+                    let result = match &job.durable {
                         Some(file) => file.write(&blob),
                         None => Ok(()),
                     };
                     if result.is_ok() {
-                        let attempt = ev_runs.load(Ordering::Relaxed).saturating_sub(1);
-                        ledger.transition(ev_id, &ev_tenant, attempt, Transition::Checkpointed);
+                        let attempt = job.runs.load(Ordering::Relaxed).saturating_sub(1);
+                        ledger.transition(job.id, &job.tenant, attempt, Transition::Checkpointed);
                     }
                     result
                 });
@@ -2054,21 +2115,24 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                     }
                 });
             }
-            // Stall supervision: give the run a fresh heartbeat and put
-            // it under watch for the duration of the engine call. The
-            // watchdog escalates a frozen heartbeat to the job's cancel
-            // flag (marking `stalled` first), so the engine unwinds
-            // through its normal cancellation path and the worker is
-            // free again within one stall timeout plus one commit.
-            if let Some(sup) = &inner.supervisor {
-                let hb = Arc::new(AtomicU64::new(0));
-                request = request.heartbeat(Arc::clone(&hb));
-                sup.watch(
-                    job.id,
-                    hb,
-                    Arc::clone(&job.cancel),
-                    Arc::clone(&job.stalled),
-                );
+            // Stall supervision: give the run a fresh heartbeat and open
+            // a fresh window on it in the running set for the duration
+            // of the engine call. The watchdog escalates a frozen
+            // heartbeat to the job's cancel flag (marking `stalled`
+            // first), so the engine unwinds through its normal
+            // cancellation path and the worker is free again within one
+            // stall timeout plus one commit.
+            let watched = inner.cfg.stall_timeout.is_some();
+            if watched {
+                let heartbeat = Arc::new(AtomicU64::new(0));
+                request = request.heartbeat(Arc::clone(&heartbeat));
+                if let Some(entry) = inner.running.lock().unwrap().get_mut(&job.id) {
+                    entry.watch = Some(Watch {
+                        heartbeat,
+                        last_value: 0,
+                        last_change: Instant::now(),
+                    });
+                }
             }
             // Panic isolation: an algorithm bug or a panicking user
             // observer must not unwind the worker — that would leak the
@@ -2078,8 +2142,10 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
             let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
                 inner.algorithm.run(&job.graph, &request)
             }));
-            if let Some(sup) = &inner.supervisor {
-                sup.unwatch(job.id);
+            if watched {
+                if let Some(entry) = inner.running.lock().unwrap().get_mut(&job.id) {
+                    entry.watch = None;
+                }
             }
             // The engine notifies only inside its loop, so work after
             // the last iteration (sparsification) reaches the counters
@@ -2111,7 +2177,9 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                     Outcome::Publish(Box::new(result))
                 }
                 Err(_) => {
-                    let deaths = job.attempts.fetch_add(1, Ordering::Relaxed) + 1;
+                    // Each pickup in this process died before the next
+                    // one started, so every pickup so far is a death.
+                    let deaths = job.prior_attempts + attempt + 1;
                     if deaths <= inner.cfg.retry_budget {
                         // Re-queue with the caller's own observer: the
                         // next pickup wraps it afresh, so no layer of
@@ -2125,7 +2193,7 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
                         if let Some(blob) = last {
                             retry = retry.resume_from(blob);
                         }
-                        Outcome::Retry(Box::new(retry))
+                        Outcome::Retry(Box::new(retry), deaths)
                     } else if inner.cfg.retry_budget > 0 {
                         // Budget exhausted: degrade to the last good
                         // checkpoint (or identity if none) — a valid
@@ -2151,9 +2219,8 @@ fn run_job(inner: &Inner, job: &Arc<Job>) {
 
     inner.running.lock().unwrap().remove(&job.id);
     let result = match outcome {
-        Outcome::Retry(retry) => {
-            let failed_attempt = job.attempts.load(Ordering::Relaxed);
-            let delay = retry_delay(inner.cfg.retry_backoff, job.seq, failed_attempt);
+        Outcome::Retry(retry, deaths) => {
+            let delay = retry_delay(inner.cfg.retry_backoff, job.seq, deaths);
             let attempt_run_secs = picked.elapsed().as_secs_f64();
             // Roll this attempt into the job's cumulative clock and
             // re-arm `ready_at` at backoff expiry: the next pickup's
@@ -2506,6 +2573,31 @@ mod tests {
                     "jitter exceeded exp/2: {d:?} vs exp {exp:?}"
                 );
             }
+        }
+    }
+
+    #[test]
+    fn drop_and_crash_leave_no_thread_holding_the_service() {
+        for crash in [false, true] {
+            let svc = SummaryService::new(
+                Arc::new(barabasi_albert(200, 3, 7)),
+                Arc::new(Pegasus::default()),
+                ServiceConfig {
+                    workers: 1,
+                    stall_timeout: Some(Duration::from_millis(20)),
+                    ..Default::default()
+                },
+            );
+            let inner = Arc::downgrade(&svc.inner);
+            if crash {
+                svc.crash();
+            } else {
+                drop(svc);
+            }
+            assert!(
+                inner.upgrade().is_none(),
+                "a worker or the watchdog still holds the service (crash: {crash})"
+            );
         }
     }
 

@@ -102,6 +102,40 @@ fn stall_forever_never_holds_a_worker_past_the_timeout() {
     assert_eq!(stats_for(&stats, "healthy").stalled, 0);
 }
 
+/// The watchdog outlives the pool: a run that stalls while a dropped
+/// service drains is still flagged, so the drop returns within about
+/// one stall timeout rather than the fault's 30 s safety cap, and the
+/// handle resolves `Stalled`.
+#[test]
+fn dropping_a_service_drains_a_stalled_run() {
+    let svc = SummaryService::new(
+        graph(),
+        algorithm(3),
+        ServiceConfig {
+            workers: 1,
+            stall_timeout: Some(Duration::from_millis(100)),
+            ..Default::default()
+        },
+    );
+    let plan = Arc::new(FaultPlan::new().stall_forever_at(2));
+    let req = SummarizeRequest::new(Budget::Ratio(0.4))
+        .targets(&[0])
+        .fault_plan(Arc::clone(&plan));
+    let stuck = svc
+        .submit(SubmitRequest::new("stuck", req))
+        .expect("admitted");
+    let t0 = Instant::now();
+    drop(svc);
+    let drained = t0.elapsed();
+    assert!(
+        drained < Duration::from_secs(10),
+        "drain took {drained:.2?}"
+    );
+    assert_eq!(plan.armed(), 0, "the stall actually fired");
+    let out = stuck.wait().expect("stalled run still publishes");
+    assert_eq!(out.stop, StopReason::Stalled);
+}
+
 /// Seeded stall sweep: wherever the fault lands in the run, every job
 /// resolves (the stalled one as `Stalled`, the healthy one untouched)
 /// and the pool never wedges.
